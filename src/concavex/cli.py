@@ -8,12 +8,15 @@ Three subcommands:
 
 All rationals are printed as "numerator/denominator" strings, never
 floats, in every output format.  Reports are byte-identical across runs
-with the same flags; timing goes to stderr only.
+with the same flags; timing goes to stderr only.  `compute --chern`
+spells out the default (Chern variable kept symbolic); `--euler`
+specializes it to 0.
 
 Exit codes: 0 success; 1 failed verification; 2 unreadable or invalid
-input (including unsupported oracle degrees and the Euler-class flag on
-a spec with positive splitting excess); 3 an internal inconsistency
-surfaced by the solver or the extraction.
+input (including a degree bound or sample count below 1, unsupported
+oracle degrees and the Euler-class flag on a spec with positive
+splitting excess); 3 an internal inconsistency surfaced by the solver
+or the extraction.
 """
 
 from __future__ import annotations
@@ -30,9 +33,8 @@ from .geometry import GeometrySpec, SpecError, parse_spec, validate
 from .localization import (
     OracleInconsistencyError,
     SamplingError,
-    oracle_invariant,
+    oracle_draws,
     oracle_invariant_checked,
-    sample_weights,
 )
 from .mirror import (
     InvariantTable,
@@ -171,22 +173,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise SpecError("the graph sum covers single-factor specs only")
     if args.degree not in (1, 2):
         raise SpecError("the graph sum covers degrees 1 and 2 only")
-    n = spec.factors[0]
-    values = []
-    attempt = 0
-    while len(values) < args.samples:
-        if attempt >= args.samples + 20:
-            raise SamplingError("too many degenerate weight samples")
-        try:
-            sample = sample_weights(n, args.seed * 1000 + attempt)
-            values.append((sample.seed, oracle_invariant(spec, args.degree, sample)))
-        except SamplingError:
-            pass
-        attempt += 1
-    lines = [f"sample seed={seed}: {_rat(v)}" for seed, v in values]
-    agree = len({v for _, v in values}) == 1
+    draws = oracle_draws(spec, args.degree, args.samples, args.seed)
+    lines = [f"sample seed={sample.seed}: {_rat(v)}" for sample, v in draws]
+    agree = len({v for _, v in draws}) == 1
     lines.append(f"agreement: {'yes' if agree else 'NO'}")
-    lines.append(f"value: {_rat(values[0][1])}")
+    lines.append(f"value: {_rat(draws[0][1])}")
     sys.stdout.write("\n".join(lines) + "\n")
     print(f"oracle: {time.monotonic() - t0:.3f}s", file=sys.stderr)
     if not agree:
@@ -209,6 +200,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="concavex",
@@ -219,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="solve and print the invariant table")
     p.add_argument("--spec", required=True, help="path to a spec file")
-    p.add_argument("--max-degree", type=int, required=True, metavar="D")
+    p.add_argument("--max-degree", type=_positive_int, required=True, metavar="D")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--euler", action="store_true",
@@ -231,13 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="fixed-point graph sum cross-check")
     p.add_argument("--spec", required=True)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--samples", type=int, default=3)
+    p.add_argument("--samples", type=_positive_int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify", help="run every consistency gate")
     p.add_argument("--spec", required=True)
-    p.add_argument("--max-degree", type=int, required=True, metavar="D")
+    p.add_argument("--max-degree", type=_positive_int, required=True, metavar="D")
     p.set_defaults(func=cmd_verify)
     return parser
 

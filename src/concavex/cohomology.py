@@ -90,17 +90,6 @@ class CohClass:
         """
         return self.coeffs[-1]
 
-    def total_degree_parts(self) -> dict[int, "CohClass"]:
-        """Split into graded pieces keyed by total exponent."""
-        parts: dict[int, list[Rat]] = {}
-        size = len(self.coeffs)
-        for exps, c in self.terms():
-            d = sum(exps)
-            if d not in parts:
-                parts[d] = [Rat(0)] * size
-            parts[d][_flat_index(self.dims, exps)] = c
-        return {d: CohClass(self.dims, tuple(v)) for d, v in sorted(parts.items())}
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "CohClass") -> "CohClass":

@@ -24,18 +24,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Rat
 
-from .cohomology import CohClass, hyperplane, one, scalar
-from .geometry import GeometrySpec, first_chern, pairing, validate
+from .cohomology import CohClass, hyperplane, scalar
+from .geometry import GeometrySpec, first_chern, pairing
 from .laurent import (
     LaurentBlock,
+    _invert_x_factor,
     block_one,
     from_class,
     invert_linear_factor,
-    kahler_factor,
     variable_x,
 )
 from .localization import SamplingError, WeightSample
-from .qseries import Degree, QSeries, degrees_upto
+from .qseries import Degree
 
 
 def _affine_block(c: CohClass, alpha_coeff: int) -> LaurentBlock:
@@ -50,26 +50,6 @@ def _affine_block(c: CohClass, alpha_coeff: int) -> LaurentBlock:
     return b
 
 
-def _inverse_x_factor(c: CohClass) -> LaurentBlock:
-    """Exact inverse of (x + c) for nilpotent c.
-
-    Expands x^{-1} sum_j (-c/x)^j, finite because c has no scalar part.
-    """
-    if c.coeffs[0] != 0:
-        raise ValueError("class must be nilpotent (zero scalar part)")
-    dims = c.dims
-    out = LaurentBlock(dims)
-    power = one(dims)
-    sign = 1
-    for j in range(sum(dims) + 1):
-        out._put((0, -1 - j, (0,) * len(dims)), power.scale(sign))
-        power = power * c
-        sign = -sign
-        if power.is_zero():
-            break
-    return out
-
-
 def chern_ratio(spec: GeometrySpec) -> LaurentBlock:
     """Ratio of the Chern polynomials of the two bundle parts.
 
@@ -81,64 +61,37 @@ def chern_ratio(spec: GeometrySpec) -> LaurentBlock:
     for b in spec.convex():
         out = out * _affine_block(first_chern(spec, b), 0)
     for b in spec.concave():
-        out = out * _inverse_x_factor(first_chern(spec, b))
+        out = out * _invert_x_factor(first_chern(spec, b))
     return out
 
 
-def normal_euler(spec: GeometrySpec, d: Degree) -> tuple[LaurentBlock, LaurentBlock]:
-    """Euler factor of the ambient linear model at degree d, with inverse.
+def normal_euler(spec: GeometrySpec, d: Degree) -> LaurentBlock:
+    """Inverse Euler factor of the ambient linear model at degree d.
 
     The factor is prod_i prod_{k=1}^{d_i} (H_i - k*alpha)^{n_i+1}; the
     inverse is assembled from exact geometric expansions of each linear
-    factor.  d = 0 gives the empty product (1, 1).
+    factor.  d = 0 gives the empty product 1.
     """
     dims = spec.factors
-    factor = block_one(dims)
     inverse = block_one(dims)
     for i, n in enumerate(dims):
         h = hyperplane(dims, i)
         for k in range(1, d[i] + 1):
-            lin = _affine_block(h, -k) - variable_x(dims)  # H_i - k*alpha
-            factor = factor * lin**(n + 1)
             inverse = inverse * invert_linear_factor(h, k)**(n + 1)
-    return factor, inverse
-
-
-def hyper_block(spec: GeometrySpec, d: Degree) -> LaurentBlock:
-    """Degree-d hypergeometric block of the bundle data.
-
-    Inverted Euler factor times, per convex summand, the factors
-    (x + c1 - k*alpha) for k = 0..<c1,d>, and per concave summand the
-    factors (x + c1 + k*alpha) for k = 1..-<c1,d>-1.  At d = 0 this is
-    exactly chern_ratio(spec).
-    """
-    if not any(d):
-        return chern_ratio(spec)
-    _, inv = normal_euler(spec, d)
-    out = inv
-    for b in spec.convex():
-        c = first_chern(spec, b)
-        for k in range(0, pairing(b, d) + 1):
-            out = out * _affine_block(c, -k)
-    for b in spec.concave():
-        c = first_chern(spec, b)
-        for k in range(1, -pairing(b, d)):
-            out = out * _affine_block(c, k)
-    return out
+    return inverse
 
 
 def reduced_block(spec: GeometrySpec, d: Degree) -> LaurentBlock:
-    """hyper_block with the Chern-polynomial ratio divided out.
+    """Degree-d hypergeometric block with the Chern-polynomial ratio divided out.
 
-    Built directly rather than by division: the k = 0 factor of each
-    convex product is omitted and the k = 0 factor of each concave
-    product is included.  The result is polynomial in x and equals 1 at
-    d = 0; multiplying by chern_ratio recovers hyper_block exactly.
+    Inverted Euler factor times, per convex summand, the factors
+    (x + c1 - k*alpha) for k = 1..<c1,d>, and per concave summand the
+    factors (x + c1 + k*alpha) for k = 0..-<c1,d>-1.  The result is
+    polynomial in x and equals 1 at d = 0.
     """
     if not any(d):
         return block_one(spec.factors)
-    _, inv = normal_euler(spec, d)
-    out = inv
+    out = normal_euler(spec, d)
     for b in spec.convex():
         c = first_chern(spec, b)
         for k in range(1, pairing(b, d) + 1):
@@ -150,20 +103,14 @@ def reduced_block(spec: GeometrySpec, d: Degree) -> LaurentBlock:
     return out
 
 
-def hyper_series(spec: GeometrySpec, bound: int) -> QSeries:
-    """All hypergeometric blocks up to the truncation bound, as a q-series.
+def hyper_block(spec: GeometrySpec, d: Degree) -> LaurentBlock:
+    """Degree-d hypergeometric block of the bundle data.
 
-    Each degree-d coefficient carries the Kahler prefactor
-    exp(-(sum_i H_i t_i)/alpha), so the degree-0 coefficient restricted
-    to t = 0 is chern_ratio(spec).
+    The reduced block times the Chern-polynomial ratio: this restores the
+    k = 0 factor (x + c1) of each convex product and divides out the k = 0
+    factor of each concave product.  At d = 0 it is chern_ratio(spec).
     """
-    validate(spec)
-    dims = spec.factors
-    eht = kahler_factor(dims)
-    out = QSeries(len(dims), bound, dims, {})
-    for d in degrees_upto(len(dims), bound):
-        out.set(d, eht * hyper_block(spec, d))
-    return out
+    return chern_ratio(spec) * reduced_block(spec, d)
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +188,3 @@ def linking_product(
         for k in range(d + 1):
             out = out * _affine_block(scalar((), lam[j] - lam[i] - k * w), 0)
     return out
-
-
-def residue_sum(sample: WeightSample) -> Rat:
-    """Fixed-point sum of the constant class 1; zero whenever n >= 1."""
-    lam = sample.weights
-    total = Rat(0)
-    for j in range(len(lam)):
-        e = Rat(1)
-        for k in range(len(lam)):
-            if k != j:
-                e *= lam[j] - lam[k]
-        total += 1 / e
-    return total

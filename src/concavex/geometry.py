@@ -28,7 +28,6 @@ __all__ = [
     "validate",
     "pairing",
     "first_chern",
-    "canonical_balance_class",
 ]
 
 
@@ -193,8 +192,3 @@ def pairing(bundle: LineBundleSpec, d: tuple[int, ...]) -> int:
 
 def first_chern(spec: GeometrySpec, bundle: LineBundleSpec) -> CohClass:
     return linear(spec.factors, [Rat(a) for a in bundle.multidegree])
-
-
-def canonical_balance_class(spec: GeometrySpec) -> CohClass:
-    """c1 of the tangent bundle of the product: sum (n_i + 1) H_i."""
-    return linear(spec.factors, [Rat(n + 1) for n in spec.factors])

@@ -21,7 +21,6 @@ Key = tuple[int, int, tuple[int, ...]]
 __all__ = [
     "Key",
     "LaurentBlock",
-    "block_zero",
     "block_one",
     "block_scalar",
     "from_class",
@@ -91,13 +90,6 @@ class LaurentBlock:
                 out.terms[k] = c
         return out
 
-    def alpha_at_most(self, a: int) -> "LaurentBlock":
-        out = LaurentBlock(self.dims)
-        for k, c in self.terms.items():
-            if k[0] <= a:
-                out.terms[k] = c
-        return out
-
     def x_stratum(self, j: int) -> "LaurentBlock":
         out = LaurentBlock(self.dims)
         for k, c in self.terms.items():
@@ -146,12 +138,6 @@ class LaurentBlock:
                     continue
                 key = (a1 + a2, j1 + j2, tuple(u + v for u, v in zip(t1, t2)))
                 out._put(key, p)
-        return out
-
-    def mul_class(self, c: CohClass) -> "LaurentBlock":
-        out = LaurentBlock(self.dims)
-        for k, a in self.terms.items():
-            out._put(k, a * c)
         return out
 
     def __pow__(self, k: int) -> "LaurentBlock":
@@ -206,17 +192,6 @@ class LaurentBlock:
             out._put((0, j, t), c.scale(value**a))
         return out
 
-    def drop_x(self) -> "LaurentBlock":
-        """Set x to zero; only the x^0 stratum survives.
-
-        Unlike substitute_x(0) this is defined for any block: strata with
-        positive x exponents are discarded, negative ones are an error.
-        """
-        lo = self.x_support()
-        if lo is not None and lo[0] < 0:
-            raise ValueError("block has x poles; x->0 undefined")
-        return self.x_stratum(0)
-
     def integrate_fibrewise(self) -> "LaurentBlock":
         """Integrate every coefficient over the product of projective spaces.
 
@@ -262,10 +237,6 @@ class LaurentBlock:
         return " + ".join(bits)
 
 
-def block_zero(dims: tuple[int, ...]) -> LaurentBlock:
-    return LaurentBlock(dims)
-
-
 def block_one(dims: tuple[int, ...]) -> LaurentBlock:
     return from_class(one(dims))
 
@@ -293,31 +264,39 @@ def alpha_power(dims: tuple[int, ...], power: int) -> LaurentBlock:
     return b
 
 
-def invert_linear_factor(c: CohClass, k: int) -> LaurentBlock:
-    """Exact inverse of (c - k*alpha) for nilpotent c and k != 0.
+def _geometric_inverse(c: CohClass, r: Rat | int, v: tuple[int, int]) -> LaurentBlock:
+    """Exact inverse of (c + r*v) for nilpotent c and r != 0.
 
-    Expands the finite geometric series
-    -(k*alpha)^{-1} * sum_j (c / (k*alpha))^j,
-    which terminates because c has no scalar part.
+    v is the monomial alpha^v[0] x^v[1].  Expands the finite geometric
+    series sum_j (-c)^j (r*v)^{-1-j}, which terminates because c has no
+    scalar part.
     """
-    if k == 0:
-        raise ZeroDivisionError("linear factor with k = 0 is not invertible here")
     if c.coeffs[0] != 0:
         raise ValueError("class must be nilpotent (zero scalar part)")
     dims = c.dims
-    bound = sum(dims)
+    t0 = _tzero(len(dims))
     out = LaurentBlock(dims)
     power = one(dims)
-    kk = Rat(1)
-    for j in range(bound + 1):
-        # term: -(1/k) * alpha^{-1} * (c/(k alpha))^j
-        coeff = power.scale(Rat(-1, k) / kk)
-        out._put((-1 - j, 0, _tzero(len(dims))), coeff)
+    weight = 1 / Rat(r)
+    for j in range(sum(dims) + 1):
+        out._put(((-1 - j) * v[0], (-1 - j) * v[1], t0), power.scale(weight))
         power = power * c
         if power.is_zero():
             break
-        kk *= k
+        weight /= -r
     return out
+
+
+def invert_linear_factor(c: CohClass, k: int) -> LaurentBlock:
+    """Exact inverse of (c - k*alpha) for nilpotent c and k != 0."""
+    if k == 0:
+        raise ZeroDivisionError("linear factor with k = 0 is not invertible here")
+    return _geometric_inverse(c, -k, (1, 0))
+
+
+def _invert_x_factor(c: CohClass) -> LaurentBlock:
+    """Exact inverse of (x + c) for nilpotent c."""
+    return _geometric_inverse(c, 1, (0, 1))
 
 
 def kahler_factor(dims: tuple[int, ...]) -> LaurentBlock:

@@ -24,6 +24,7 @@ __all__ = [
     "OracleInconsistencyError",
     "sample_weights",
     "oracle_invariant",
+    "oracle_draws",
     "oracle_invariant_checked",
     "quintic_lines_schubert",
 ]
@@ -219,35 +220,46 @@ def oracle_invariant(spec: GeometrySpec, d: int, sample: WeightSample) -> Rat:
     raise ValueError(f"oracle supports degrees 1 and 2, got {d}")
 
 
-def oracle_invariant_checked(
-    spec: GeometrySpec, d: int, samples: int = 3, seed: int = 0
-) -> tuple[Rat, list[WeightSample]]:
-    """Evaluate at several independent samples and insist on agreement.
+def oracle_draws(
+    spec: GeometrySpec, d: int, samples: int, seed: int = 0
+) -> list[tuple[WeightSample, Rat]]:
+    """Evaluate at `samples` independent weight samples.
 
-    Degenerate draws are skipped deterministically.  Returns the common
-    value and the samples that produced it.
+    Draw number k uses seed*1000 + k.  Degenerate draws are skipped
+    deterministically; after 100*samples + 1 draws the oracle gives up
+    with SamplingError.  Returns each sample with its value.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     n = spec.factors[0] if spec.m == 1 else 0
-    values: list[Rat] = []
-    used: list[WeightSample] = []
+    draws: list[tuple[WeightSample, Rat]] = []
     attempt = 0
-    while len(values) < samples:
+    while len(draws) < samples:
         if attempt > 100 * samples:
             raise SamplingError("too many degenerate weight samples")
         sample = sample_weights(n, seed * 1000 + attempt)
         attempt += 1
         try:
-            values.append(oracle_invariant(spec, d, sample))
+            draws.append((sample, oracle_invariant(spec, d, sample)))
         except SamplingError:
             continue
-        used.append(sample)
-    if len(set(values)) != 1:
+    return draws
+
+
+def oracle_invariant_checked(
+    spec: GeometrySpec, d: int, samples: int = 3, seed: int = 0
+) -> tuple[Rat, list[WeightSample]]:
+    """Evaluate at several independent samples and insist on agreement.
+
+    Returns the common value and the samples that produced it.
+    """
+    draws = oracle_draws(spec, d, samples, seed)
+    values = {v for _, v in draws}
+    if len(values) != 1:
         raise OracleInconsistencyError(
-            f"oracle values disagree across samples: {sorted(set(values))}"
+            f"oracle values disagree across samples: {sorted(values)}"
         )
-    return values[0], used
+    return draws[0][1], [sample for sample, _ in draws]
 
 
 def quintic_lines_schubert() -> Rat:

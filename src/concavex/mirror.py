@@ -40,6 +40,7 @@ from .eulerdata import chern_ratio, hyper_block, reduced_block
 from .geometry import GeometrySpec, validate
 from .laurent import (
     LaurentBlock,
+    _tzero,
     block_one,
     block_scalar,
     kahler_factor,
@@ -103,10 +104,6 @@ class InvariantTable:
         raise KeyError(d)
 
 
-def _tzero(m: int) -> tuple[int, ...]:
-    return (0,) * m
-
-
 def _sub(d: Degree, e: Degree) -> Degree | None:
     out = tuple(a - b for a, b in zip(d, e))
     return None if any(c < 0 for c in out) else out
@@ -138,6 +135,18 @@ def _transform_series(
         if nu:
             nq.set(d, block_scalar(dims, nu))
     return series_exp(fq) * series_inverse(nq), series_exp(gq)
+
+
+def _residual(
+    u: QSeries, g: QSeries, reduced: dict[Degree, LaurentBlock], d: Degree
+) -> LaurentBlock:
+    """Degree-d coefficient of U * sum_d' R_d' q^d' - G."""
+    acc = LaurentBlock(g.dims)
+    for dp, r in reduced.items():
+        diff = _sub(d, dp)
+        if diff is not None:
+            acc = acc + u.coefficient(diff) * r
+    return acc - g.coefficient(d)
 
 
 def _read_linear_stratum(
@@ -191,13 +200,7 @@ def solve_mirror_map(spec: GeometrySpec, bound: int) -> MirrorMap:
             continue
         partial = MirrorMap(spec, bound, normalization, prefactor, shifts)
         u, g = _transform_series(spec, partial, bound)
-        acc = LaurentBlock(dims)
-        for dp in degrees:
-            diff = _sub(d, dp)
-            if diff is not None:
-                acc = acc + u.coefficient(diff) * reduced[dp]
-        acc = acc - g.coefficient(d)
-
+        acc = _residual(u, g, reduced, d)
         head = acc.alpha_stratum(0)
         nu = Rat(0)
         for (a, j, t), c in head.terms.items():
@@ -223,13 +226,7 @@ def solve_mirror_map(spec: GeometrySpec, bound: int) -> MirrorMap:
     for d in degrees:
         if not any(d):
             continue
-        acc = LaurentBlock(dims)
-        for dp in degrees:
-            diff = _sub(d, dp)
-            if diff is not None:
-                acc = acc + u.coefficient(diff) * reduced[dp]
-        acc = acc - g.coefficient(d)
-        sup = acc.alpha_support()
+        sup = _residual(u, g, reduced, d).alpha_support()
         if sup is not None and sup[1] >= -1:
             raise MirrorInconsistencyError(
                 f"degree {d}: residual stratum at alpha^{sup[1]} after solving"
@@ -242,10 +239,13 @@ def integrand_series(
 ) -> QSeries:
     """The normalized difference series, multiplied back to full blocks.
 
-    With `euler` set, the Chern variable is specialized to 0 in every
-    full block before assembly; the correction term is formed with x
-    symbolic and only then restricted to its x^0 stratum, because the
-    Chern ratio of a concave summand is an x-Laurent series.
+    With `euler` set, every degree-d block is restricted to its x^0
+    stratum.  Full blocks polynomial in x are specialized to x = 0 before
+    assembly; the correction term, and any full block with x poles, are
+    multiplied out with x symbolic and restricted only afterwards,
+    because the Chern ratio of a concave summand is an x-Laurent series.
+    A concave summand pairing to 0 with dp leaves such a pole in
+    hyper_block(spec, dp).
     """
     dims = spec.factors
     m = len(dims)
@@ -254,10 +254,14 @@ def integrand_series(
     eht = kahler_factor(dims)
     degrees = degrees_upto(m, bound)
     blocks = {}
+    at_x0 = set()  # degrees whose block is already specialized to x = 0
     for dp in degrees:
         if any(dp):
             b = hyper_block(spec, dp)
-            blocks[dp] = b.substitute_x(0) if euler else b
+            if euler and b.x_support()[0] >= 0:
+                b = b.substitute_x(0)
+                at_x0.add(dp)
+            blocks[dp] = b
     out = QSeries(m, bound, dims)
     for d in degrees:
         if not any(d):
@@ -270,13 +274,13 @@ def integrand_series(
             if diff is None:
                 continue
             uc = u.coefficient(diff)
-            if euler:
+            if dp in at_x0:
                 uc = uc.x_stratum(0)
             acc = acc + uc * blocks[dp]
-        corr = (u.coefficient(d) - g.coefficient(d)) * omega
+        acc = acc + (u.coefficient(d) - g.coefficient(d)) * omega
         if euler:
-            corr = corr.x_stratum(0)
-        out.set(d, eht * (acc + corr))
+            acc = acc.x_stratum(0)
+        out.set(d, eht * acc)
     return out
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "series_inverse",
     "scalar_mul",
     "scalar_exp",
-    "scalar_inverse",
 ]
 
 
@@ -71,13 +70,6 @@ class QSeries:
             self.coeffs.pop(d, None)
         else:
             self.coeffs[d] = b
-
-    def truncate(self, bound: int) -> "QSeries":
-        out = QSeries(self.m, bound, self.dims)
-        for d, b in self.coeffs.items():
-            if degree_total(d) <= bound:
-                out.coeffs[d] = b
-        return out
 
     def __add__(self, other: "QSeries") -> "QSeries":
         self._check(other)
@@ -196,24 +188,3 @@ def scalar_exp(s: dict[Degree, Rat], m: int, bound: int) -> dict[Degree, Rat]:
         for d, c in power.items():
             out[d] = out.get(d, Rat(0)) + c * inv
     return {d: c for d, c in out.items() if c}
-
-
-def scalar_inverse(s: dict[Degree, Rat], m: int, bound: int) -> dict[Degree, Rat]:
-    z = (0,) * m
-    if s.get(z) != 1:
-        raise ValueError("inverse needs constant term one")
-    out: dict[Degree, Rat] = {z: Rat(1)}
-    for d in degrees_upto(m, bound):
-        if d == z:
-            continue
-        acc = Rat(0)
-        for d1, c1 in s.items():
-            if d1 == z:
-                continue
-            d2 = tuple(a - b for a, b in zip(d, d1))
-            if any(c < 0 for c in d2):
-                continue
-            acc += c1 * out.get(d2, Rat(0))
-        if acc:
-            out[d] = -acc
-    return out

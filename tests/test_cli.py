@@ -5,11 +5,16 @@ from fractions import Fraction as Rat
 
 import pytest
 
+from concavex import localization
 from concavex.cli import main
+from concavex.geometry import parse_spec
+from concavex.localization import SamplingError, oracle_invariant_checked
 
 PAIR = "name pair\nspace 1\nbundle concave 1\nbundle concave 1\n"
 QUINTIC = "name quintic\nspace 4\nbundle convex 5\n"
 P3_QUARTIC = "space 3\nbundle convex 4\n"
+# the concave summand pairs to 0 with every degree (0, k)
+ZERO_ENTRY = "space 1\nspace 2\nbundle convex 1 3\nbundle concave 1 0\n"
 
 
 @pytest.fixture
@@ -94,6 +99,22 @@ def test_compute_euler_equals_default_on_pair(spec_file, capsys):
     assert a == b
 
 
+def test_euler_and_verify_when_concave_summand_pairs_to_zero(spec_file, capsys):
+    # the degree-(0, k) blocks keep the x pole of that summand's Chern ratio
+    path = spec_file(ZERO_ENTRY)
+    rc, chern, _ = run(capsys, "compute", "--spec", path, "--max-degree", "2", "--chern")
+    assert rc == 0
+    rc, euler, _ = run(capsys, "compute", "--spec", path, "--max-degree", "2", "--euler")
+    assert rc == 0
+    a = {tuple(e["degree"]): e["K"] for e in json.loads(chern)["invariants"]}
+    b = {tuple(e["degree"]): e["K"] for e in json.loads(euler)["invariants"]}
+    assert a == b
+    rc, out, _ = run(capsys, "verify", "--spec", path, "--max-degree", "1")
+    assert rc == 0
+    assert "euler_specialization: pass" in out.splitlines()
+    assert out.splitlines()[-1] == "all checks passed"
+
+
 def test_euler_rejected_when_excess_positive(spec_file, capsys):
     path = spec_file(P3_QUARTIC)
     rc, out, err = run(capsys, "compute", "--spec", path, "--max-degree", "1", "--euler")
@@ -168,3 +189,51 @@ def test_timing_goes_to_stderr_not_stdout(spec_file, capsys):
     _, out, err = run(capsys, "compute", "--spec", path, "--max-degree", "2")
     assert "compute:" not in out
     assert err.startswith("compute:") and err.rstrip().endswith("s")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "--max-degree", "-1"),
+        ("compute", "--max-degree", "0"),
+        ("verify", "--max-degree", "0"),
+        ("oracle", "--degree", "1", "--samples", "0"),
+    ],
+    ids=["compute-negative", "compute-zero", "verify-zero", "oracle-no-samples"],
+)
+def test_bound_and_samples_below_one_exit_2(spec_file, capsys, argv):
+    path = spec_file(PAIR)
+    with pytest.raises(SystemExit) as e:
+        main([argv[0], "--spec", path, *argv[1:]])
+    out, err = capsys.readouterr()
+    assert e.value.code == 2
+    assert out == ""
+    assert "at least 1" in err
+
+
+def test_oracle_cli_and_library_share_one_draw(spec_file, capsys, monkeypatch):
+    path = spec_file(QUINTIC)
+    rc, out, _ = run(capsys, "oracle", "--spec", path, "--degree", "1",
+                     "--samples", "3", "--seed", "4")
+    assert rc == 0
+    printed = [int(line.split()[1].split("=")[1].rstrip(":"))
+               for line in out.splitlines() if line.startswith("sample seed=")]
+    _, used = oracle_invariant_checked(parse_spec(QUINTIC), 1, samples=3, seed=4)
+    assert printed == [s.seed for s in used]
+
+    draws = []
+
+    def always_degenerate(spec, d, sample):
+        draws.append(sample.seed)
+        raise SamplingError("degenerate")
+
+    monkeypatch.setattr(localization, "oracle_invariant", always_degenerate)
+    with pytest.raises(SamplingError):
+        oracle_invariant_checked(parse_spec(QUINTIC), 1, samples=3, seed=4)
+    library = list(draws)
+    draws.clear()
+    rc, out, _ = run(capsys, "oracle", "--spec", path, "--degree", "1",
+                     "--samples", "3", "--seed", "4")
+    assert rc == 1
+    assert out == ""
+    assert draws == library

@@ -73,16 +73,6 @@ def test_scaling_matches_scalar_multiplication(a, k):
     assert a.scale(k) == a * scalar(DIMS, k)
 
 
-def test_degree_parts_recombine():
-    c = one(DIMS) + hyperplane(DIMS, 0).scale(2) + monomial(DIMS, (1, 1), Rat(5))
-    parts = c.total_degree_parts()
-    assert set(parts) == {0, 1, 2}
-    total = zero(DIMS)
-    for p in parts.values():
-        total = total + p
-    assert total == c
-
-
 def test_mismatched_dims_rejected():
     with pytest.raises(ValueError):
         one((1,)) * one((2,))

@@ -9,24 +9,22 @@ from fractions import Fraction as Rat
 
 import pytest
 
-from concavex.cohomology import hyperplane, linear, scalar
+from concavex.cohomology import hyperplane, scalar
 from concavex.eulerdata import (
     EquivariantRestrictions,
     chern_ratio,
     hyper_block,
-    hyper_series,
     linking_product,
     normal_euler,
     reduced_block,
-    residue_sum,
     tangent_block_restrictions,
 )
-from concavex.geometry import ValidationError, parse_spec
+from concavex.geometry import first_chern, pairing, parse_spec
 from concavex.laurent import (
+    alpha_power,
     block_one,
     from_class,
     invert_linear_factor,
-    kahler_factor,
     variable_x,
 )
 from concavex.localization import WeightSample
@@ -40,7 +38,31 @@ TWO_FACTOR = parse_spec(
     "space 1\nspace 1\nbundle convex 1 1\nbundle convex 1 1\n"
 )
 
-SPECS = [QUINTIC, PAIR, LOCAL_P2, P3_QUARTIC, TWO_FACTOR]
+# the concave summand pairs to 0 with every degree (0, k)
+ZERO_ENTRY = parse_spec(
+    "name zero-entry\nspace 1\nspace 2\nbundle convex 1 3\nbundle concave 1 0\n"
+)
+SPECS = [QUINTIC, PAIR, LOCAL_P2, P3_QUARTIC, TWO_FACTOR, ZERO_ENTRY]
+
+
+def _euler_factor(dims, d):
+    """prod_i prod_{k=1}^{d_i} (H_i - k*alpha)^{n_i+1}, built from generators."""
+    factor = block_one(dims)
+    for i, n in enumerate(dims):
+        for k in range(1, d[i] + 1):
+            lin = from_class(hyperplane(dims, i)) - alpha_power(dims, 1).scale(k)
+            factor = factor * lin ** (n + 1)
+    return factor
+
+
+def _shifted(spec, b, k):
+    """x + c1(b) + k*alpha, built from generators."""
+    dims = spec.factors
+    return (
+        variable_x(dims)
+        + from_class(first_chern(spec, b))
+        + alpha_power(dims, 1).scale(k)
+    )
 
 
 def test_chern_ratio_quintic_is_linear():
@@ -77,27 +99,49 @@ def test_degree_zero_blocks(spec):
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name or "two-factor")
 def test_normal_euler_inverse(spec):
+    dims = spec.factors
     for d in degrees_upto(spec.m, 2):
-        factor, inverse = normal_euler(spec, d)
-        assert factor * inverse == block_one(spec.factors)
+        assert _euler_factor(dims, d) * normal_euler(spec, d) == block_one(dims)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name or "two-factor")
 def test_reduced_times_ratio_is_hyper(spec):
-    omega = chern_ratio(spec)
+    # Cleared of every denominator, each block is a plain product of the
+    # shifted factors x + c1 - k*alpha (convex) and x + c1 + k*alpha
+    # (concave); the three identities together give ratio * reduced = hyper.
+    dims = spec.factors
+    cleared_ratio = chern_ratio(spec)
+    for b in spec.concave():
+        cleared_ratio = cleared_ratio * _shifted(spec, b, 0)
+    convex_x = block_one(dims)
+    for b in spec.convex():
+        convex_x = convex_x * _shifted(spec, b, 0)
+    assert cleared_ratio == convex_x
     for d in degrees_upto(spec.m, 2):
         red = reduced_block(spec, d)
         lo_x, _ = red.x_support() or (0, 0)
         assert lo_x >= 0  # reduced blocks are polynomial in x
-        assert red * omega == hyper_block(spec, d)
+        want_red = block_one(dims)
+        for b in spec.convex():
+            for k in range(1, pairing(b, d) + 1):
+                want_red = want_red * _shifted(spec, b, -k)
+        for b in spec.concave():
+            for k in range(0, -pairing(b, d)):
+                want_red = want_red * _shifted(spec, b, k)
+        assert _euler_factor(dims, d) * red == want_red
+        cleared_hyper = _euler_factor(dims, d) * hyper_block(spec, d)
+        for b in spec.concave():
+            cleared_hyper = cleared_hyper * _shifted(spec, b, 0)
+        assert cleared_hyper == convex_x * want_red
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name or "two-factor")
 def test_alpha_support_bounds(spec):
-    rk_concave = len(spec.concave())
     for d in degrees_upto(spec.m, 3):
         if not any(d):
             continue
+        # a concave summand pairing to 0 with d contributes (x + c1)^-1, at alpha^0
+        rk_concave = sum(1 for b in spec.concave() if pairing(b, d))
         lo, hi = hyper_block(spec, d).alpha_support()
         assert hi == -rk_concave
         assert lo >= -sum(di * (n + 1) for di, n in zip(d, spec.factors)) - spec.dim
@@ -148,18 +192,6 @@ def test_quintic_degree_one_block_against_dict_convolution():
     assert got[(4, -3)] == 5750
 
 
-def test_hyper_series_wiring():
-    hs = hyper_series(LOCAL_P2, 2)
-    eht = kahler_factor((2,))
-    for d in degrees_upto(1, 2):
-        assert hs.coefficient(d) == eht * hyper_block(LOCAL_P2, d)
-
-
-def test_hyper_series_rejects_unbalanced_spec():
-    with pytest.raises(ValidationError):
-        hyper_series(parse_spec("space 2\nbundle convex 5\n"), 1)
-
-
 # -- equivariant tangent blocks --------------------------------------------
 
 SAMPLES = [
@@ -203,8 +235,11 @@ def test_linking_matches_specialized_restriction(sample, d):
 
 
 def test_residue_sum_vanishes():
+    # the fixed-point sum of the constant class 1 is zero whenever n >= 1
     for sample in SAMPLES:
-        assert residue_sum(sample) == 0
+        n = len(sample.weights) - 1
+        ones = tuple(block_one(()) for _ in range(n + 1))
+        assert EquivariantRestrictions(sample, ones).integrate().is_zero()
 
 
 def test_equivariant_error_paths():

@@ -9,7 +9,6 @@ from concavex.geometry import (
     ParseError,
     SpecError,
     ValidationError,
-    canonical_balance_class,
     first_chern,
     pairing,
     parse_spec,
@@ -108,7 +107,6 @@ def test_pairing_is_bilinear_in_degree():
 def test_chern_classes():
     spec = parse_spec("space 2\nspace 1\nbundle convex 1 2\nbundle concave 2 0\n")
     assert first_chern(spec, spec.bundles[1]) == linear((2, 1), [Rat(-2), Rat(0)])
-    assert canonical_balance_class(spec) == linear((2, 1), [Rat(3), Rat(2)])
 
 
 def _specs():

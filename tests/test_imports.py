@@ -1,0 +1,65 @@
+"""Every module-level import in the package is used by the module itself.
+
+There is no linter in this repository; this stdlib check keeps deletions
+from leaving dead imports behind.  Names a module lists in ``__all__``
+count as used, and ``__init__.py`` is skipped because it only re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import concavex
+
+MODULES = sorted(
+    p for p in Path(concavex.__file__).parent.glob("*.py") if p.name != "__init__.py"
+)
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                names[bound] = node.lineno
+    return names
+
+
+def _exported_names(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= _exported_names(tree)
+    return sorted(
+        f"line {line}: {name}"
+        for name, line in _imported_names(tree).items()
+        if name not in used
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import math\nimport os.path\nfrom fractions import Fraction as Rat\n"
+        "from itertools import chain\n"
+        "__all__ = ['chain']\n"
+        "def f(x: Rat) -> float:\n    return os.path.sep\n"
+    )
+    assert _unused_imports(source) == ["line 2: math"]

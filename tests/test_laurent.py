@@ -8,10 +8,10 @@ from hypothesis import given, strategies as st
 from concavex.cohomology import hyperplane, monomial, one, scalar
 from concavex.laurent import (
     LaurentBlock,
+    _invert_x_factor,
     alpha_power,
     block_one,
     block_scalar,
-    block_zero,
     from_class,
     invert_linear_factor,
     kahler_factor,
@@ -29,6 +29,8 @@ def test_invert_linear_factor_back_multiplies_to_one():
                 h = hyperplane(dims, i)
                 factor = from_class(h) - alpha_power(dims, 1).scale(k)
                 assert factor * invert_linear_factor(h, k) == block_one(dims)
+            x_plus_h = variable_x(dims) + from_class(h)
+            assert x_plus_h * _invert_x_factor(h) == block_one(dims)
 
 
 def test_invert_linear_factor_known_expansion():
@@ -62,21 +64,17 @@ def test_kahler_factor_two_factors_cross_term():
 
 def test_alpha_strata_partition():
     b = kahler_factor(P2)
-    total = block_zero(P2)
+    total = LaurentBlock(P2)
     lo, hi = b.alpha_support()
     for a in range(lo, hi + 1):
         total = total + b.alpha_stratum(a)
     assert total == b
-    assert b.alpha_at_most(-1) == b - b.alpha_stratum(0)
 
 
 def test_substitute_x_and_drop_x():
     b = variable_x(P1, 2) + block_one(P1)
     assert b.substitute_x(3) == block_scalar(P1, 10)
-    assert b.drop_x() == block_one(P1)
     pole = variable_x(P1, -1)
-    with pytest.raises(ValueError):
-        pole.drop_x()
     with pytest.raises(ValueError):
         pole.substitute_x(0)
 

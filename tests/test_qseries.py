@@ -12,8 +12,6 @@ from concavex.qseries import (
     degrees_upto,
     qseries_one,
     scalar_exp,
-    scalar_inverse,
-    scalar_mul,
     series_exp,
     series_inverse,
 )
@@ -59,13 +57,6 @@ def test_block_coefficients_flow_through_products():
     assert sq.coefficient((1,)).is_zero()
 
 
-def test_truncate_drops_high_degrees():
-    s = _series({(1,): Rat(1), (3,): Rat(7)})
-    t = s.truncate(2)
-    assert t.coefficient((3,)).is_zero()
-    assert t.coefficient((1,)) == block_scalar(DIMS, 1)
-
-
 def scalar_series():
     return st.dictionaries(
         st.tuples(st.integers(min_value=1, max_value=3)),
@@ -87,13 +78,3 @@ def test_scalar_exp_matches_block_exp(coeffs):
     for d in degrees_upto(1, bound):
         assert be.coefficient(d) == block_scalar(DIMS, se.get(d, Rat(0)))
 
-
-@settings(max_examples=50)
-@given(scalar_series())
-def test_scalar_inverse_roundtrip(coeffs):
-    bound = 4
-    s = {(0,): Rat(1)}
-    s.update({d: Rat(c) for d, c in coeffs.items() if c})
-    inv = scalar_inverse(s, 1, bound)
-    prod = scalar_mul(s, inv, 1, bound)
-    assert prod == {(0,): Rat(1)}
