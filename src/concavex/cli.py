@@ -13,10 +13,10 @@ spells out the default (Chern variable kept symbolic); `--euler`
 specializes it to 0.
 
 Exit codes: 0 success; 1 failed verification; 2 unreadable or invalid
-input (including a degree bound or sample count below 1, unsupported
-oracle degrees and the Euler-class flag on a spec with positive
-splitting excess); 3 an internal inconsistency surfaced by the solver
-or the extraction.
+input (including a spec file that is not UTF-8 text, a degree bound or
+sample count below 1, unsupported oracle degrees and the Euler-class
+flag on a spec with positive splitting excess); 3 an internal
+inconsistency surfaced by the solver or the extraction.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from fractions import Fraction as Rat
 
 from .geometry import GeometrySpec, SpecError, parse_spec, validate
 from .localization import (
+    ORACLE_SAMPLES,
     OracleInconsistencyError,
     SamplingError,
     oracle_draws,
@@ -77,7 +78,7 @@ def _oracle_checks(
         if not any(d):
             continue
         if len(spec.factors) == 1 and sum(d) <= 2:
-            val, _ = oracle_invariant_checked(spec, sum(d), samples=2, seed=0)
+            val, _ = oracle_invariant_checked(spec, sum(d))
             rows.append((d, val, val == table.value(d)))
         else:
             rows.append((d, None, None))
@@ -229,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="fixed-point graph sum cross-check")
     p.add_argument("--spec", required=True)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--samples", type=_positive_int, default=3)
+    p.add_argument("--samples", type=_positive_int, default=ORACLE_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_oracle)
 
@@ -244,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, SpecError) as err:
+    except (OSError, UnicodeDecodeError, SpecError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except MirrorError as err:

@@ -19,6 +19,7 @@ from .geometry import GeometrySpec
 Rat = Fraction
 
 __all__ = [
+    "ORACLE_SAMPLES",
     "WeightSample",
     "SamplingError",
     "OracleInconsistencyError",
@@ -28,6 +29,9 @@ __all__ = [
     "oracle_invariant_checked",
     "quintic_lines_schubert",
 ]
+
+# weight samples per oracle check, for `compute`, `verify` and `oracle`
+ORACLE_SAMPLES = 3
 
 
 class SamplingError(ValueError):
@@ -247,7 +251,7 @@ def oracle_draws(
 
 
 def oracle_invariant_checked(
-    spec: GeometrySpec, d: int, samples: int = 3, seed: int = 0
+    spec: GeometrySpec, d: int, samples: int = ORACLE_SAMPLES, seed: int = 0
 ) -> tuple[Rat, list[WeightSample]]:
     """Evaluate at several independent samples and insist on agreement.
 

@@ -19,10 +19,10 @@ solve is a read-off; anything outside that span is a hard error.
 The invariants then come out of the integrated series: multiplying back
 by the Chern ratio and the Kahler prefactor gives per degree d the block
 
-    J_d = kahler * ( sum_{d' >= 1} U_{d-d'} * ratio * R_{d'}
-                     + (U_d - G_d) * ratio ),
+    J_d = kahler * ratio * ( sum_{d'} U_{d-d'} R_{d'} - G_d ),
 
-whose fibrewise integral concentrates, at the x^s stratum (s the
+the Kahler factor times the Chern ratio times the residual the solve
+checked, whose fibrewise integral concentrates, at the x^s stratum (s the
 splitting excess), in alpha^{-3} with t-degree at most one.  Writing
 Phi(t) = sum K_d exp(d.t) for the sought table, matching the t-constant
 part of the integrals against 2*Phi - sum_i t_i dPhi/dt_i expressed in
@@ -32,7 +32,7 @@ t-linear part is then an overdetermined consistency check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Rat
 
 from .cohomology import linear, scalar
@@ -78,6 +78,8 @@ class MirrorMap:
     normalization: dict[Degree, Rat]
     prefactor: dict[Degree, Rat]
     shifts: tuple[dict[Degree, Rat], ...]
+    # per degree, U * sum R q^d - G: both strata cancelled, as the solve checked
+    residuals: dict[Degree, LaurentBlock] = field(compare=False, repr=False)
 
     def shift_vector(self, d: Degree) -> tuple[Rat, ...]:
         return tuple(g.get(d, Rat(0)) for g in self.shifts)
@@ -110,10 +112,13 @@ def _sub(d: Degree, e: Degree) -> Degree | None:
 
 
 def _transform_series(
-    spec: GeometrySpec, mm: MirrorMap, bound: int
+    dims: tuple[int, ...],
+    bound: int,
+    normalization: dict[Degree, Rat],
+    prefactor: dict[Degree, Rat],
+    shifts: tuple[dict[Degree, Rat], ...],
 ) -> tuple[QSeries, QSeries]:
-    """The pair (U, G) built from a (possibly partial) mirror map."""
-    dims = spec.factors
+    """The pair (U, G) built from the (possibly partial) coefficients."""
     m = len(dims)
     fq = QSeries(m, bound, dims)
     gq = QSeries(m, bound, dims)
@@ -121,17 +126,17 @@ def _transform_series(
     for d in degrees_upto(m, bound):
         if not any(d):
             continue
-        fd = mm.prefactor.get(d, Rat(0))
+        fd = prefactor.get(d, Rat(0))
         if fd:
             blk = LaurentBlock(dims)
             blk._put((-1, 1, _tzero(m)), scalar(dims, fd))
             fq.set(d, blk)
-        gvec = [mm.shifts[i].get(d, Rat(0)) for i in range(m)]
+        gvec = [g.get(d, Rat(0)) for g in shifts]
         if any(gvec):
             blk = LaurentBlock(dims)
             blk._put((-1, 0, _tzero(m)), linear(dims, [-c for c in gvec]))
             gq.set(d, blk)
-        nu = mm.normalization.get(d, Rat(0))
+        nu = normalization.get(d, Rat(0))
         if nu:
             nq.set(d, block_scalar(dims, nu))
     return series_exp(fq) * series_inverse(nq), series_exp(gq)
@@ -183,7 +188,14 @@ def _read_linear_stratum(
 
 
 def solve_mirror_map(spec: GeometrySpec, bound: int) -> MirrorMap:
-    """Determine normalization, prefactor and shifts degree by degree."""
+    """Determine normalization, prefactor and shifts one total degree at a time.
+
+    A degree reads U and G only at lower total degrees, so each pass
+    builds (U, G) once from the coefficients solved so far and reads off
+    every degree of its total.  The same pair is complete one total
+    below, where both strata must now cancel; the residuals that check
+    computes are kept on the map for the integrand.
+    """
     validate(spec)
     dims = spec.factors
     m = len(dims)
@@ -195,81 +207,70 @@ def solve_mirror_map(spec: GeometrySpec, bound: int) -> MirrorMap:
     normalization: dict[Degree, Rat] = {}
     prefactor: dict[Degree, Rat] = {}
     shifts: tuple[dict[Degree, Rat], ...] = tuple({} for _ in range(m))
-    for d in degrees:
-        if not any(d):
-            continue
-        partial = MirrorMap(spec, bound, normalization, prefactor, shifts)
-        u, g = _transform_series(spec, partial, bound)
-        acc = _residual(u, g, reduced, d)
-        head = acc.alpha_stratum(0)
-        nu = Rat(0)
-        for (a, j, t), c in head.terms.items():
-            if j or any(t):
+    residuals: dict[Degree, LaurentBlock] = {}
+    for total in range(1, bound + 2):
+        u, g = _transform_series(dims, bound, normalization, prefactor, shifts)
+        for d in degrees:
+            if not any(d) or sum(d) not in (total - 1, total):
+                continue
+            acc = _residual(u, g, reduced, d)
+            if sum(d) < total:  # solved: the two strata must now cancel
+                sup = acc.alpha_support()
+                if sup is not None and sup[1] >= -1:
+                    raise MirrorInconsistencyError(
+                        f"degree {d}: residual stratum at alpha^{sup[1]} after solving"
+                    )
+                residuals[d] = acc
+                continue
+            try:
+                nu = acc.alpha_stratum(0).as_scalar()
+            except ValueError:
                 raise MirrorInconsistencyError(
                     f"degree {d}: alpha^0 stratum is not a pure scalar"
-                )
-            for exps, r in c.terms():
-                if any(exps):
-                    raise MirrorInconsistencyError(
-                        f"degree {d}: alpha^0 stratum is not a pure scalar"
-                    )
-                nu = r
-        xcoef, hcoefs = _read_linear_stratum(acc.alpha_stratum(-1), d, dims)
-        normalization[d] = nu
-        prefactor[d] = -xcoef
-        for i in range(m):
-            shifts[i][d] = -hcoefs[i]
-
-    mm = MirrorMap(spec, bound, normalization, prefactor, shifts)
-    # the two strata must now cancel identically at every degree
-    u, g = _transform_series(spec, mm, bound)
-    for d in degrees:
-        if not any(d):
-            continue
-        sup = _residual(u, g, reduced, d).alpha_support()
-        if sup is not None and sup[1] >= -1:
-            raise MirrorInconsistencyError(
-                f"degree {d}: residual stratum at alpha^{sup[1]} after solving"
-            )
-    return mm
+                ) from None
+            xcoef, hcoefs = _read_linear_stratum(acc.alpha_stratum(-1), d, dims)
+            normalization[d] = nu
+            prefactor[d] = -xcoef
+            for i in range(m):
+                shifts[i][d] = -hcoefs[i]
+    return MirrorMap(spec, bound, normalization, prefactor, shifts, residuals)
 
 
 def integrand_series(
     spec: GeometrySpec, mm: MirrorMap, bound: int, euler: bool = False
 ) -> QSeries:
-    """The normalized difference series, multiplied back to full blocks.
+    """The Kahler factor times the Chern ratio times the solve's residuals.
 
-    With `euler` set, every degree-d block is restricted to its x^0
-    stratum.  Full blocks polynomial in x are specialized to x = 0 before
-    assembly; the correction term, and any full block with x poles, are
-    multiplied out with x symbolic and restricted only afterwards,
-    because the Chern ratio of a concave summand is an x-Laurent series.
-    A concave summand pairing to 0 with dp leaves such a pole in
-    hyper_block(spec, dp).
+    `mm` must be solved for `spec` at a bound of at least `bound`.  With
+    `euler` set, the series is rebuilt from the full blocks and every
+    degree-d block is restricted to its x^0 stratum.  Full blocks
+    polynomial in x are specialized to x = 0 before assembly; the
+    correction term, and any full block with x poles, are multiplied out
+    with x symbolic and restricted only afterwards, because the Chern
+    ratio of a concave summand is an x-Laurent series.  A concave summand
+    pairing to 0 with dp leaves such a pole in hyper_block(spec, dp).
     """
+    if spec != mm.spec or bound > mm.bound:
+        raise ValueError(
+            f"the mirror map was solved for another spec or below bound {bound}"
+        )
     dims = spec.factors
     m = len(dims)
-    u, g = _transform_series(spec, mm, bound)
     omega = chern_ratio(spec)
     eht = kahler_factor(dims)
-    degrees = degrees_upto(m, bound)
-    blocks = {}
-    at_x0 = set()  # degrees whose block is already specialized to x = 0
-    for dp in degrees:
-        if any(dp):
-            b = hyper_block(spec, dp)
-            if euler and b.x_support()[0] >= 0:
-                b = b.substitute_x(0)
-                at_x0.add(dp)
-            blocks[dp] = b
+    degrees = [d for d in degrees_upto(m, bound) if any(d)]
     out = QSeries(m, bound, dims)
+    if not euler:
+        for d in degrees:
+            out.set(d, eht * (omega * mm.residuals[d]))
+        return out
+    u, g = _transform_series(dims, bound, mm.normalization, mm.prefactor, mm.shifts)
+    blocks = {dp: hyper_block(spec, dp) for dp in degrees}
+    at_x0 = {dp for dp, b in blocks.items() if b.x_support()[0] >= 0}
+    blocks.update((dp, blocks[dp].substitute_x(0)) for dp in at_x0)
     for d in degrees:
-        if not any(d):
-            continue
         acc = LaurentBlock(dims)
         for dp in degrees:
-            if not any(dp):
-                continue
             diff = _sub(d, dp)
             if diff is None:
                 continue
@@ -278,9 +279,7 @@ def integrand_series(
                 uc = uc.x_stratum(0)
             acc = acc + uc * blocks[dp]
         acc = acc + (u.coefficient(d) - g.coefficient(d)) * omega
-        if euler:
-            acc = acc.x_stratum(0)
-        out.set(d, eht * acc)
+        out.set(d, eht * acc.x_stratum(0))
     return out
 
 
@@ -294,8 +293,7 @@ def extract_invariants(
             "Euler-class specialization needs splitting excess 0; "
             f"this spec has excess {s}"
         )
-    dims = spec.factors
-    m = len(dims)
+    m = spec.m
     js = integrand_series(spec, mm, bound, euler)
     degrees = [d for d in degrees_upto(m, bound) if any(d)]
 
@@ -435,12 +433,7 @@ class CheckResult:
     detail: str = ""
 
 
-def verify_all(
-    spec: GeometrySpec,
-    bound: int,
-    oracle_samples: int = 3,
-    oracle_seed: int = 0,
-) -> list[CheckResult]:
+def verify_all(spec: GeometrySpec, bound: int) -> list[CheckResult]:
     """Engine run plus every consistency gate, reported check by check."""
     from .localization import oracle_invariant_checked
 
@@ -491,9 +484,7 @@ def verify_all(
     if m == 1:
         for d in range(1, min(2, bound) + 1):
             try:
-                val, _ = oracle_invariant_checked(
-                    spec, d, samples=oracle_samples, seed=oracle_seed
-                )
+                val, _ = oracle_invariant_checked(spec, d)
                 ok = val == table.value((d,))
                 checks.append(
                     CheckResult(f"oracle_degree_{d}", ok,

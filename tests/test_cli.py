@@ -131,6 +131,15 @@ def test_malformed_spec_exits_2_with_empty_stdout(spec_file, capsys):
     assert "factor 0" in err
 
 
+def test_non_utf8_spec_exits_2(capsys, tmp_path):
+    path = tmp_path / "spec.cvx"
+    path.write_bytes(b"\xff\xfespace 4\nbundle convex 5\n")
+    rc, out, err = run(capsys, "compute", "--spec", str(path), "--max-degree", "1")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_missing_file_exits_2(capsys, tmp_path):
     rc, out, err = run(capsys, "compute", "--spec", str(tmp_path / "nope.cvx"), "--max-degree", "1")
     assert rc == 2

@@ -1,11 +1,15 @@
-"""Every module-level import in the package is used by the module itself.
+"""Every module-level import and private helper in the package is used.
 
-There is no linter in this repository; this stdlib check keeps deletions
-from leaving dead imports behind.  Names a module lists in ``__all__``
-count as used, and ``__init__.py`` is skipped because it only re-exports.
+There is no linter in this repository; these stdlib checks keep deletions
+and refactors from leaving dead imports or helpers behind.  Names a module
+lists in ``__all__`` count as used, and ``__init__.py`` is skipped because
+it only re-exports.  A private helper (``def _name`` or ``class _name`` at
+module level) counts as used when some module references it outside its
+own body.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -63,3 +67,38 @@ def test_checker_flags_an_unused_import():
         "def f(x: Rat) -> float:\n    return os.path.sep\n"
     )
     assert _unused_imports(source) == ["line 2: math"]
+
+
+def _references(tree: ast.AST) -> Counter:
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def _dead_private_helpers(sources: dict[str, str]) -> list[str]:
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    used = sum((_references(t) for t in trees.values()), Counter())
+    return sorted(
+        f"{name}: {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and used[node.name] == _references(node)[node.name]
+    )
+
+
+def test_no_dead_private_helpers():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert _dead_private_helpers(sources) == []
+
+
+def test_checker_flags_a_dead_private_helper():
+    sources = {
+        "a.py": "def _used():\n    return 1\n"
+        "def _dead(n):\n    return _dead(n - 1) if n else 0\n",
+        "b.py": "from .a import _used\nx = _used()\n",
+    }
+    assert _dead_private_helpers(sources) == ["a.py: _dead"]

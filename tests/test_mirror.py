@@ -5,11 +5,16 @@ by the fixed-point oracle (or a classical closed form), and frozen only
 after the two agreed.
 """
 
+from collections import Counter
 from fractions import Fraction as Rat
+from pathlib import Path
 
 import pytest
 
+from concavex import mirror
+from concavex.eulerdata import chern_ratio, hyper_block
 from concavex.geometry import parse_spec, validate
+from concavex.laurent import kahler_factor
 from concavex.mirror import (
     ExtractionError,
     MirrorInconsistencyError,
@@ -29,6 +34,9 @@ P3_QUARTIC = parse_spec("name p3q\nspace 3\nbundle convex 4\n")
 TWO_FACTOR = parse_spec(
     "space 1\nspace 1\nbundle convex 1 1\nbundle convex 1 1\n"
 )
+# the concave summand pairs to 0 with every degree (0, k)
+ZERO_ENTRY = parse_spec("space 1\nspace 2\nbundle convex 1 3\nbundle concave 1 0\n")
+BENCH_SPECS = sorted((Path(__file__).parents[1] / "bench" / "specs").glob("*.cvx"))
 
 
 def test_pair_map_is_trivial_and_invariants_cubic():
@@ -181,3 +189,56 @@ def test_verify_all_on_two_factor_skips_oracle():
     checks = verify_all(TWO_FACTOR, 2)
     assert all(c.passed for c in checks)
     assert not any(c.name.startswith("oracle") for c in checks)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [parse_spec(p.read_text(encoding="utf-8")) for p in BENCH_SPECS] + [ZERO_ENTRY],
+    ids=[p.stem for p in BENCH_SPECS] + ["zero-entry"],
+)
+def test_integrand_equals_the_series_rebuilt_from_full_blocks(spec):
+    bound = 2
+    mm = solve_mirror_map(spec, bound)
+    u, g = mirror._transform_series(
+        spec.factors, bound, mm.normalization, mm.prefactor, mm.shifts
+    )
+    omega = chern_ratio(spec)
+    eht = kahler_factor(spec.factors)
+    js = integrand_series(spec, mm, bound)
+    degrees = [d for d in degrees_upto(spec.m, bound) if any(d)]
+    blocks = {dp: hyper_block(spec, dp) for dp in degrees}
+    assert set(js.coeffs) <= set(degrees)
+    for d in degrees:
+        want = (u.coefficient(d) - g.coefficient(d)) * omega
+        for dp in degrees:
+            diff = tuple(a - b for a, b in zip(d, dp))
+            if min(diff) >= 0:
+                want = want + u.coefficient(diff) * blocks[dp]
+        assert js.coefficient(d) == eht * want, d
+
+
+def test_integrand_needs_the_map_of_its_spec_at_a_large_enough_bound():
+    mm = solve_mirror_map(QUINTIC, 2)
+    other = parse_spec("space 4\nbundle convex 2\nbundle convex 3\n")
+    for call in (integrand_series, extract_invariants):
+        with pytest.raises(ValueError):
+            call(other, mm, 2)
+        with pytest.raises(ValueError):
+            call(QUINTIC, mm, 3)
+    assert extract_invariants(QUINTIC, mm, 1).value((1,)) == 2875
+
+
+def test_blocks_and_transform_series_are_built_once(monkeypatch):
+    calls = Counter()
+    for name in ("reduced_block", "hyper_block", "series_inverse"):
+        def counted(*args, _real=getattr(mirror, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(mirror, name, counted)
+    bound = 3
+    mm = solve_mirror_map(TWO_FACTOR, bound)
+    extract_invariants(TWO_FACTOR, mm, bound)
+    assert calls["reduced_block"] == len(degrees_upto(2, bound)) == 10
+    assert calls["hyper_block"] == 0
+    assert calls["series_inverse"] == bound + 1
