@@ -27,8 +27,8 @@ import io
 import json
 import sys
 import time
-from fractions import Fraction as Rat
 
+from .cohomology import Rat
 from .geometry import GeometrySpec, SpecError, parse_spec, validate
 from .localization import (
     ORACLE_SAMPLES,

@@ -10,6 +10,9 @@ determines a closed-form Laurent block, assembled from
   * the inverted Euler factor of the ambient linear model, a product
     of (H_i - k*alpha)^{n_i+1}.
 
+Degree d adds few factors to degree d - e_i, so the blocks are built
+degree by degree, each from the one below it.
+
 Everything is exact; denominators only ever involve nilpotent classes
 plus a nonzero multiple of alpha or x, so inverses are finite sums.
 
@@ -22,9 +25,8 @@ linking products used to cross-check it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Rat
 
-from .cohomology import CohClass, hyperplane, scalar
+from .cohomology import CohClass, Rat, hyperplane, scalar
 from .geometry import GeometrySpec, first_chern, pairing
 from .laurent import (
     LaurentBlock,
@@ -65,41 +67,51 @@ def chern_ratio(spec: GeometrySpec) -> LaurentBlock:
     return out
 
 
-def normal_euler(spec: GeometrySpec, d: Degree) -> LaurentBlock:
-    """Inverse Euler factor of the ambient linear model at degree d.
+def _euler_inverse(dims: tuple[int, ...], i: int, k: int) -> LaurentBlock:
+    """(H_i - k*alpha)^{-(n_i+1)}, one factor of the inverted Euler class."""
+    return invert_linear_factor(hyperplane(dims, i), k) ** (dims[i] + 1)
 
-    The factor is prod_i prod_{k=1}^{d_i} (H_i - k*alpha)^{n_i+1}; the
-    inverse is assembled from exact geometric expansions of each linear
-    factor.  d = 0 gives the empty product 1.
+
+def _raise_degree(spec: GeometrySpec, r: LaurentBlock, e: Degree, i: int) -> LaurentBlock:
+    """R_{e+e_i} from r = R_e, multiplying in one new factor at a time.
+
+    The new factors are the Euler inverse at k = e_i + 1 and the shifted
+    linear factors whose k lies between the pairings with e and e + e_i.
     """
-    dims = spec.factors
-    inverse = block_one(dims)
-    for i, n in enumerate(dims):
-        h = hyperplane(dims, i)
-        for k in range(1, d[i] + 1):
-            inverse = inverse * invert_linear_factor(h, k)**(n + 1)
-    return inverse
+    d = e[:i] + (e[i] + 1,) + e[i + 1:]
+    out = r * _euler_inverse(spec.factors, i, d[i])
+    for b in spec.convex():
+        c = first_chern(spec, b)
+        for k in range(pairing(b, e) + 1, pairing(b, d) + 1):
+            out = out * _affine_block(c, -k)
+    for b in spec.concave():
+        c = first_chern(spec, b)
+        for k in range(-pairing(b, e), -pairing(b, d)):
+            out = out * _affine_block(c, k)
+    return out
 
 
-def reduced_block(spec: GeometrySpec, d: Degree) -> LaurentBlock:
+def reduced_block(
+    spec: GeometrySpec, d: Degree, lower: dict[Degree, LaurentBlock] | None = None
+) -> LaurentBlock:
     """Degree-d hypergeometric block with the Chern-polynomial ratio divided out.
 
     Inverted Euler factor times, per convex summand, the factors
     (x + c1 - k*alpha) for k = 1..<c1,d>, and per concave summand the
     factors (x + c1 + k*alpha) for k = 0..-<c1,d>-1.  The result is
-    polynomial in x and equals 1 at d = 0.
+    polynomial in x and equals 1 at d = 0.  It is R_{d-e_i}, i the first
+    axis with d_i > 0, times the factors d adds: one step if `lower` holds
+    R_{d-e_i}, else the same steps from 1, raising the last axis first.
     """
-    if not any(d):
-        return block_one(spec.factors)
-    out = normal_euler(spec, d)
-    for b in spec.convex():
-        c = first_chern(spec, b)
-        for k in range(1, pairing(b, d) + 1):
-            out = out * _affine_block(c, -k)
-    for b in spec.concave():
-        c = first_chern(spec, b)
-        for k in range(0, -pairing(b, d)):
-            out = out * _affine_block(c, k)
+    i = next((i for i, di in enumerate(d) if di), 0)
+    below = d[:i] + (d[i] - 1,) + d[i + 1:]  # never a key at d = 0
+    out, e = block_one(spec.factors), [0] * len(d)
+    if lower and below in lower:
+        out, e = lower[below], list(below)
+    for j in reversed(range(len(d))):
+        while e[j] < d[j]:
+            out = _raise_degree(spec, out, tuple(e), j)
+            e[j] += 1
     return out
 
 

@@ -12,11 +12,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
+from .cohomology import Rat
 from .geometry import GeometrySpec
-
-Rat = Fraction
 
 __all__ = [
     "ORACLE_SAMPLES",

@@ -33,9 +33,8 @@ t-linear part is then an overdetermined consistency check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction as Rat
 
-from .cohomology import linear, scalar
+from .cohomology import Rat, linear, scalar
 from .eulerdata import chern_ratio, hyper_block, reduced_block
 from .geometry import GeometrySpec, validate
 from .laurent import (
@@ -143,15 +142,18 @@ def _transform_series(
 
 
 def _residual(
-    u: QSeries, g: QSeries, reduced: dict[Degree, LaurentBlock], d: Degree
+    u: QSeries, reduced: dict[Degree, LaurentBlock], d: Degree
 ) -> LaurentBlock:
-    """Degree-d coefficient of U * sum_d' R_d' q^d' - G."""
-    acc = LaurentBlock(g.dims)
+    """Degree-d coefficient of U * sum_{d' != 0} R_d' q^d', free of U_d and G_d.
+
+    Adding U_d - G_d (R_0 = 1) gives that of U * sum_d' R_d' q^d' - G.
+    """
+    acc = LaurentBlock(u.dims)
     for dp, r in reduced.items():
         diff = _sub(d, dp)
-        if diff is not None:
+        if diff is not None and any(dp):
             acc = acc + u.coefficient(diff) * r
-    return acc - g.coefficient(d)
+    return acc
 
 
 def _read_linear_stratum(
@@ -193,28 +195,36 @@ def solve_mirror_map(spec: GeometrySpec, bound: int) -> MirrorMap:
     A degree reads U and G only at lower total degrees, so each pass
     builds (U, G) once from the coefficients solved so far and reads off
     every degree of its total.  The same pair is complete one total
-    below, where both strata must now cancel; the residuals that check
-    computes are kept on the map for the integrand.
+    below, where both strata must now cancel: the check adds the new
+    U_d - G_d to the read-off's sum over d' != 0 of U_{d-d'} R_{d'}, and
+    keeps the residual on the map for the integrand.  Each block R_d is
+    built from one of lower degree.
     """
     validate(spec)
     dims = spec.factors
     m = len(dims)
     degrees = degrees_upto(m, bound)
-    reduced = {d: reduced_block(spec, d) for d in degrees}
+    reduced: dict[Degree, LaurentBlock] = {}
+    for d in degrees:
+        reduced[d] = reduced_block(spec, d, reduced)
     if reduced[_tzero(m)] != block_one(dims):
         raise MirrorInconsistencyError("degree-0 reduced block is not 1")
 
     normalization: dict[Degree, Rat] = {}
     prefactor: dict[Degree, Rat] = {}
     shifts: tuple[dict[Degree, Rat], ...] = tuple({} for _ in range(m))
+    lower_sums: dict[Degree, LaurentBlock] = {}
     residuals: dict[Degree, LaurentBlock] = {}
     for total in range(1, bound + 2):
         u, g = _transform_series(dims, bound, normalization, prefactor, shifts)
         for d in degrees:
             if not any(d) or sum(d) not in (total - 1, total):
                 continue
-            acc = _residual(u, g, reduced, d)
+            if sum(d) == total:
+                lower_sums[d] = _residual(u, reduced, d)
+            acc = lower_sums[d] + (u.coefficient(d) - g.coefficient(d))
             if sum(d) < total:  # solved: the two strata must now cancel
+                del lower_sums[d]
                 sup = acc.alpha_support()
                 if sup is not None and sup[1] >= -1:
                     raise MirrorInconsistencyError(

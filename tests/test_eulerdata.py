@@ -12,10 +12,11 @@ import pytest
 from concavex.cohomology import hyperplane, scalar
 from concavex.eulerdata import (
     EquivariantRestrictions,
+    _euler_inverse,
+    _raise_degree,
     chern_ratio,
     hyper_block,
     linking_product,
-    normal_euler,
     reduced_block,
     tangent_block_restrictions,
 )
@@ -101,7 +102,32 @@ def test_degree_zero_blocks(spec):
 def test_normal_euler_inverse(spec):
     dims = spec.factors
     for d in degrees_upto(spec.m, 2):
-        assert _euler_factor(dims, d) * normal_euler(spec, d) == block_one(dims)
+        inverse = block_one(dims)
+        for i, di in enumerate(d):
+            for k in range(1, di + 1):
+                inverse = inverse * _euler_inverse(dims, i, k)
+        assert _euler_factor(dims, d) * inverse == block_one(dims)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name or "two-factor")
+def test_recurrence_matches_blocks_built_from_scratch(spec):
+    built = {}
+    for d in degrees_upto(spec.m, 3):
+        built[d] = reduced_block(spec, d, built)
+        assert built[d] == reduced_block(spec, d), d
+        if any(d):
+            # the block below d is read from `lower`, not rebuilt: scale it
+            i = next(i for i, di in enumerate(d) if di)
+            below = d[:i] + (d[i] - 1,) + d[i + 1:]
+            scaled = reduced_block(spec, d, {below: built[below].scale(2)})
+            assert scaled == built[d].scale(2), d
+
+
+@pytest.mark.parametrize("spec", [TWO_FACTOR, ZERO_ENTRY], ids=["two-factor", "zero-entry"])
+def test_recurrence_is_path_independent(spec):
+    via_01 = _raise_degree(spec, reduced_block(spec, (0, 1)), (0, 1), 0)
+    via_10 = _raise_degree(spec, reduced_block(spec, (1, 0)), (1, 0), 1)
+    assert via_01 == via_10 == reduced_block(spec, (1, 1))
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name or "two-factor")

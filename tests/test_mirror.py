@@ -230,10 +230,10 @@ def test_integrand_needs_the_map_of_its_spec_at_a_large_enough_bound():
 
 def test_blocks_and_transform_series_are_built_once(monkeypatch):
     calls = Counter()
-    for name in ("reduced_block", "hyper_block", "series_inverse"):
-        def counted(*args, _real=getattr(mirror, name), _name=name):
+    for name in ("reduced_block", "hyper_block", "series_inverse", "_residual"):
+        def counted(*args, _real=getattr(mirror, name), _name=name, **kwargs):
             calls[_name] += 1
-            return _real(*args)
+            return _real(*args, **kwargs)
 
         monkeypatch.setattr(mirror, name, counted)
     bound = 3
@@ -242,3 +242,19 @@ def test_blocks_and_transform_series_are_built_once(monkeypatch):
     assert calls["reduced_block"] == len(degrees_upto(2, bound)) == 10
     assert calls["hyper_block"] == 0
     assert calls["series_inverse"] == bound + 1
+    # one U * sum R per nonzero degree: the after-solve check reuses it
+    assert calls["_residual"] == len(degrees_upto(2, bound)) - 1 == 9
+
+
+def test_check_after_solving_catches_a_wrong_shift(monkeypatch):
+    real = mirror._read_linear_stratum
+
+    def off_by_one(blk, d, dims):
+        xcoef, hcoefs = real(blk, d, dims)
+        if d == (1, 0):
+            hcoefs = (hcoefs[0] + 1,) + hcoefs[1:]
+        return xcoef, hcoefs
+
+    monkeypatch.setattr(mirror, "_read_linear_stratum", off_by_one)
+    with pytest.raises(MirrorInconsistencyError, match="after solving"):
+        solve_mirror_map(TWO_FACTOR, 2)
