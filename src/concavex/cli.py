@@ -12,11 +12,13 @@ with the same flags; timing goes to stderr only.  `compute --chern`
 spells out the default (Chern variable kept symbolic); `--euler`
 specializes it to 0.
 
-Exit codes: 0 success; 1 failed verification; 2 unreadable or invalid
-input (including a spec file that is not UTF-8 text, a degree bound or
-sample count below 1, unsupported oracle degrees and the Euler-class
-flag on a spec with positive splitting excess); 3 an internal
-inconsistency surfaced by the solver or the extraction.
+Exit codes: 0 success; 1 failed verification or an oracle disagreement
+(weight samples that disagree or stay degenerate, or a `compute` oracle
+check that disagrees with the table, reported before exiting); 2
+unreadable or invalid input (including a spec file that is not UTF-8
+text, a degree bound or sample count below 1, unsupported oracle degrees
+and the Euler-class flag on a spec with positive splitting excess); 3 an
+internal inconsistency surfaced by the solver or the extraction.
 """
 
 from __future__ import annotations
@@ -164,7 +166,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         out = _csv_report(spec, table, oracle_rows)
     sys.stdout.write(out)
     print(f"compute: {time.monotonic() - t0:.3f}s", file=sys.stderr)
-    return 0
+    return 1 if any(ok is False for _, _, ok in oracle_rows) else 0
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:

@@ -3,14 +3,18 @@
 Sums Atiyah-Bott style contributions over torus-fixed stable maps of degree
 1 and 2.  Torus weights are evaluated at random distinct rationals instead
 of being carried symbolically; agreement of the result across independent
-samples certifies that the weight dependence cancels.  Everything downstream
+samples certifies that the weight dependence cancels.  The sums run over
+integers: denominators are cleared once per sample, each node weight cancels
+exactly, and each graph contributes one quotient.  Everything downstream
 treats these numbers as ground truth, so this module deliberately shares no
 code with the series pipeline.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .cohomology import Rat
@@ -61,64 +65,79 @@ def _moduli_dim(n: int, d: int) -> int:
     return (n + 1) * d + n - 3
 
 
-def _chern_top(numer: list[Rat], denom: list[Rat], top: int) -> Rat:
-    """Coefficient of T^top in prod(1 + w T) / prod(1 + u T).
+def _integral(lam: tuple[Rat, ...]) -> tuple[int, ...]:
+    """The weights times the lcm of their denominators, as ints.
 
-    The denominator factors always divide the numerator product exactly in
-    the cases summed here (node weights occur among the section weights),
-    so the truncated long division is exact.
+    Every graph contribution is homogeneous of degree 0 in the weights, so
+    this scaling leaves each one unchanged.
     """
-    series = [Rat(0)] * (top + 1)
-    series[0] = Rat(1)
-    for w in numer:
-        for k in range(top, 0, -1):
-            series[k] += w * series[k - 1]
+    scale = math.lcm(*(w.denominator for w in lam))
+    return tuple(int(w * scale) for w in lam)
+
+
+def _chern_top(numer: Sequence[Rat], top: int, denom: Sequence[Rat] = ()) -> Rat:
+    """Coefficient of T^top in prod(1 + w T) / prod(1 + u T), over integers.
+
+    A denominator weight that occurs among the numerator weights cancels
+    exactly; only the leftover ones need the truncated long division.  The
+    weights are scaled once by the lcm L of their denominators, the integer
+    coefficient is computed, and the result is that coefficient over L^top.
+    """
+    numer = list(numer)
+    rest = []
     for u in denom:
+        if u in numer:
+            numer.remove(u)
+        else:
+            rest.append(u)
+    scale = math.lcm(*(w.denominator for w in numer + rest))
+    series = [1] + [0] * top
+    for count, w in enumerate(numer, 1):
+        w = int(w * scale)
+        for k in range(min(count, top), 0, -1):
+            series[k] += w * series[k - 1]
+    for u in rest:
+        u = int(u * scale)
         for k in range(1, top + 1):
             series[k] -= u * series[k - 1]
-    return series[top]
+    return Rat(series[top], scale**top)
 
 
 def _edge_section_weights(
-    spec: GeometrySpec, li: Rat, lj: Rat, delta: int
-) -> tuple[list[Rat], list[Rat]]:
+    spec: GeometrySpec, li: int, lj: int, delta: int
+) -> list[int]:
     """Bundle cohomology weights along a degree-delta cover of the line ij.
 
     Convex summand of degree l: sections, weights (a li + b lj)/delta with
     a+b = l*delta, a,b >= 0.  Concave summand of magnitude l: first
     cohomology, weights -(a li + b lj)/delta with a+b = l*delta, a,b >= 1.
-    Returns (numerator weights, denominator weights); the denominator is
-    always empty for a single edge.
+    Returns these weights times delta, so integer weights give ints.
     """
-    numer: list[Rat] = []
+    numer: list[int] = []
     for b in spec.bundles:
         l = abs(b.multidegree[0])
         if b.kind == "convex":
-            numer.extend(
-                Rat(a * li + (l * delta - a) * lj, delta) for a in range(l * delta + 1)
-            )
+            numer.extend(a * li + (l * delta - a) * lj for a in range(l * delta + 1))
         else:
-            numer.extend(
-                -Rat(a * li + (l * delta - a) * lj, delta)
-                for a in range(1, l * delta)
-            )
-    return numer, []
+            numer.extend(-(a * li + (l * delta - a) * lj) for a in range(1, l * delta))
+    return numer
 
 
 def _degree_one(spec: GeometrySpec, lam: tuple[Rat, ...]) -> Rat:
+    lam = _integral(lam)
     n = spec.factors[0]
     top = _moduli_dim(n, 1)
     total = Rat(0)
     for i, j in itertools.combinations(range(n + 1), 2):
-        numer, denom = _edge_section_weights(spec, lam[i], lam[j], 1)
-        tangent = Rat(1)
+        tangent = 1
         for m in range(n + 1):
             if m in (i, j):
                 continue
             tangent *= (lam[i] - lam[m]) * (lam[j] - lam[m])
         if tangent == 0:
             raise SamplingError("degenerate tangent weight")
-        total += _chern_top(numer, denom, top) / tangent
+        numer = _edge_section_weights(spec, lam[i], lam[j], 1)
+        total += _chern_top(numer, top) / tangent
     return total
 
 
@@ -127,36 +146,48 @@ def _degree_two(spec: GeometrySpec, lam: tuple[Rat, ...]) -> Rat:
 
 
 def _double_cover_sum(spec: GeometrySpec, lam: tuple[Rat, ...]) -> Rat:
-    """Double covers of a coordinate line; deck symmetry factor 1/2."""
+    """Double covers of a coordinate line; deck symmetry factor 1/2.
+
+    Every section and normal weight is taken times 2, which keeps the
+    halves integral and leaves the degree-0 contribution unchanged.
+    """
+    lam = _integral(lam)
     n = spec.factors[0]
     top = _moduli_dim(n, 2)
     total = Rat(0)
     for i, j in itertools.combinations(range(n + 1), 2):
-        numer, denom = _edge_section_weights(spec, lam[i], lam[j], 2)
-        normal = -((lam[i] - lam[j]) ** 2)
+        normal = -((2 * (lam[i] - lam[j])) ** 2)
         for m in range(n + 1):
             if m in (i, j):
                 continue
             for a in range(3):
-                w = Rat(a * lam[i] + (2 - a) * lam[j], 2) - lam[m]
+                w = a * lam[i] + (2 - a) * lam[j] - 2 * lam[m]
                 if w == 0:
                     raise SamplingError("degenerate double cover weight")
                 normal *= w
-        total += Rat(1, 2) * _chern_top(numer, denom, top) / normal
+        numer = _edge_section_weights(spec, lam[i], lam[j], 2)
+        total += _chern_top(numer, top) / (2 * normal)
     return total
 
 
 def _node_graph_sum(spec: GeometrySpec, lam: tuple[Rat, ...]) -> Rat:
     """Two lines glued at a node over p_j; branch swap gives the 1/2."""
+    lam = _integral(lam)
     n = spec.factors[0]
     top = _moduli_dim(n, 2)
-    evals = [Rat(1)] * (n + 1)
-    for v in range(n + 1):
-        for m in range(n + 1):
-            if m != v:
-                evals[v] *= lam[v] - lam[m]
+    evals = [
+        math.prod(lam[v] - lam[m] for m in range(n + 1) if m != v) for v in range(n + 1)
+    ]
+    edges = {
+        (i, j): _edge_section_weights(spec, lam[i], lam[j], 1)
+        for i, j in itertools.permutations(range(n + 1), 2)
+    }
     total = Rat(0)
     for j in range(n + 1):
+        # the weight l lam[j] at the node: one section of a convex summand
+        # too many, one more obstruction of a concave one
+        node = [abs(b.multidegree[0]) * lam[j] for b in spec.bundles if b.kind == "convex"]
+        extra = [-abs(b.multidegree[0]) * lam[j] for b in spec.bundles if b.kind != "convex"]
         for i in range(n + 1):
             if i == j:
                 continue
@@ -171,36 +202,10 @@ def _node_graph_sum(spec: GeometrySpec, lam: tuple[Rat, ...]) -> Rat:
                 # moving sections of the two branches, divided by the
                 # evaluation at the shared point, times the node smoothing,
                 # over the surviving reparametrization weights
-                normal = (
-                    evals[i]
-                    * evals[j]
-                    * evals[k]
-                    * smoothing
-                    / ((lam[i] - lam[j]) * (lam[k] - lam[j]))
-                )
-                numer: list[Rat] = []
-                denom: list[Rat] = []
-                for b in spec.bundles:
-                    l = abs(b.multidegree[0])
-                    if b.kind == "convex":
-                        numer.extend(
-                            Rat(a) * lam[i] + Rat(l - a) * lam[j] for a in range(l + 1)
-                        )
-                        numer.extend(
-                            Rat(a) * lam[j] + Rat(l - a) * lam[k] for a in range(l + 1)
-                        )
-                        denom.append(Rat(l) * lam[j])
-                    else:
-                        numer.extend(
-                            -(Rat(a) * lam[i] + Rat(l - a) * lam[j])
-                            for a in range(1, l)
-                        )
-                        numer.extend(
-                            -(Rat(a) * lam[j] + Rat(l - a) * lam[k])
-                            for a in range(1, l)
-                        )
-                        numer.append(-Rat(l) * lam[j])
-                total += Rat(1, 2) * _chern_top(numer, denom, top) / normal
+                normal = evals[i] // (lam[i] - lam[j]) * evals[j] * smoothing
+                normal *= evals[k] // (lam[k] - lam[j])
+                numer = edges[i, j] + edges[j, k] + extra
+                total += _chern_top(numer, top, node) / (2 * normal)
     return total
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction as Rat
 
 import pytest
 
-from concavex import localization
+from concavex import cli, localization
 from concavex.cli import main
 from concavex.geometry import parse_spec
 from concavex.localization import SamplingError, oracle_invariant_checked
@@ -81,6 +81,25 @@ def test_json_rationals_always_carry_denominator(spec_file, capsys):
         Rat(int(num), int(den))
     for row in report["mirror_map"]["f"]:
         assert "/" in row[-1]
+
+
+def test_compute_exits_1_after_reporting_an_oracle_disagreement(
+    spec_file, capsys, monkeypatch
+):
+    def off_by_one(spec, d, *args, **kwargs):
+        value, samples = oracle_invariant_checked(spec, d, *args, **kwargs)
+        return value + 1, samples
+
+    monkeypatch.setattr(cli, "oracle_invariant_checked", off_by_one)
+    path = spec_file(PAIR)
+    rc, out, _ = run(capsys, "compute", "--spec", path, "--max-degree", "2")
+    assert rc == 1
+    checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
+    assert checks == {"oracle_degree_1": False, "oracle_degree_2": False}
+    rc, out, _ = run(capsys, "compute", "--spec", path, "--max-degree", "3",
+                     "--format", "csv")
+    assert rc == 1
+    assert out.splitlines()[1:] == ["1,1/1,2/1,no", "2,1/8,9/8,no", "3,1/27,,"]
 
 
 def test_compute_output_is_byte_identical(spec_file, capsys):

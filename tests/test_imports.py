@@ -5,7 +5,8 @@ and refactors from leaving dead imports or helpers behind.  Names a module
 lists in ``__all__`` count as used, and ``__init__.py`` is skipped because
 it only re-exports.  A private helper (``def _name`` or ``class _name`` at
 module level) counts as used when some module references it outside its
-own body.
+own body.  The fixed-point oracle must also stay independent of the series
+pipeline: it may take only the rational type and the spec from the package.
 """
 
 import ast
@@ -102,3 +103,39 @@ def test_checker_flags_a_dead_private_helper():
         "b.py": "from .a import _used\nx = _used()\n",
     }
     assert _dead_private_helpers(sources) == ["a.py: _dead"]
+
+
+def _package_imports(source: str) -> set[tuple[str, str]]:
+    """(module, name) for each import from the package, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "concavex":
+                    continue
+                module = module.partition(".")[2]
+            found |= {(module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {
+                (alias.name, "") for alias in node.names
+                if alias.name.split(".")[0] == "concavex"
+            }
+    return found
+
+
+def test_oracle_shares_only_the_rational_type_and_the_spec():
+    source = (Path(concavex.__file__).parent / "localization.py").read_text(encoding="utf-8")
+    assert _package_imports(source) == {("cohomology", "Rat"), ("geometry", "GeometrySpec")}
+
+
+def test_checker_finds_every_package_import():
+    source = (
+        "import math\nfrom fractions import Fraction\nfrom .cohomology import Rat\n"
+        "from . import qseries\nimport concavex.mirror\n"
+        "def f():\n    from concavex.laurent import LaurentBlock\n"
+    )
+    assert _package_imports(source) == {
+        ("cohomology", "Rat"), ("", "qseries"), ("concavex.mirror", ""),
+        ("laurent", "LaurentBlock"),
+    }

@@ -1,8 +1,9 @@
 """Fixed-point oracle: frozen anchor values and internal consistency.
 
 The anchors below were computed by this oracle once it agreed with itself
-across independent weight samples, then frozen.  Any code change that shifts
-one of them is a regression, not a recalibration.
+across independent weight samples, then frozen; the two complete
+intersections are taken from the literature instead.  Any code change that
+shifts one of them is a regression, not a recalibration.
 """
 
 from fractions import Fraction as Rat
@@ -14,6 +15,7 @@ from concavex.localization import (
     OracleInconsistencyError,
     SamplingError,
     WeightSample,
+    _chern_top,
     _degree_one,
     _double_cover_sum,
     _node_graph_sum,
@@ -27,6 +29,8 @@ QUINTIC = parse_spec("space 4\nbundle convex 5\n")
 PAIR = parse_spec("space 1\nbundle concave 1\nbundle concave 1\n")
 LOCAL_P2 = parse_spec("space 2\nbundle concave 3\n")
 P3_QUARTIC = parse_spec("space 3\nbundle convex 4\n")
+CI2222 = parse_spec("space 7\n" + "bundle convex 2\n" * 4)
+P5_33 = parse_spec("space 5\nbundle convex 3\nbundle convex 3\n")
 
 ANCHORS = [
     (PAIR, 1, Rat(1)),
@@ -37,6 +41,12 @@ ANCHORS = [
     (LOCAL_P2, 2, Rat(-45, 8)),
     (P3_QUARTIC, 1, Rat(320)),
     (P3_QUARTIC, 2, Rat(5056)),
+    # Libgober-Teitelbaum 1993: n_1 = 512, n_2 = 9728 and n_1 = 1053,
+    # n_2 = 52812; at degree 2, K_2 = n_2 + n_1 / 8
+    (CI2222, 1, Rat(512)),
+    (CI2222, 2, Rat(9728) + Rat(512, 8)),
+    (P5_33, 1, Rat(1053)),
+    (P5_33, 2, Rat(52812) + Rat(1053, 8)),
 ]
 
 
@@ -71,6 +81,50 @@ def test_degree_two_needs_both_graph_types():
 def test_degree_one_direct_sample():
     sample = WeightSample((Rat(0), Rat(1), Rat(3), Rat(9), Rat(27)), seed=-1)
     assert _degree_one(QUINTIC, sample.weights) == Rat(2875)
+
+
+def test_non_integral_samples_give_the_same_invariants():
+    # the sample of acceptance criterion 9; at degree 2 the midpoint of -2
+    # and 4 lands on the weight 1, so it is degenerate there
+    sample = WeightSample((Rat(1), Rat(-2), Rat(4), Rat(-8, 3), Rat(16)), seed=-1)
+    assert oracle_invariant(QUINTIC, 1, sample) == Rat(2875)
+    with pytest.raises(SamplingError):
+        oracle_invariant(QUINTIC, 2, sample)
+    sample = WeightSample((Rat(1, 2), Rat(-2), Rat(4), Rat(-8, 3), Rat(16)), seed=-1)
+    assert oracle_invariant(QUINTIC, 1, sample) == Rat(2875)
+    assert oracle_invariant(QUINTIC, 2, sample) == Rat(4876875, 8)
+
+
+def _chern_top_by_fractions(numer, top, denom):
+    series = [Rat(1)] + [Rat(0)] * top
+    for w in numer:
+        for k in range(top, 0, -1):
+            series[k] += w * series[k - 1]
+    for u in denom:
+        for k in range(1, top + 1):
+            series[k] -= u * series[k - 1]
+    return series[top]
+
+
+@pytest.mark.parametrize(
+    "numer,top,denom",
+    [
+        ([1, 2, 3], 2, []),
+        ([3, -5, 7, 2], 4, [2]),
+        ([Rat(1, 2), Rat(-2, 3), 4, Rat(5, 6)], 2, [Rat(1, 2)]),
+        ([Rat(3, 2), Rat(3, 2), Rat(-1, 3)], 3, [Rat(3, 2)]),
+        ([0, 3, 0, -1], 2, [0]),
+        ([0, 0], 3, []),
+        ([1, 2], 4, [5]),
+        ([Rat(1, 2), 7, -3], 3, [Rat(-4, 3), 7]),
+    ],
+    ids=["ints", "ints-cancel", "halves-thirds", "repeated", "zeros",
+         "short", "leftover", "leftover-fractions"],
+)
+def test_chern_top_matches_fraction_long_division(numer, top, denom):
+    got = _chern_top(numer, top, denom)
+    assert isinstance(got, Rat)
+    assert got == _chern_top_by_fractions(numer, top, denom)
 
 
 def test_schubert_count_matches_oracle():
