@@ -9,9 +9,11 @@ never appear.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator
 
 Rat = Fraction
@@ -28,10 +30,6 @@ __all__ = [
 ]
 
 
-def _box(dims: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(n + 1 for n in dims)
-
-
 def _strides(dims: tuple[int, ...]) -> tuple[int, ...]:
     # C order: stride of the last axis is 1.
     strides = [1] * len(dims)
@@ -42,6 +40,17 @@ def _strides(dims: tuple[int, ...]) -> tuple[int, ...]:
 
 def _flat_index(dims: tuple[int, ...], exps: tuple[int, ...]) -> int:
     return sum(e * s for e, s in zip(exps, _strides(dims)))
+
+
+@functools.cache
+def _slot_pairs(dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """``table[i][j]``: the slot of monomial i times monomial j, or -1 past the box.
+
+    Built once per ``dims`` and shared by every product over that ring.
+    """
+    exps = list(itertools.product(*(range(n + 1) for n in dims)))
+    slot = {e: i for i, e in enumerate(exps)}
+    return tuple(tuple(slot.get(tuple(map(add, e, f)), -1) for f in exps) for e in exps)
 
 
 @dataclass(frozen=True)
@@ -110,21 +119,15 @@ class CohClass:
     def __mul__(self, other: "CohClass") -> "CohClass":
         """Cup product; monomials past the box are zero by the ring relations."""
         self._check(other)
-        box = _box(self.dims)
-        strides = _strides(self.dims)
+        table = _slot_pairs(self.dims)
         acc = [Rat(0)] * len(self.coeffs)
-        mine = [(e, c) for e, c in self.terms()]
-        for f, d in other.terms():
-            for e, c in mine:
-                idx = 0
-                for a, b, n, s in zip(e, f, self.dims, strides):
-                    t = a + b
-                    if t > n:
-                        idx = -1
-                        break
-                    idx += t * s
-                if idx >= 0:
-                    acc[idx] += c * d
+        mine = [(i, c) for i, c in enumerate(self.coeffs) if c]
+        for j, d in enumerate(other.coeffs):
+            if d:
+                for i, c in mine:
+                    k = table[i][j]
+                    if k >= 0:
+                        acc[k] += c * d
         return CohClass(self.dims, tuple(acc))
 
     def __pow__(self, k: int) -> "CohClass":

@@ -7,14 +7,22 @@ negative), and ``tau`` a multi-exponent for the Kahler parameters ``t_i``,
 one slot per projective factor.  Coefficients live in the cohomology ring of
 the underlying product of projective spaces, so denominators of the form
 (divisor - k*alpha) expand to finite sums by nilpotency.
+
+Every product, and every sum of products, goes through one kernel,
+``_mul_sum``.  It flattens each operand once to integer numerators over
+the operand's own common denominator, accumulates all pairs in Python ints
+over one denominator for the whole sum, truncates at the box edge through
+the ring's cached slot-pair table, and forms Fractions only once, per
+output slot.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import add
 
-from .cohomology import CohClass, Rat, monomial, one, scalar, zero
+from .cohomology import CohClass, Rat, _slot_pairs, monomial, one, scalar, zero
 
 Key = tuple[int, int, tuple[int, ...]]
 
@@ -130,15 +138,7 @@ class LaurentBlock:
 
     def __mul__(self, other: "LaurentBlock") -> "LaurentBlock":
         self._check(other)
-        out = LaurentBlock(self.dims)
-        for (a1, j1, t1), c1 in self.terms.items():
-            for (a2, j2, t2), c2 in other.terms.items():
-                p = c1 * c2
-                if p.is_zero():
-                    continue
-                key = (a1 + a2, j1 + j2, tuple(u + v for u, v in zip(t1, t2)))
-                out._put(key, p)
-        return out
+        return _mul_sum(self.dims, [(self, other)])
 
     def __pow__(self, k: int) -> "LaurentBlock":
         if k < 0:
@@ -235,6 +235,47 @@ class LaurentBlock:
             head = "*".join(mono) if mono else "1"
             bits.append(f"({self.terms[key]!r})*{head}")
         return " + ".join(bits)
+
+
+def _flatten(blk: LaurentBlock) -> tuple[list, int]:
+    """[(key, [(slot, numerator), ...])] over the block's lcm denominator, and that lcm."""
+    den = math.lcm(*{r.denominator for c in blk.terms.values() for r in c.coeffs if r})
+    return [
+        (key, [(i, r.numerator * (den // r.denominator)) for i, r in enumerate(c.coeffs) if r])
+        for key, c in blk.terms.items()
+    ], den
+
+
+def _mul_sum(dims: tuple[int, ...], pairs: list[tuple[LaurentBlock, LaurentBlock]]) -> LaurentBlock:
+    """Sum of a * b over the pairs, accumulated in ints over one denominator."""
+    table = _slot_pairs(dims)
+    flat = {}
+    for pair in pairs:
+        for blk in pair:
+            if id(blk) not in flat:
+                flat[id(blk)] = _flatten(blk)
+    den = math.lcm(*{flat[id(a)][1] * flat[id(b)][1] for a, b in pairs})
+    sums: dict[Key, list[int]] = {}
+    for a, b in pairs:
+        (fa, da), (fb, db) = flat[id(a)], flat[id(b)]
+        scale = den // (da * db)
+        for (a1, j1, t1), xs in fa:
+            for (a2, j2, t2), ys in fb:
+                key = (a1 + a2, j1 + j2, tuple(map(add, t1, t2)))
+                acc = sums.get(key)
+                if acc is None:
+                    acc = sums[key] = [0] * len(table)
+                for i, x in xs:
+                    row, x = table[i], x * scale
+                    for j, y in ys:
+                        k = row[j]
+                        if k >= 0:
+                            acc[k] += x * y
+    out, nil = LaurentBlock(dims), Rat(0)
+    for key, acc in sums.items():
+        if any(acc):
+            out.terms[key] = CohClass(dims, tuple(Rat(v, den) if v else nil for v in acc))
+    return out
 
 
 def block_one(dims: tuple[int, ...]) -> LaurentBlock:

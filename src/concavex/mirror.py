@@ -39,6 +39,7 @@ from .eulerdata import chern_ratio, hyper_block, reduced_block
 from .geometry import GeometrySpec, validate
 from .laurent import (
     LaurentBlock,
+    _mul_sum,
     _tzero,
     block_one,
     block_scalar,
@@ -148,12 +149,12 @@ def _residual(
 
     Adding U_d - G_d (R_0 = 1) gives that of U * sum_d' R_d' q^d' - G.
     """
-    acc = LaurentBlock(u.dims)
-    for dp, r in reduced.items():
-        diff = _sub(d, dp)
-        if diff is not None and any(dp):
-            acc = acc + u.coefficient(diff) * r
-    return acc
+    pairs = [
+        (u.coefficient(diff), r)
+        for dp, r in reduced.items()
+        if any(dp) and (diff := _sub(d, dp)) is not None
+    ]
+    return _mul_sum(u.dims, pairs)
 
 
 def _read_linear_stratum(
@@ -279,7 +280,7 @@ def integrand_series(
     at_x0 = {dp for dp, b in blocks.items() if b.x_support()[0] >= 0}
     blocks.update((dp, blocks[dp].substitute_x(0)) for dp in at_x0)
     for d in degrees:
-        acc = LaurentBlock(dims)
+        pairs = []
         for dp in degrees:
             diff = _sub(d, dp)
             if diff is None:
@@ -287,8 +288,9 @@ def integrand_series(
             uc = u.coefficient(diff)
             if dp in at_x0:
                 uc = uc.x_stratum(0)
-            acc = acc + uc * blocks[dp]
-        acc = acc + (u.coefficient(d) - g.coefficient(d)) * omega
+            pairs.append((uc, blocks[dp]))
+        pairs.append((u.coefficient(d) - g.coefficient(d), omega))
+        acc = _mul_sum(dims, pairs)
         out.set(d, eht * acc.x_stratum(0))
     return out
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .cohomology import Rat
-from .laurent import LaurentBlock, block_one
+from .laurent import LaurentBlock, _mul_sum, block_one
 
 Degree = tuple[int, ...]
 
@@ -92,19 +92,15 @@ class QSeries:
         """Graded convolution, truncated at the smaller bound."""
         self._check(other)
         bound = min(self.bound, other.bound)
-        out = QSeries(self.m, bound, self.dims)
+        pairs: dict[Degree, list[tuple[LaurentBlock, LaurentBlock]]] = {}
         for d1, b1 in self.coeffs.items():
-            if degree_total(d1) > bound:
-                continue
             for d2, b2 in other.coeffs.items():
                 d = tuple(a + b for a, b in zip(d1, d2))
-                if degree_total(d) > bound:
-                    continue
-                prod = b1 * b2
-                if prod.is_zero():
-                    continue
-                cur = out.coefficient(d) + prod
-                out.set(d, cur)
+                if degree_total(d) <= bound:
+                    pairs.setdefault(d, []).append((b1, b2))
+        out = QSeries(self.m, bound, self.dims)
+        for d, ps in pairs.items():
+            out.set(d, _mul_sum(self.dims, ps))
         return out
 
     def _check(self, other: "QSeries") -> None:
@@ -148,14 +144,12 @@ def series_inverse(s: QSeries) -> QSeries:
         if d == z:
             continue
         # coefficient of q^d in s * out must vanish
-        acc = LaurentBlock(s.dims)
+        pairs = []
         for d1, b1 in s.coeffs.items():
-            if d1 == z:
-                continue
             d2 = tuple(a - b for a, b in zip(d, d1))
-            if any(c < 0 for c in d2):
-                continue
-            acc = acc + b1 * out.coefficient(d2)
+            if d1 != z and all(c >= 0 for c in d2):
+                pairs.append((b1, out.coefficient(d2)))
+        acc = _mul_sum(s.dims, pairs)
         out.set(d, -acc)
     return out
 

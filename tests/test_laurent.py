@@ -1,14 +1,18 @@
 """Laurent blocks: strata bookkeeping, exact inverses, the Kahler factor."""
 
+import itertools
 from fractions import Fraction as Rat
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from concavex.cohomology import hyperplane, monomial, one, scalar
+from concavex.cohomology import CohClass, hyperplane, monomial, one, scalar
+from concavex.eulerdata import chern_ratio, hyper_block, reduced_block
+from concavex.geometry import parse_spec
 from concavex.laurent import (
     LaurentBlock,
     _invert_x_factor,
+    _mul_sum,
     alpha_power,
     block_one,
     block_scalar,
@@ -106,3 +110,102 @@ def test_power_matches_repeated_product(k):
     for _ in range(k):
         expect = expect * b
     assert b**k == expect
+
+
+# -- the integer sum-of-products kernel ------------------------------------
+
+
+def _box(dims):
+    return list(itertools.product(*(range(n + 1) for n in dims)))
+
+
+def _reference_mul_sum(dims, pairs):
+    """{key: {exponents: value}} of sum a * b, by a plain Fraction double loop."""
+    out = {}
+    for a, b in pairs:
+        for (a1, j1, t1), c1 in a.terms.items():
+            for (a2, j2, t2), c2 in b.terms.items():
+                key = (a1 + a2, j1 + j2, tuple(u + v for u, v in zip(t1, t2)))
+                acc = out.setdefault(key, {})
+                for e, x in zip(_box(dims), c1.coeffs):
+                    for f, y in zip(_box(dims), c2.coeffs):
+                        g = tuple(u + v for u, v in zip(e, f))
+                        if all(u <= n for u, n in zip(g, dims)):
+                            acc[g] = acc.get(g, 0) + x * y
+    out = {k: {g: v for g, v in acc.items() if v} for k, acc in out.items()}
+    return {k: acc for k, acc in out.items() if acc}
+
+
+@st.composite
+def _blocks(draw, dims):
+    """Small blocks with mixed denominators, negative alpha and x exponents."""
+    size = len(_box(dims))
+    coeff = st.one_of(
+        st.just(Rat(0)),
+        st.builds(Rat, st.integers(-6, 6), st.integers(1, 12)),
+    )
+    key = st.tuples(
+        st.integers(-3, 2), st.integers(-2, 2), st.tuples(*[st.integers(0, 2)] * len(dims))
+    )
+    terms = draw(st.dictionaries(key, st.lists(coeff, min_size=size, max_size=size), max_size=3))
+    return LaurentBlock(dims, {k: CohClass(dims, tuple(c)) for k, c in terms.items() if any(c)})
+
+
+@st.composite
+def _pair_lists(draw):
+    dims = draw(st.sampled_from([(), (1,), (2, 2), (7,)]))
+    pairs = draw(st.lists(st.tuples(_blocks(dims), _blocks(dims)), max_size=3))
+    if pairs and draw(st.booleans()):  # a pair that cancels the first one
+        a, b = pairs[0]
+        pairs.append((-a, b))
+    if pairs and draw(st.booleans()):  # one operand in several pairs
+        pairs.append((pairs[0][1], pairs[-1][0]))
+    return dims, pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pair_lists())
+def test_mul_sum_matches_fraction_double_loop(case):
+    dims, pairs = case
+    got = _mul_sum(dims, pairs)
+    assert got.dims == dims
+    assert {
+        k: {e: r for e, r in zip(_box(dims), c.coeffs) if r} for k, c in got.terms.items()
+    } == _reference_mul_sum(dims, pairs)
+
+
+def test_mul_sum_of_nothing_is_zero():
+    assert _mul_sum((2, 2), []) == LaurentBlock((2, 2))
+
+
+TRACED_SPECS = [
+    parse_spec("space 4\nbundle convex 5\n"),
+    parse_spec("space 2\nbundle concave 3\n"),
+    parse_spec("space 2\nspace 2\nbundle convex 3 3\n"),
+    parse_spec("space 1\nspace 2\nbundle convex 1 3\nbundle concave 1 0\n"),
+]
+
+
+@pytest.mark.parametrize("spec", TRACED_SPECS, ids=["quintic", "local-p2", "bicubic", "zero-entry"])
+def test_blocks_keep_the_shape_the_tracer_reads(spec):
+    """bench/tracer.py reads (a, j, tau) keys and dense, nonzero Fraction classes."""
+    dims = spec.factors
+    d = (1,) * spec.m
+    blocks = [
+        chern_ratio(spec),
+        reduced_block(spec, d),
+        hyper_block(spec, d),
+        kahler_factor(dims),
+        kahler_factor(dims) * chern_ratio(spec),
+        _mul_sum(dims, [(reduced_block(spec, d), chern_ratio(spec))] * 2),
+    ]
+    size = len(_box(dims))
+    for blk in blocks:
+        assert blk.terms
+        for key, cls in blk.terms.items():
+            a, j, tau = key
+            assert type(a) is int and type(j) is int
+            assert isinstance(tau, tuple) and len(tau) == spec.m
+            assert isinstance(cls, CohClass) and len(cls.coeffs) == size
+            assert all(type(r) is Rat for r in cls.coeffs)
+            assert any(cls.coeffs)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from concavex import mirror
+from concavex import laurent, mirror, qseries
 from concavex.eulerdata import chern_ratio, hyper_block
 from concavex.geometry import parse_spec, validate
 from concavex.laurent import kahler_factor
@@ -229,13 +229,39 @@ def test_integrand_needs_the_map_of_its_spec_at_a_large_enough_bound():
 
 
 def test_blocks_and_transform_series_are_built_once(monkeypatch):
+    kernel = [0]
+
+    def counted_kernel(*args, _real=laurent._mul_sum):
+        kernel[0] += 1
+        return _real(*args)
+
+    for module in (laurent, qseries, mirror):
+        monkeypatch.setattr(module, "_mul_sum", counted_kernel)
     calls = Counter()
+    kernel_in = Counter()  # kernel calls made inside each counted function
     for name in ("reduced_block", "hyper_block", "series_inverse", "_residual"):
         def counted(*args, _real=getattr(mirror, name), _name=name, **kwargs):
             calls[_name] += 1
-            return _real(*args, **kwargs)
+            before = kernel[0]
+            out = _real(*args, **kwargs)
+            kernel_in[_name] += kernel[0] - before
+            return out
 
         monkeypatch.setattr(mirror, name, counted)
+    output_degrees = [0]
+
+    def counted_mul(a, b, _real=qseries.QSeries.__mul__):
+        before = kernel[0]
+        out = _real(a, b)
+        kernel_in["QSeries.__mul__"] += kernel[0] - before
+        bound = min(a.bound, b.bound)
+        output_degrees[0] += len({
+            tuple(u + v for u, v in zip(d1, d2))
+            for d1 in a.coeffs for d2 in b.coeffs if sum(d1) + sum(d2) <= bound
+        })
+        return out
+
+    monkeypatch.setattr(qseries.QSeries, "__mul__", counted_mul)
     bound = 3
     mm = solve_mirror_map(TWO_FACTOR, bound)
     extract_invariants(TWO_FACTOR, mm, bound)
@@ -244,6 +270,10 @@ def test_blocks_and_transform_series_are_built_once(monkeypatch):
     assert calls["series_inverse"] == bound + 1
     # one U * sum R per nonzero degree: the after-solve check reuses it
     assert calls["_residual"] == len(degrees_upto(2, bound)) - 1 == 9
+    # each sum of products is one kernel call per output degree, not one per pair
+    assert kernel_in["_residual"] == 9
+    assert output_degrees[0] > 0
+    assert kernel_in["QSeries.__mul__"] == output_degrees[0]
 
 
 def test_check_after_solving_catches_a_wrong_shift(monkeypatch):
