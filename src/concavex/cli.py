@@ -17,8 +17,9 @@ Exit codes: 0 success; 1 failed verification or an oracle disagreement
 check that disagrees with the table, reported before exiting); 2
 unreadable or invalid input (including a spec file that is not UTF-8
 text, a degree bound or sample count below 1, unsupported oracle degrees
-and the Euler-class flag on a spec with positive splitting excess); 3 an
-internal inconsistency surfaced by the solver or the extraction.
+and the Euler-class flag on a spec with positive splitting excess); 3 a
+solver inconsistency or any other internal error, reported as one line
+on stderr with stdout left empty.
 """
 
 from __future__ import annotations
@@ -256,6 +257,9 @@ def main(argv: list[str] | None = None) -> int:
     except (SamplingError, OracleInconsistencyError) as err:
         print(f"oracle failure: {err}", file=sys.stderr)
         return 1
+    except Exception as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -27,7 +27,10 @@ splitting excess), in alpha^{-3} with t-degree at most one.  Writing
 Phi(t) = sum K_d exp(d.t) for the sought table, matching the t-constant
 part of the integrals against 2*Phi - sum_i t_i dPhi/dt_i expressed in
 the shifted variables yields a triangular system for the K_d; the
-t-linear part is then an overdetermined consistency check.
+t-linear part is then an overdetermined consistency check.  The matching
+series (2 - <d', g>) exp(<d', g>) is built once per d', by the recurrence
+exp(<d', g>) = exp(<d' - e_i, g>) exp(g_i), and only to the total degree
+D - |d'| that the system reads.
 """
 
 from __future__ import annotations
@@ -217,7 +220,9 @@ def solve_mirror_map(spec: GeometrySpec, bound: int) -> MirrorMap:
     lower_sums: dict[Degree, LaurentBlock] = {}
     residuals: dict[Degree, LaurentBlock] = {}
     for total in range(1, bound + 2):
-        u, g = _transform_series(dims, bound, normalization, prefactor, shifts)
+        u, g = _transform_series(
+            dims, min(total, bound), normalization, prefactor, shifts
+        )
         for d in degrees:
             if not any(d) or sum(d) not in (total - 1, total):
                 continue
@@ -343,20 +348,23 @@ def extract_invariants(
             top = max(top, j)
         integrated[d] = ld
 
-    # shifted exponentials exp(<d', g>) and their products with each g_i
-    expg: dict[Degree, dict[Degree, Rat]] = {}
-    gexp: dict[Degree, list[dict[Degree, Rat]]] = {}
+    # exp(<d', g>) = exp(<d' - e_i, g>) exp(g_i), i the first axis of d', and
+    # the matching series (2 - <d', g>) exp(<d', g>), both to total degree
+    # D - |d'|; matching[d] holds each d' != d with its nonzero q^{d - d'} term
+    axis_exp = [scalar_exp(g, m, bound) for g in mm.shifts]
+    expg: dict[Degree, dict[Degree, Rat]] = {_tzero(m): {_tzero(m): Rat(1)}}
+    matching: dict[Degree, list[tuple[Degree, Rat]]] = {d: [] for d in degrees}
     for dp in degrees:
-        pairing_series: dict[Degree, Rat] = {}
-        for i in range(m):
-            if not dp[i]:
-                continue
-            for dd, c in mm.shifts[i].items():
-                if c:
-                    pairing_series[dd] = pairing_series.get(dd, Rat(0)) + dp[i] * c
-        e = scalar_exp(pairing_series, m, bound)
-        expg[dp] = e
-        gexp[dp] = [scalar_mul(dict(mm.shifts[i]), e, m, bound) for i in range(m)]
+        i = next(k for k, c in enumerate(dp) if c)
+        prev = tuple(c - (k == i) for k, c in enumerate(dp))
+        expg[dp] = scalar_mul(expg[prev], axis_exp[i], bound - sum(dp))
+        two_minus = {_tzero(m): Rat(2)}
+        for k, g in enumerate(mm.shifts):
+            for dd, c in g.items():
+                two_minus[dd] = two_minus.get(dd, Rat(0)) - dp[k] * c
+        for diff, c in scalar_mul(two_minus, expg[dp], bound - sum(dp)).items():
+            if any(diff):
+                matching[tuple(a + b for a, b in zip(dp, diff))].append((dp, c))
 
     solved: dict[int, dict[Degree, Rat]] = {}
     for j in range(level, top + 1):
@@ -367,18 +375,7 @@ def extract_invariants(
             cls = integrated[d].coefficient((alpha_at, j, _tzero(m)))
             if not cls.is_zero():
                 c0 = cls.coeffs[0]
-            acc = c0
-            for dp in degrees:
-                if dp == d:
-                    continue
-                diff = _sub(d, dp)
-                if diff is None:
-                    continue
-                match = 2 * expg[dp].get(diff, Rat(0))
-                for i in range(m):
-                    match -= dp[i] * gexp[dp][i].get(diff, Rat(0))
-                acc -= kj[dp] * match
-            kj[d] = acc / 2
+            kj[d] = (c0 - sum(kj[dp] * c for dp, c in matching[d])) / 2
         solved[j] = kj
 
     # overdetermination: the t-linear strata are determined by the same K_d

@@ -157,7 +157,7 @@ def series_inverse(s: QSeries) -> QSeries:
 # -- scalar series helpers (plain Fraction coefficients) -------------------
 
 
-def scalar_mul(a: dict[Degree, Rat], b: dict[Degree, Rat], m: int, bound: int) -> dict[Degree, Rat]:
+def scalar_mul(a: dict[Degree, Rat], b: dict[Degree, Rat], bound: int) -> dict[Degree, Rat]:
     out: dict[Degree, Rat] = {}
     for d1, c1 in a.items():
         for d2, c2 in b.items():
@@ -175,7 +175,7 @@ def scalar_exp(s: dict[Degree, Rat], m: int, bound: int) -> dict[Degree, Rat]:
     out: dict[Degree, Rat] = {z: Rat(1)}
     power: dict[Degree, Rat] = {z: Rat(1)}
     for k in range(1, bound + 1):
-        power = scalar_mul(power, s, m, bound)
+        power = scalar_mul(power, s, bound)
         if not power:
             break
         inv = Rat(1, math.factorial(k))

@@ -1,9 +1,14 @@
 """Command-line driver: exit codes, report formats, determinism."""
 
+import contextlib
+import io
 import json
+import tempfile
 from fractions import Fraction as Rat
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from concavex import cli, localization
 from concavex.cli import main
@@ -265,3 +270,63 @@ def test_oracle_cli_and_library_share_one_draw(spec_file, capsys, monkeypatch):
     assert rc == 1
     assert out == ""
     assert draws == library
+
+
+def test_any_other_internal_error_exits_3_without_a_traceback(
+    spec_file, capsys, monkeypatch
+):
+    def broken(spec, bound):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "solve_mirror_map", broken)
+    rc, out, err = run(capsys, "compute", "--spec", spec_file(PAIR), "--max-degree", "2")
+    assert rc == 3
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines() == ["internal error: RuntimeError: boom"]
+
+
+_GARBAGE = ("", "# comment", "name fuzz", "space", "space x", "space 0",
+            "bundle", "bundle convex", "bundle odd 1", "frobnicate 3")
+_DEGREE = st.sampled_from((-1, 0, 1, 1, 1, 2, 3, 4))
+
+
+@st.composite
+def spec_texts(draw):
+    """Spec text from a small grammar, with some malformed lines mixed in."""
+    spaces = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+    lines = [f"space {n}" for n in spaces]
+    magnitudes = []
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(("convex", "concave")))
+        arity = draw(st.sampled_from((len(spaces),) * 3 + (1, 2)))
+        degrees = draw(st.lists(_DEGREE, min_size=arity, max_size=arity))
+        lines.append(f"bundle {kind} " + " ".join(map(str, degrees)))
+        magnitudes.append(degrees)
+    if draw(st.integers(0, 3)):  # mostly, close the first Chern balance
+        rest = [n + 1 - sum(d[i] for d in magnitudes if len(d) > i)
+                for i, n in enumerate(spaces)]
+        lines.append("bundle convex " + " ".join(map(str, rest)))
+    for junk in draw(st.lists(st.sampled_from(_GARBAGE), max_size=1)):
+        lines.insert(draw(st.integers(0, len(lines))), junk)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    spec_texts(),
+    st.sampled_from((["compute"], ["compute", "--euler"],
+                     ["compute", "--format", "csv"], ["verify"])),
+    st.integers(1, 2),
+)
+def test_fuzzed_specs_end_in_a_documented_exit_code(text, command, bound):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.cvx"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(command + ["--spec", str(path), "--max-degree", str(bound)])
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if rc in (2, 3):
+        assert out.getvalue() == ""

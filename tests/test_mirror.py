@@ -17,6 +17,7 @@ from concavex.geometry import parse_spec, validate
 from concavex.laurent import kahler_factor
 from concavex.mirror import (
     ExtractionError,
+    InvariantEntry,
     MirrorInconsistencyError,
     extract_invariants,
     integrand_series,
@@ -25,7 +26,7 @@ from concavex.mirror import (
     two_pointed,
     verify_all,
 )
-from concavex.qseries import degrees_upto
+from concavex.qseries import degrees_upto, scalar_exp, scalar_mul
 
 QUINTIC = parse_spec("name quintic\nspace 4\nbundle convex 5\n")
 PAIR = parse_spec("name pair\nspace 1\nbundle concave 1\nbundle concave 1\n")
@@ -262,9 +263,28 @@ def test_blocks_and_transform_series_are_built_once(monkeypatch):
         return out
 
     monkeypatch.setattr(qseries.QSeries, "__mul__", counted_mul)
+    transform_bounds = []
+
+    def counted_transform(dims, bound, *rest, _real=mirror._transform_series):
+        transform_bounds.append(bound)
+        return _real(dims, bound, *rest)
+
+    monkeypatch.setattr(mirror, "_transform_series", counted_transform)
+    exps = [0]
+
+    def counted_exp(*args, _real=mirror.scalar_exp):
+        exps[0] += 1
+        return _real(*args)
+
+    monkeypatch.setattr(mirror, "scalar_exp", counted_exp)
     bound = 3
     mm = solve_mirror_map(TWO_FACTOR, bound)
+    # pass `total` reads U and G only up to total degree `total`
+    assert transform_bounds == [1, 2, 3, 3]
     extract_invariants(TWO_FACTOR, mm, bound)
+    assert transform_bounds == [1, 2, 3, 3]
+    # one exp(g_i) per axis; exp(<d', g>) comes from a product per degree
+    assert exps[0] == TWO_FACTOR.m == 2
     assert calls["reduced_block"] == len(degrees_upto(2, bound)) == 10
     assert calls["hyper_block"] == 0
     assert calls["series_inverse"] == bound + 1
@@ -288,3 +308,69 @@ def test_check_after_solving_catches_a_wrong_shift(monkeypatch):
     monkeypatch.setattr(mirror, "_read_linear_stratum", off_by_one)
     with pytest.raises(MirrorInconsistencyError, match="after solving"):
         solve_mirror_map(TWO_FACTOR, 2)
+
+
+def _reference_entries(spec, mm, bound, euler):
+    """The triangular solve for K written out term by term.
+
+    Per d' it builds exp(<d', g>) and its m products with each g_i at the
+    full bound, and recomputes every matching coefficient
+    2 exp(<d', g>) - sum_i d'_i g_i exp(<d', g>) for every x-power.
+    """
+    m = spec.m
+    s = validate(spec)
+    level = 0 if euler else s
+    degrees = [d for d in degrees_upto(m, bound) if any(d)]
+    js = integrand_series(spec, mm, bound, euler)
+    integrated = {d: js.coefficient(d).integrate_fibrewise() for d in degrees}
+    top = max([level] + [j for ld in integrated.values() for _, j, _ in ld.terms])
+    expg, gexp = {}, {}
+    for dp in degrees:
+        pairing = {}
+        for i in range(m):
+            for dd, c in mm.shifts[i].items():
+                pairing[dd] = pairing.get(dd, Rat(0)) + dp[i] * c
+        expg[dp] = scalar_exp(pairing, m, bound)
+        gexp[dp] = [scalar_mul(mm.shifts[i], expg[dp], bound) for i in range(m)]
+    solved = {}
+    for j in range(level, top + 1):
+        kj = {}
+        for d in degrees:
+            cls = integrated[d].coefficient((s - 3 - j, j, (0,) * m))
+            acc = Rat(0) if cls.is_zero() else cls.coeffs[0]
+            for dp in degrees:
+                diff = tuple(a - b for a, b in zip(d, dp))
+                if dp == d or min(diff) < 0:
+                    continue
+                match = 2 * expg[dp].get(diff, Rat(0)) - sum(
+                    dp[i] * gexp[dp][i].get(diff, Rat(0)) for i in range(m)
+                )
+                acc -= kj[dp] * match
+            kj[d] = acc / 2
+        solved[j] = kj
+    return tuple(
+        InvariantEntry(
+            degree=d,
+            raw=tuple(
+                (j, solved[j][d])
+                for j in range(level, top + 1)
+                if solved[j][d] or j == level
+            ),
+            value=solved[level][d],
+        )
+        for d in degrees
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [pytest.param(parse_spec(p.read_text(encoding="utf-8")), id=p.stem) for p in BENCH_SPECS]
+    + [pytest.param(ZERO_ENTRY, id="zero-entry"), pytest.param(TWO_FACTOR, id="two-factor")],
+)
+def test_extraction_matches_the_term_by_term_solve(spec):
+    bound = 4
+    mm = solve_mirror_map(spec, bound)
+    modes = (False, True) if validate(spec) == 0 else (False,)
+    for euler in modes:
+        table = extract_invariants(spec, mm, bound, euler=euler)
+        assert table.entries == _reference_entries(spec, mm, bound, euler), euler
