@@ -13,7 +13,8 @@ Every product, and every sum of products, goes through one kernel,
 the operand's own common denominator, accumulates all pairs in Python ints
 over one denominator for the whole sum, truncates at the box edge through
 the ring's cached slot-pair table, and forms Fractions only once, per
-output slot.
+output slot.  A product that is integrated over the fibre at once goes
+through ``_mul_integrate`` instead, which computes only the top slot.
 """
 from __future__ import annotations
 
@@ -276,6 +277,35 @@ def _mul_sum(dims: tuple[int, ...], pairs: list[tuple[LaurentBlock, LaurentBlock
         if any(acc):
             out.terms[key] = CohClass(dims, tuple(Rat(v, den) if v else nil for v in acc))
     return out
+
+
+def _mul_integrate(a: LaurentBlock, b: LaurentBlock) -> LaurentBlock:
+    """(a * b).integrate_fibrewise(), without forming a * b.
+
+    Only the top class survives the integral.  In C order the slot index
+    is linear in the exponents, so the one slot that completes slot i to
+    the top (the partner _slot_pairs maps to it) is top - i, and each key
+    pair costs one dot product, accumulated in ints over one denominator.
+    """
+    (fa, da), (fb, db) = _flatten(a), _flatten(b)
+    top = math.prod(n + 1 for n in a.dims) - 1
+    partners = []  # per key of b, its numerators at slot top - i, indexed by i
+    for key, ys in fb:
+        row = [0] * (top + 1)
+        for i, y in ys:
+            row[top - i] = y
+        partners.append((key, row))
+    sums: dict[Key, int] = {}
+    for (a1, j1, t1), xs in fa:
+        for (a2, j2, t2), row in partners:
+            v = 0
+            for i, x in xs:
+                v += x * row[i]
+            key = (a1 + a2, j1 + j2, tuple(map(add, t1, t2)))
+            sums[key] = sums.get(key, 0) + v
+    return LaurentBlock((), {
+        key: CohClass((), (Rat(v, da * db),)) for key, v in sums.items() if v
+    })
 
 
 def block_one(dims: tuple[int, ...]) -> LaurentBlock:

@@ -14,7 +14,11 @@ G := exp(-(sum_i g_i(q) H_i)/alpha), the series U * sum R_d q^d - G
 must vanish at the alpha^0 and alpha^{-1} strata.  Each stratum at the
 current degree is an inhomogeneous linear condition whose unknown part
 is exactly {scalar} (for nu) or {x, H_1, .., H_m} (for f and g), so the
-solve is a read-off; anything outside that span is a hard error.
+solve is a read-off; anything outside that span is a hard error.  One
+pass over the degrees does it: E = exp(sum f_d x q^d / alpha), G and U
+are extended degree by degree by the recurrence of qseries (U from
+N U = E), first with d's own coefficients still zero for the read-off,
+then completed from the coefficients read off.
 
 The invariants then come out of the integrated series: multiplying back
 by the Chern ratio and the Kahler prefactor gives per degree d the block
@@ -23,7 +27,9 @@ by the Chern ratio and the Kahler prefactor gives per degree d the block
 
 the Kahler factor times the Chern ratio times the residual the solve
 checked, whose fibrewise integral concentrates, at the x^s stratum (s the
-splitting excess), in alpha^{-3} with t-degree at most one.  Writing
+splitting excess), in alpha^{-3} with t-degree at most one.  Only the top
+class survives the integral, so extraction integrates kahler * X_d pair
+by pair of slots (laurent._mul_integrate) without forming J_d.  Writing
 Phi(t) = sum K_d exp(d.t) for the sought table, matching the t-constant
 part of the integrals against 2*Phi - sum_i t_i dPhi/dt_i expressed in
 the shifted variables yields a triangular system for the K_d; the
@@ -42,6 +48,7 @@ from .eulerdata import chern_ratio, hyper_block, reduced_block
 from .geometry import GeometrySpec, validate
 from .laurent import (
     LaurentBlock,
+    _mul_integrate,
     _mul_sum,
     _tzero,
     block_one,
@@ -51,6 +58,8 @@ from .laurent import (
 from .qseries import (
     Degree,
     QSeries,
+    _exp_coefficient,
+    _sub,
     degrees_upto,
     qseries_one,
     scalar_exp,
@@ -109,9 +118,15 @@ class InvariantTable:
         raise KeyError(d)
 
 
-def _sub(d: Degree, e: Degree) -> Degree | None:
-    out = tuple(a - b for a, b in zip(d, e))
-    return None if any(c < 0 for c in out) else out
+def _log_terms(
+    dims: tuple[int, ...], f: Rat, g: tuple[Rat, ...]
+) -> tuple[LaurentBlock, LaurentBlock]:
+    """The q^d terms f x / alpha of log E and -(sum_i g_i H_i) / alpha of log G."""
+    t0 = _tzero(len(dims))
+    fblk, gblk = LaurentBlock(dims), LaurentBlock(dims)
+    fblk._put((-1, 1, t0), scalar(dims, f))
+    gblk._put((-1, 0, t0), linear(dims, [-c for c in g]))
+    return fblk, gblk
 
 
 def _transform_series(
@@ -121,43 +136,37 @@ def _transform_series(
     prefactor: dict[Degree, Rat],
     shifts: tuple[dict[Degree, Rat], ...],
 ) -> tuple[QSeries, QSeries]:
-    """The pair (U, G) built from the (possibly partial) coefficients."""
+    """The pair (U, G) built from scratch, the Euler route's reference."""
     m = len(dims)
     fq = QSeries(m, bound, dims)
     gq = QSeries(m, bound, dims)
     nq = qseries_one(m, bound, dims)
-    for d in degrees_upto(m, bound):
-        if not any(d):
-            continue
-        fd = prefactor.get(d, Rat(0))
-        if fd:
-            blk = LaurentBlock(dims)
-            blk._put((-1, 1, _tzero(m)), scalar(dims, fd))
-            fq.set(d, blk)
-        gvec = [g.get(d, Rat(0)) for g in shifts]
-        if any(gvec):
-            blk = LaurentBlock(dims)
-            blk._put((-1, 0, _tzero(m)), linear(dims, [-c for c in gvec]))
-            gq.set(d, blk)
-        nu = normalization.get(d, Rat(0))
-        if nu:
-            nq.set(d, block_scalar(dims, nu))
+    for d in degrees_upto(m, bound)[1:]:
+        fblk, gblk = _log_terms(
+            dims, prefactor.get(d, Rat(0)), tuple(g.get(d, Rat(0)) for g in shifts)
+        )
+        fq.set(d, fblk)
+        gq.set(d, gblk)
+        nq.set(d, block_scalar(dims, normalization.get(d, Rat(0))))
     return series_exp(fq) * series_inverse(nq), series_exp(gq)
 
 
 def _residual(
-    u: QSeries, reduced: dict[Degree, LaurentBlock], d: Degree
+    dims: tuple[int, ...],
+    u: dict[Degree, LaurentBlock],
+    reduced: dict[Degree, LaurentBlock],
+    d: Degree,
 ) -> LaurentBlock:
     """Degree-d coefficient of U * sum_{d' != 0} R_d' q^d', free of U_d and G_d.
 
     Adding U_d - G_d (R_0 = 1) gives that of U * sum_d' R_d' q^d' - G.
     """
     pairs = [
-        (u.coefficient(diff), r)
+        (u[diff], r)
         for dp, r in reduced.items()
         if any(dp) and (diff := _sub(d, dp)) is not None
     ]
-    return _mul_sum(u.dims, pairs)
+    return _mul_sum(dims, pairs)
 
 
 def _read_linear_stratum(
@@ -194,15 +203,15 @@ def _read_linear_stratum(
 
 
 def solve_mirror_map(spec: GeometrySpec, bound: int) -> MirrorMap:
-    """Determine normalization, prefactor and shifts one total degree at a time.
+    """Determine normalization, prefactor and shifts in one pass over the degrees.
 
-    A degree reads U and G only at lower total degrees, so each pass
-    builds (U, G) once from the coefficients solved so far and reads off
-    every degree of its total.  The same pair is complete one total
-    below, where both strata must now cancel: the check adds the new
-    U_d - G_d to the read-off's sum over d' != 0 of U_{d-d'} R_{d'}, and
-    keeps the residual on the map for the integrand.  Each block R_d is
-    built from one of lower degree.
+    E = exp(F), G and U = E / N are kept per degree and extended by
+    recurrence.  At degree d they are first formed with d's own
+    coefficients still zero: the read-off needs only U_d - G_d plus the
+    sum over d' != 0 of U_{d-d'} R_{d'}.  The stored coefficients then
+    complete E_d, G_d and U_d, both strata of U * sum R q^d - G must
+    cancel at d, and that residual is kept on the map for the integrand.
+    Each block R_d is built from one of lower degree.
     """
     validate(spec)
     dims = spec.factors
@@ -217,73 +226,81 @@ def solve_mirror_map(spec: GeometrySpec, bound: int) -> MirrorMap:
     normalization: dict[Degree, Rat] = {}
     prefactor: dict[Degree, Rat] = {}
     shifts: tuple[dict[Degree, Rat], ...] = tuple({} for _ in range(m))
-    lower_sums: dict[Degree, LaurentBlock] = {}
+    one = block_one(dims)
+    f_log: dict[Degree, LaurentBlock] = {}  # q^d terms of log E and log G
+    g_log: dict[Degree, LaurentBlock] = {}
+    minus_nu: dict[Degree, LaurentBlock] = {}  # -nu_d, for N U = E
+    e = {_tzero(m): one}
+    g = {_tzero(m): one}
+    u = {_tzero(m): one}
     residuals: dict[Degree, LaurentBlock] = {}
-    for total in range(1, bound + 2):
-        u, g = _transform_series(
-            dims, min(total, bound), normalization, prefactor, shifts
-        )
-        for d in degrees:
-            if not any(d) or sum(d) not in (total - 1, total):
-                continue
-            if sum(d) == total:
-                lower_sums[d] = _residual(u, reduced, d)
-            acc = lower_sums[d] + (u.coefficient(d) - g.coefficient(d))
-            if sum(d) < total:  # solved: the two strata must now cancel
-                del lower_sums[d]
-                sup = acc.alpha_support()
-                if sup is not None and sup[1] >= -1:
-                    raise MirrorInconsistencyError(
-                        f"degree {d}: residual stratum at alpha^{sup[1]} after solving"
-                    )
-                residuals[d] = acc
-                continue
-            try:
-                nu = acc.alpha_stratum(0).as_scalar()
-            except ValueError:
-                raise MirrorInconsistencyError(
-                    f"degree {d}: alpha^0 stratum is not a pure scalar"
-                ) from None
-            xcoef, hcoefs = _read_linear_stratum(acc.alpha_stratum(-1), d, dims)
-            normalization[d] = nu
-            prefactor[d] = -xcoef
-            for i in range(m):
-                shifts[i][d] = -hcoefs[i]
+    for d in degrees[1:]:
+        e[d] = _exp_coefficient(dims, f_log, e, d)
+        g[d] = _exp_coefficient(dims, g_log, g, d)
+        u[d] = _mul_sum(dims, [(one, e[d])] + [
+            (c, u[diff])
+            for dp, c in minus_nu.items()
+            if (diff := _sub(d, dp)) is not None
+        ])
+        lower = _residual(dims, u, reduced, d)
+        acc = lower + (u[d] - g[d])
+        try:
+            nu = acc.alpha_stratum(0).as_scalar()
+        except ValueError:
+            raise MirrorInconsistencyError(
+                f"degree {d}: alpha^0 stratum is not a pure scalar"
+            ) from None
+        xcoef, hcoefs = _read_linear_stratum(acc.alpha_stratum(-1), d, dims)
+        normalization[d] = nu
+        prefactor[d] = -xcoef
+        for i in range(m):
+            shifts[i][d] = -hcoefs[i]
+
+        # complete degree d from the stored coefficients: E_0 = U_0 = G_0 = 1
+        fblk, gblk = _log_terms(dims, prefactor[d], tuple(h[d] for h in shifts))
+        nblk = block_scalar(dims, -normalization[d])
+        e[d] = e[d] + fblk
+        g[d] = g[d] + gblk
+        u[d] = u[d] + fblk + nblk
+        f_log[d], g_log[d], minus_nu[d] = fblk, gblk, nblk
+        acc = lower + (u[d] - g[d])
+        sup = acc.alpha_support()
+        if sup is not None and sup[1] >= -1:
+            raise MirrorInconsistencyError(
+                f"degree {d}: residual stratum at alpha^{sup[1]} after solving"
+            )
+        residuals[d] = acc
     return MirrorMap(spec, bound, normalization, prefactor, shifts, residuals)
 
 
-def integrand_series(
-    spec: GeometrySpec, mm: MirrorMap, bound: int, euler: bool = False
-) -> QSeries:
-    """The Kahler factor times the Chern ratio times the solve's residuals.
+def _integrand_factors(
+    spec: GeometrySpec, mm: MirrorMap, bound: int, euler: bool
+) -> dict[Degree, LaurentBlock]:
+    """X_d per nonzero degree d, such that J_d = kahler * X_d.
 
-    `mm` must be solved for `spec` at a bound of at least `bound`.  With
-    `euler` set, the series is rebuilt from the full blocks and every
-    degree-d block is restricted to its x^0 stratum.  Full blocks
-    polynomial in x are specialized to x = 0 before assembly; the
-    correction term, and any full block with x poles, are multiplied out
-    with x symbolic and restricted only afterwards, because the Chern
-    ratio of a concave summand is an x-Laurent series.  A concave summand
-    pairing to 0 with dp leaves such a pole in hyper_block(spec, dp).
+    By default X_d is the Chern ratio times the solve's residual.  With
+    `euler` set, it is rebuilt from the full blocks and restricted to its
+    x^0 stratum.  Full blocks polynomial in x are specialized to x = 0
+    before assembly; the correction term, and any full block with x
+    poles, are multiplied out with x symbolic and restricted only
+    afterwards, because the Chern ratio of a concave summand is an
+    x-Laurent series.  A concave summand pairing to 0 with dp leaves such
+    a pole in hyper_block(spec, dp).
     """
     if spec != mm.spec or bound > mm.bound:
         raise ValueError(
             f"the mirror map was solved for another spec or below bound {bound}"
         )
     dims = spec.factors
-    m = len(dims)
     omega = chern_ratio(spec)
-    eht = kahler_factor(dims)
-    degrees = [d for d in degrees_upto(m, bound) if any(d)]
-    out = QSeries(m, bound, dims)
+    degrees = [d for d in degrees_upto(spec.m, bound) if any(d)]
     if not euler:
-        for d in degrees:
-            out.set(d, eht * (omega * mm.residuals[d]))
-        return out
+        return {d: omega * mm.residuals[d] for d in degrees}
     u, g = _transform_series(dims, bound, mm.normalization, mm.prefactor, mm.shifts)
     blocks = {dp: hyper_block(spec, dp) for dp in degrees}
     at_x0 = {dp for dp, b in blocks.items() if b.x_support()[0] >= 0}
     blocks.update((dp, blocks[dp].substitute_x(0)) for dp in at_x0)
+    out = {}
     for d in degrees:
         pairs = []
         for dp in degrees:
@@ -295,8 +312,25 @@ def integrand_series(
                 uc = uc.x_stratum(0)
             pairs.append((uc, blocks[dp]))
         pairs.append((u.coefficient(d) - g.coefficient(d), omega))
-        acc = _mul_sum(dims, pairs)
-        out.set(d, eht * acc.x_stratum(0))
+        out[d] = _mul_sum(dims, pairs).x_stratum(0)
+    return out
+
+
+def integrand_series(
+    spec: GeometrySpec, mm: MirrorMap, bound: int, euler: bool = False
+) -> QSeries:
+    """The Kahler factor times the Chern ratio times the solve's residuals.
+
+    `mm` must be solved for `spec` at a bound of at least `bound`.  With
+    `euler` set, the series is rebuilt from the full blocks and every
+    degree-d block is restricted to its x^0 stratum (see
+    `_integrand_factors`).  Extraction integrates the same products
+    without forming them; this series is their reference.
+    """
+    eht = kahler_factor(spec.factors)
+    out = QSeries(spec.m, bound, spec.factors)
+    for d, x in _integrand_factors(spec, mm, bound, euler).items():
+        out.set(d, eht * x)
     return out
 
 
@@ -311,20 +345,22 @@ def extract_invariants(
             f"this spec has excess {s}"
         )
     m = spec.m
-    js = integrand_series(spec, mm, bound, euler)
-    degrees = [d for d in degrees_upto(m, bound) if any(d)]
+    xs = _integrand_factors(spec, mm, bound, euler)
+    eht = kahler_factor(spec.factors)
+    degrees = list(xs)
 
     level = 0 if euler else s
     integrated: dict[Degree, LaurentBlock] = {}
     top = level
     for d in degrees:
-        jd = js.coefficient(d)
-        sup = jd.alpha_support()
+        # kahler's only key with alpha^{>= 0} is the unit, so J_d and X_d
+        # share their top alpha stratum
+        sup = xs[d].alpha_support()
         if sup is not None and sup[1] > -2:
             raise ExtractionError(
                 f"degree {d}: integrand stratum at alpha^{sup[1]}"
             )
-        ld = jd.integrate_fibrewise()
+        ld = _mul_integrate(eht, xs[d])
         for (a, j, t), _ in ld.terms.items():
             if j < level:
                 raise ExtractionError(

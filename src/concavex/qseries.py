@@ -5,10 +5,14 @@ The series variable q_i stands for exp(t_i); only coefficients with total
 degree |d| <= D are ever stored.  Coefficients are Laurent blocks; a scalar
 variant with plain Fraction coefficients is provided for the generating
 function bookkeeping where no cohomology is involved.
+
+Both exponentials, block and scalar, come from one recurrence, one degree
+at a time: the Euler operator sum_i q_i d/dq_i turns exp(L)' = L' exp(L)
+into |d| E_d = sum_{0 < d' <= d} |d'| L_{d'} E_{d-d'}.  The mirror solve
+extends its series with the same per-degree step, `_exp_coefficient`.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .cohomology import Rat
@@ -71,23 +75,6 @@ class QSeries:
         else:
             self.coeffs[d] = b
 
-    def __add__(self, other: "QSeries") -> "QSeries":
-        self._check(other)
-        bound = min(self.bound, other.bound)
-        out = QSeries(self.m, bound, self.dims)
-        for d in degrees_upto(self.m, bound):
-            s = self.coefficient(d) + other.coefficient(d)
-            out.set(d, s)
-        return out
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        self._check(other)
-        bound = min(self.bound, other.bound)
-        out = QSeries(self.m, bound, self.dims)
-        for d in degrees_upto(self.m, bound):
-            out.set(d, self.coefficient(d) - other.coefficient(d))
-        return out
-
     def __mul__(self, other: "QSeries") -> "QSeries":
         """Graded convolution, truncated at the smaller bound."""
         self._check(other)
@@ -114,22 +101,42 @@ def qseries_one(m: int, bound: int, dims: tuple[int, ...]) -> QSeries:
     return s
 
 
+def _sub(d: Degree, e: Degree) -> Degree | None:
+    """d - e, or None if that is not an effective degree."""
+    out = tuple(a - b for a, b in zip(d, e))
+    return None if any(c < 0 for c in out) else out
+
+
+def _exp_coefficient(
+    dims: tuple[int, ...],
+    log: dict[Degree, LaurentBlock],
+    exp: dict[Degree, LaurentBlock],
+    d: Degree,
+) -> LaurentBlock:
+    """Degree-d coefficient of E = exp(L), from the coefficients of E below d.
+
+    The Euler operator sum_i q_i d/dq_i turns E' = L' E into
+    |d| E_d = sum_{0 < d' <= d} |d'| L_{d'} E_{d-d'}; a degree missing
+    from `log` or `exp` is a zero coefficient, and L_d, if present,
+    enters as L_d E_0.
+    """
+    n = degree_total(d)
+    pairs = [
+        (blk.scale(Rat(degree_total(dp), n)), exp[diff])
+        for dp, blk in log.items()
+        if (diff := _sub(d, dp)) is not None and diff in exp
+    ]
+    return _mul_sum(dims, pairs)
+
+
 def series_exp(s: QSeries) -> QSeries:
-    """exp of a series with no constant term; finite by degree truncation."""
+    """exp of a series with no constant term, one degree at a time by recurrence."""
     z = (0,) * s.m
     if not s.coefficient(z).is_zero():
         raise ValueError("exp needs a series with zero constant term")
     out = qseries_one(s.m, s.bound, s.dims)
-    power = qseries_one(s.m, s.bound, s.dims)
-    for k in range(1, s.bound + 1):
-        power = power * s
-        if all(b.is_zero() for b in power.coeffs.values()):
-            break
-        scaled = QSeries(s.m, s.bound, s.dims)
-        inv = Rat(1, math.factorial(k))
-        for d, b in power.coeffs.items():
-            scaled.set(d, b.scale(inv))
-        out = out + scaled
+    for d in degrees_upto(s.m, s.bound)[1:]:
+        out.set(d, _exp_coefficient(s.dims, s.coeffs, out.coeffs, d))
     return out
 
 
@@ -140,15 +147,13 @@ def series_inverse(s: QSeries) -> QSeries:
         raise ValueError("inverse needs constant term equal to one")
     out = QSeries(s.m, s.bound, s.dims)
     out.set(z, block_one(s.dims))
-    for d in degrees_upto(s.m, s.bound):
-        if d == z:
-            continue
+    for d in degrees_upto(s.m, s.bound)[1:]:
         # coefficient of q^d in s * out must vanish
-        pairs = []
-        for d1, b1 in s.coeffs.items():
-            d2 = tuple(a - b for a, b in zip(d, d1))
-            if d1 != z and all(c >= 0 for c in d2):
-                pairs.append((b1, out.coefficient(d2)))
+        pairs = [
+            (b1, out.coefficient(d2))
+            for d1, b1 in s.coeffs.items()
+            if d1 != z and (d2 := _sub(d, d1)) is not None
+        ]
         acc = _mul_sum(s.dims, pairs)
         out.set(d, -acc)
     return out
@@ -169,16 +174,17 @@ def scalar_mul(a: dict[Degree, Rat], b: dict[Degree, Rat], bound: int) -> dict[D
 
 
 def scalar_exp(s: dict[Degree, Rat], m: int, bound: int) -> dict[Degree, Rat]:
+    """exp of a scalar series with no constant term, by the recurrence of `series_exp`."""
     z = (0,) * m
     if s.get(z):
         raise ValueError("exp needs zero constant term")
     out: dict[Degree, Rat] = {z: Rat(1)}
-    power: dict[Degree, Rat] = {z: Rat(1)}
-    for k in range(1, bound + 1):
-        power = scalar_mul(power, s, bound)
-        if not power:
-            break
-        inv = Rat(1, math.factorial(k))
-        for d, c in power.items():
-            out[d] = out.get(d, Rat(0)) + c * inv
-    return {d: c for d, c in out.items() if c}
+    for d in degrees_upto(m, bound)[1:]:
+        acc = sum(
+            degree_total(dp) * c * out[diff]
+            for dp, c in s.items()
+            if (diff := _sub(d, dp)) is not None and diff in out
+        )
+        if acc:
+            out[d] = acc / degree_total(d)
+    return out

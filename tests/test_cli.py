@@ -288,44 +288,73 @@ def test_any_other_internal_error_exits_3_without_a_traceback(
 
 _GARBAGE = ("", "# comment", "name fuzz", "space", "space x", "space 0",
             "bundle", "bundle convex", "bundle odd 1", "frobnicate 3")
-_DEGREE = st.sampled_from((-1, 0, 1, 1, 1, 2, 3, 4))
+# out-of-grammar degrees: a negative magnitude, or past any balance
+_STRAY_DEGREE = st.sampled_from((-1, 4))
 
 
 @st.composite
 def spec_texts(draw):
-    """Spec text from a small grammar, with some malformed lines mixed in."""
+    """Spec text from a small grammar, with some malformed lines mixed in.
+
+    Most draws keep every degree within the room the first Chern balance
+    leaves and then close the balance, so most specs pass validation; a
+    stray degree, a wrong arity, an unclosed balance or a junk line each
+    turn up in a minority of draws.
+    """
     spaces = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
     lines = [f"space {n}" for n in spaces]
-    magnitudes = []
+    room = [n + 1 for n in spaces]
     for _ in range(draw(st.integers(1, 2))):
-        kind = draw(st.sampled_from(("convex", "concave")))
-        arity = draw(st.sampled_from((len(spaces),) * 3 + (1, 2)))
-        degrees = draw(st.lists(_DEGREE, min_size=arity, max_size=arity))
+        kind = draw(st.sampled_from(("convex", "convex", "concave")))
+        arity = draw(st.sampled_from((len(spaces),) * 7 + (1, 2)))
+        degrees = []
+        for i in range(arity):
+            if draw(st.integers(0, 19)) == 0:
+                degrees.append(draw(_STRAY_DEGREE))
+            else:  # a concave bundle needs a nonzero degree: give it one on factor 0
+                low = int(kind == "concave" and i == 0)
+                high = max(room[i], low) if i < len(room) else 2
+                degrees.append(draw(st.integers(low, high)))
+        for i, e in enumerate(degrees[: len(room)]):
+            room[i] -= e
         lines.append(f"bundle {kind} " + " ".join(map(str, degrees)))
-        magnitudes.append(degrees)
-    if draw(st.integers(0, 3)):  # mostly, close the first Chern balance
-        rest = [n + 1 - sum(d[i] for d in magnitudes if len(d) > i)
-                for i, n in enumerate(spaces)]
-        lines.append("bundle convex " + " ".join(map(str, rest)))
-    for junk in draw(st.lists(st.sampled_from(_GARBAGE), max_size=1)):
+    if draw(st.integers(0, 7)):  # mostly, close the first Chern balance
+        lines.append("bundle convex " + " ".join(map(str, room)))
+    if draw(st.integers(0, 5)) == 0:
+        junk = draw(st.sampled_from(_GARBAGE))
         lines.insert(draw(st.integers(0, len(lines))), junk)
     return "\n".join(lines) + "\n"
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    spec_texts(),
-    st.sampled_from((["compute"], ["compute", "--euler"],
-                     ["compute", "--format", "csv"], ["verify"])),
-    st.integers(1, 2),
-)
-def test_fuzzed_specs_end_in_a_documented_exit_code(text, command, bound):
+def _argv(data, path):
+    """A command line for `path` with numeric flags drawn in and just out of range."""
+    command = data.draw(st.sampled_from((
+        ["compute"], ["compute", "--euler"], ["compute", "--format", "csv"],
+        ["verify"], ["oracle"],
+    )))
+    if command == ["oracle"]:
+        flags = ["--degree", str(data.draw(st.integers(-1, 3))),
+                 "--samples", str(data.draw(st.integers(0, 3))),
+                 "--seed", str(data.draw(st.integers()))]
+    else:
+        flags = ["--max-degree", str(data.draw(st.sampled_from((0, 1, 1, 2, 2))))]
+    return command + ["--spec", str(path)] + flags
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec_texts(), st.data())
+def test_fuzzed_specs_end_in_a_documented_exit_code(text, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "spec.cvx"
         path.write_text(text)
+        argv = _argv(data, path)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(command + ["--spec", str(path), "--max-degree", str(bound)])
+            try:
+                rc = main(argv)
+            except SystemExit as exit_:  # argparse rejects a flag value
+                assert exit_.code == 2
+                rc = 2
     assert rc in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
     if rc in (2, 3):

@@ -12,6 +12,7 @@ from concavex.geometry import parse_spec
 from concavex.laurent import (
     LaurentBlock,
     _invert_x_factor,
+    _mul_integrate,
     _mul_sum,
     alpha_power,
     block_one,
@@ -172,6 +173,32 @@ def test_mul_sum_matches_fraction_double_loop(case):
     assert {
         k: {e: r for e, r in zip(_box(dims), c.coeffs) if r} for k, c in got.terms.items()
     } == _reference_mul_sum(dims, pairs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pair_lists())
+def test_mul_integrate_matches_integrating_the_product(case):
+    dims, pairs = case
+    for a, b in pairs:
+        want = (a * b).integrate_fibrewise()
+        got = _mul_integrate(a, b)
+        assert got == want
+        # same keys in the same order, so extraction's checks fail in the same order
+        assert list(got.terms) == list(want.terms)
+
+
+def test_mul_integrate_with_the_kahler_factor():
+    dims = (2, 1)
+    x = LaurentBlock(dims, {
+        (-2, 1, (0, 0)): monomial(dims, (1, 1), Rat(3, 4)) + scalar(dims, 5),
+        (-3, 0, (0, 0)): monomial(dims, (2, 1), Rat(-1, 6)),
+    })
+    eht = kahler_factor(dims)
+    got = _mul_integrate(eht, x)
+    assert got == (eht * x).integrate_fibrewise()
+    # the top class of x pairs with the unit, H1 H2 with t1 H1 / alpha
+    assert got.coefficient((-3, 0, (0, 0))) == CohClass((), (Rat(-1, 6),))
+    assert got.coefficient((-3, 1, (1, 0))) == CohClass((), (Rat(-3, 4),))
 
 
 def test_mul_sum_of_nothing_is_zero():

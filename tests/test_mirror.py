@@ -5,6 +5,7 @@ by the fixed-point oracle (or a classical closed form), and frozen only
 after the two agreed.
 """
 
+import dataclasses
 from collections import Counter
 from fractions import Fraction as Rat
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 from concavex import laurent, mirror, qseries
 from concavex.eulerdata import chern_ratio, hyper_block
 from concavex.geometry import parse_spec, validate
-from concavex.laurent import kahler_factor
+from concavex.laurent import alpha_power, kahler_factor
 from concavex.mirror import (
     ExtractionError,
     InvariantEntry,
@@ -229,6 +230,20 @@ def test_integrand_needs_the_map_of_its_spec_at_a_large_enough_bound():
     assert extract_invariants(QUINTIC, mm, 1).value((1,)) == 2875
 
 
+@pytest.mark.parametrize("euler,stratum", [(False, -1), (True, 0)])
+def test_extraction_rejects_an_integrand_stratum_above_alpha_minus_two(euler, stratum):
+    mm = solve_mirror_map(QUINTIC, 2)
+    if euler:  # the Euler route rebuilds (U, G) from the map's coefficients
+        normalization = dict(mm.normalization)
+        normalization[(1,)] += 1
+        mm = dataclasses.replace(mm, normalization=normalization)
+    else:
+        stray = mm.residuals[(1,)] + alpha_power(QUINTIC.factors, -1)
+        mm = dataclasses.replace(mm, residuals={**mm.residuals, (1,): stray})
+    with pytest.raises(ExtractionError, match=rf"degree \(1,\): integrand stratum at alpha\^{stratum}$"):
+        extract_invariants(QUINTIC, mm, 2, euler=euler)
+
+
 def test_blocks_and_transform_series_are_built_once(monkeypatch):
     kernel = [0]
 
@@ -240,7 +255,10 @@ def test_blocks_and_transform_series_are_built_once(monkeypatch):
         monkeypatch.setattr(module, "_mul_sum", counted_kernel)
     calls = Counter()
     kernel_in = Counter()  # kernel calls made inside each counted function
-    for name in ("reduced_block", "hyper_block", "series_inverse", "_residual"):
+    for name in (
+        "reduced_block", "hyper_block", "series_exp", "series_inverse",
+        "_transform_series", "_residual", "integrand_series", "scalar_exp",
+    ):
         def counted(*args, _real=getattr(mirror, name), _name=name, **kwargs):
             calls[_name] += 1
             before = kernel[0]
@@ -263,35 +281,30 @@ def test_blocks_and_transform_series_are_built_once(monkeypatch):
         return out
 
     monkeypatch.setattr(qseries.QSeries, "__mul__", counted_mul)
-    transform_bounds = []
-
-    def counted_transform(dims, bound, *rest, _real=mirror._transform_series):
-        transform_bounds.append(bound)
-        return _real(dims, bound, *rest)
-
-    monkeypatch.setattr(mirror, "_transform_series", counted_transform)
-    exps = [0]
-
-    def counted_exp(*args, _real=mirror.scalar_exp):
-        exps[0] += 1
-        return _real(*args)
-
-    monkeypatch.setattr(mirror, "scalar_exp", counted_exp)
     bound = 3
     mm = solve_mirror_map(TWO_FACTOR, bound)
-    # pass `total` reads U and G only up to total degree `total`
-    assert transform_bounds == [1, 2, 3, 3]
-    extract_invariants(TWO_FACTOR, mm, bound)
-    assert transform_bounds == [1, 2, 3, 3]
-    # one exp(g_i) per axis; exp(<d', g>) comes from a product per degree
-    assert exps[0] == TWO_FACTOR.m == 2
+    # one pass: E, G and U grow by recurrence, never rebuilt from scratch
+    for name in ("_transform_series", "series_exp", "series_inverse"):
+        assert calls[name] == 0, name
     assert calls["reduced_block"] == len(degrees_upto(2, bound)) == 10
     assert calls["hyper_block"] == 0
-    assert calls["series_inverse"] == bound + 1
     # one U * sum R per nonzero degree: the after-solve check reuses it
     assert calls["_residual"] == len(degrees_upto(2, bound)) - 1 == 9
     # each sum of products is one kernel call per output degree, not one per pair
     assert kernel_in["_residual"] == 9
+    # and so is each degree's E_d, G_d and U_d
+    assert kernel[0] - kernel_in["reduced_block"] == 4 * 9
+    extract_invariants(TWO_FACTOR, mm, bound)
+    # extraction integrates kahler * X_d without building J_d or (U, G)
+    assert calls["_transform_series"] == calls["integrand_series"] == 0
+    # one exp(g_i) per axis; exp(<d', g>) comes from a product per degree
+    assert calls["scalar_exp"] == TWO_FACTOR.m == 2
+    assert calls["hyper_block"] == 0
+    # the Euler route's reference (U, G): one kernel call per output degree
+    mirror._transform_series(
+        TWO_FACTOR.factors, bound, mm.normalization, mm.prefactor, mm.shifts
+    )
+    assert calls["series_exp"] == 2 and calls["series_inverse"] == 1
     assert output_degrees[0] > 0
     assert kernel_in["QSeries.__mul__"] == output_degrees[0]
 

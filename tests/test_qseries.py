@@ -1,11 +1,13 @@
 """Truncated multi-degree series over Laurent blocks and over rationals."""
 
+import math
 from fractions import Fraction as Rat
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from concavex.laurent import alpha_power, block_one, block_scalar
+from concavex.cohomology import monomial
+from concavex.laurent import alpha_power, block_one, block_scalar, from_class
 from concavex.qseries import (
     QSeries,
     degree_total,
@@ -78,3 +80,35 @@ def test_scalar_exp_matches_block_exp(coeffs):
     for d in degrees_upto(1, bound):
         assert be.coefficient(d) == block_scalar(DIMS, se.get(d, Rat(0)))
 
+
+
+def _power_chain_exp(s: QSeries) -> QSeries:
+    """exp(s) as sum_k s^k / k!, the powers multiplied out."""
+    out = qseries_one(s.m, s.bound, s.dims)
+    power = qseries_one(s.m, s.bound, s.dims)
+    for k in range(1, s.bound + 1):
+        power = power * s
+        for d, b in power.coeffs.items():
+            out.set(d, out.coefficient(d) + b.scale(Rat(1, math.factorial(k))))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([((1,), 1), ((1, 2), 2)]),
+    st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+    st.integers(1, 6),
+)
+def test_series_exp_matches_the_power_chain(shape, numerators, den):
+    dims, m = shape
+    bound = 3
+    s = QSeries(m, bound, dims)
+    h = tuple(1 if i == m - 1 else 0 for i in range(m))
+    degrees = degrees_upto(m, bound)[1:]
+    for k, (d, c) in enumerate(zip(degrees, numerators)):
+        # alternate x/alpha-like scalars with hyperplane classes over alpha
+        blk = alpha_power(dims, -1) * block_scalar(dims, Rat(c, den))
+        if k % 2:
+            blk = blk * from_class(monomial(dims, h))
+        s.set(d, blk)
+    assert series_exp(s) == _power_chain_exp(s)
