@@ -15,11 +15,12 @@ specializes it to 0.
 Exit codes: 0 success; 1 failed verification or an oracle disagreement
 (weight samples that disagree or stay degenerate, or a `compute` oracle
 check that disagrees with the table, reported before exiting); 2
-unreadable or invalid input (including a spec file that is not UTF-8
-text, a degree bound or sample count below 1, unsupported oracle degrees
-and the Euler-class flag on a spec with positive splitting excess); 3 a
-solver inconsistency or any other internal error, reported as one line
-on stderr with stdout left empty.
+unreadable or invalid input (including a rejected command line, a spec
+file that is not UTF-8 text, a degree bound or sample count below 1,
+unsupported oracle degrees and the Euler-class flag on a spec with
+positive splitting excess); 3 a solver inconsistency or any other
+internal error.  Exits 2 and 3 are reported as one line on stderr with
+stdout left empty.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import time
 from .cohomology import Rat
 from .geometry import GeometrySpec, SpecError, parse_spec, validate
 from .localization import (
+    ORACLE_DEGREES,
     ORACLE_SAMPLES,
     OracleInconsistencyError,
     SamplingError,
@@ -77,10 +79,8 @@ def _oracle_checks(
 ) -> list[tuple[Degree, Rat | None, bool | None]]:
     """Per-degree oracle comparison where the graph sum is available."""
     rows: list[tuple[Degree, Rat | None, bool | None]] = []
-    for d in degrees_upto(len(spec.factors), bound):
-        if not any(d):
-            continue
-        if len(spec.factors) == 1 and sum(d) <= 2:
+    for d in degrees_upto(len(spec.factors), bound)[1:]:
+        if len(spec.factors) == 1 and sum(d) in ORACLE_DEGREES:
             val, _ = oracle_invariant_checked(spec, sum(d))
             rows.append((d, val, val == table.value(d)))
         else:
@@ -175,7 +175,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     spec, _ = _load_spec(args.spec)
     if len(spec.factors) != 1:
         raise SpecError("the graph sum covers single-factor specs only")
-    if args.degree not in (1, 2):
+    if args.degree not in ORACLE_DEGREES:
         raise SpecError("the graph sum covers degrees 1 and 2 only")
     draws = oracle_draws(spec, args.degree, args.samples, args.seed)
     lines = [f"sample seed={sample.seed}: {_rat(v)}" for sample, v in draws]
@@ -211,8 +211,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a rejected command line instead of printing usage and exiting."""
+
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="concavex",
         description="Genus-zero characteristic numbers of split bundles "
         "over products of projective spaces",
@@ -245,10 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (OSError, UnicodeDecodeError, SpecError) as err:
+    except (argparse.ArgumentError, OSError, UnicodeDecodeError, SpecError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except MirrorError as err:

@@ -21,6 +21,7 @@ from .cohomology import Rat
 from .geometry import GeometrySpec
 
 __all__ = [
+    "ORACLE_DEGREES",
     "ORACLE_SAMPLES",
     "WeightSample",
     "SamplingError",
@@ -32,7 +33,9 @@ __all__ = [
     "quintic_lines_schubert",
 ]
 
-# weight samples per oracle check, for `compute`, `verify` and `oracle`
+# the degrees the graph sums cover, and weight samples per oracle check,
+# for `compute`, `verify` and `oracle`
+ORACLE_DEGREES = (1, 2)
 ORACLE_SAMPLES = 3
 
 
@@ -220,11 +223,9 @@ def oracle_invariant(spec: GeometrySpec, d: int, sample: WeightSample) -> Rat:
     n = spec.factors[0]
     if len(sample.weights) != n + 1:
         raise ValueError("weight sample arity does not match the factor")
-    if d == 1:
-        return _degree_one(spec, sample.weights)
-    if d == 2:
-        return _degree_two(spec, sample.weights)
-    raise ValueError(f"oracle supports degrees 1 and 2, got {d}")
+    if d not in ORACLE_DEGREES:
+        raise ValueError(f"oracle supports degrees 1 and 2, got {d}")
+    return (_degree_one if d == 1 else _degree_two)(spec, sample.weights)
 
 
 def oracle_draws(

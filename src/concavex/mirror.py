@@ -18,7 +18,9 @@ solve is a read-off; anything outside that span is a hard error.  One
 pass over the degrees does it: E = exp(sum f_d x q^d / alpha), G and U
 are extended degree by degree by the recurrence of qseries (U from
 N U = E), first with d's own coefficients still zero for the read-off,
-then completed from the coefficients read off.
+then completed from the coefficients read off.  Every series here is a
+qseries.Series, a plain dict {degree: block}; the Euler route's reference
+(U, G) is rebuilt from scratch with series_exp and series_inverse.
 
 The invariants then come out of the integrated series: multiplying back
 by the Chern ratio and the Kahler prefactor gives per degree d the block
@@ -57,15 +59,15 @@ from .laurent import (
 )
 from .qseries import (
     Degree,
-    QSeries,
+    Series,
     _exp_coefficient,
     _sub,
     degrees_upto,
-    qseries_one,
     scalar_exp,
     scalar_mul,
     series_exp,
     series_inverse,
+    series_mul,
 )
 
 
@@ -91,7 +93,7 @@ class MirrorMap:
     prefactor: dict[Degree, Rat]
     shifts: tuple[dict[Degree, Rat], ...]
     # per degree, U * sum R q^d - G: both strata cancelled, as the solve checked
-    residuals: dict[Degree, LaurentBlock] = field(compare=False, repr=False)
+    residuals: Series = field(compare=False, repr=False)
 
     def shift_vector(self, d: Degree) -> tuple[Rat, ...]:
         return tuple(g.get(d, Rat(0)) for g in self.shifts)
@@ -135,26 +137,26 @@ def _transform_series(
     normalization: dict[Degree, Rat],
     prefactor: dict[Degree, Rat],
     shifts: tuple[dict[Degree, Rat], ...],
-) -> tuple[QSeries, QSeries]:
+) -> tuple[Series, Series]:
     """The pair (U, G) built from scratch, the Euler route's reference."""
-    m = len(dims)
-    fq = QSeries(m, bound, dims)
-    gq = QSeries(m, bound, dims)
-    nq = qseries_one(m, bound, dims)
-    for d in degrees_upto(m, bound)[1:]:
-        fblk, gblk = _log_terms(
+    f_log: Series = {}
+    g_log: Series = {}
+    n = {_tzero(len(dims)): block_one(dims)}
+    for d in degrees_upto(len(dims), bound)[1:]:
+        f_log[d], g_log[d] = _log_terms(
             dims, prefactor.get(d, Rat(0)), tuple(g.get(d, Rat(0)) for g in shifts)
         )
-        fq.set(d, fblk)
-        gq.set(d, gblk)
-        nq.set(d, block_scalar(dims, normalization.get(d, Rat(0))))
-    return series_exp(fq) * series_inverse(nq), series_exp(gq)
+        n[d] = block_scalar(dims, normalization.get(d, Rat(0)))
+    u = series_mul(
+        dims, series_exp(dims, f_log, bound), series_inverse(dims, n, bound), bound
+    )
+    return u, series_exp(dims, g_log, bound)
 
 
 def _residual(
     dims: tuple[int, ...],
-    u: dict[Degree, LaurentBlock],
-    reduced: dict[Degree, LaurentBlock],
+    u: Series,
+    reduced: Series,
     d: Degree,
 ) -> LaurentBlock:
     """Degree-d coefficient of U * sum_{d' != 0} R_d' q^d', free of U_d and G_d.
@@ -217,7 +219,7 @@ def solve_mirror_map(spec: GeometrySpec, bound: int) -> MirrorMap:
     dims = spec.factors
     m = len(dims)
     degrees = degrees_upto(m, bound)
-    reduced: dict[Degree, LaurentBlock] = {}
+    reduced: Series = {}
     for d in degrees:
         reduced[d] = reduced_block(spec, d, reduced)
     if reduced[_tzero(m)] != block_one(dims):
@@ -227,13 +229,13 @@ def solve_mirror_map(spec: GeometrySpec, bound: int) -> MirrorMap:
     prefactor: dict[Degree, Rat] = {}
     shifts: tuple[dict[Degree, Rat], ...] = tuple({} for _ in range(m))
     one = block_one(dims)
-    f_log: dict[Degree, LaurentBlock] = {}  # q^d terms of log E and log G
-    g_log: dict[Degree, LaurentBlock] = {}
-    minus_nu: dict[Degree, LaurentBlock] = {}  # -nu_d, for N U = E
+    f_log: Series = {}  # q^d terms of log E and log G
+    g_log: Series = {}
+    minus_nu: Series = {}  # -nu_d, for N U = E
     e = {_tzero(m): one}
     g = {_tzero(m): one}
     u = {_tzero(m): one}
-    residuals: dict[Degree, LaurentBlock] = {}
+    residuals: Series = {}
     for d in degrees[1:]:
         e[d] = _exp_coefficient(dims, f_log, e, d)
         g[d] = _exp_coefficient(dims, g_log, g, d)
@@ -275,7 +277,7 @@ def solve_mirror_map(spec: GeometrySpec, bound: int) -> MirrorMap:
 
 def _integrand_factors(
     spec: GeometrySpec, mm: MirrorMap, bound: int, euler: bool
-) -> dict[Degree, LaurentBlock]:
+) -> Series:
     """X_d per nonzero degree d, such that J_d = kahler * X_d.
 
     By default X_d is the Chern ratio times the solve's residual.  With
@@ -307,31 +309,28 @@ def _integrand_factors(
             diff = _sub(d, dp)
             if diff is None:
                 continue
-            uc = u.coefficient(diff)
+            uc = u[diff]
             if dp in at_x0:
                 uc = uc.x_stratum(0)
             pairs.append((uc, blocks[dp]))
-        pairs.append((u.coefficient(d) - g.coefficient(d), omega))
+        pairs.append((u[d] - g[d], omega))
         out[d] = _mul_sum(dims, pairs).x_stratum(0)
     return out
 
 
 def integrand_series(
     spec: GeometrySpec, mm: MirrorMap, bound: int, euler: bool = False
-) -> QSeries:
+) -> Series:
     """The Kahler factor times the Chern ratio times the solve's residuals.
 
-    `mm` must be solved for `spec` at a bound of at least `bound`.  With
-    `euler` set, the series is rebuilt from the full blocks and every
-    degree-d block is restricted to its x^0 stratum (see
-    `_integrand_factors`).  Extraction integrates the same products
-    without forming them; this series is their reference.
+    One block per nonzero degree.  `mm` must be solved for `spec` at a
+    bound of at least `bound`.  With `euler` set, the series is rebuilt
+    from the full blocks and every degree-d block is restricted to its x^0
+    stratum (see `_integrand_factors`).  Extraction integrates the same
+    products without forming them; this series is their reference.
     """
     eht = kahler_factor(spec.factors)
-    out = QSeries(spec.m, bound, spec.factors)
-    for d, x in _integrand_factors(spec, mm, bound, euler).items():
-        out.set(d, eht * x)
-    return out
+    return {d: eht * x for d, x in _integrand_factors(spec, mm, bound, euler).items()}
 
 
 def extract_invariants(
@@ -350,7 +349,7 @@ def extract_invariants(
     degrees = list(xs)
 
     level = 0 if euler else s
-    integrated: dict[Degree, LaurentBlock] = {}
+    integrated: Series = {}
     top = level
     for d in degrees:
         # kahler's only key with alpha^{>= 0} is the unit, so J_d and X_d
@@ -480,7 +479,7 @@ class CheckResult:
 
 def verify_all(spec: GeometrySpec, bound: int) -> list[CheckResult]:
     """Engine run plus every consistency gate, reported check by check."""
-    from .localization import oracle_invariant_checked
+    from .localization import ORACLE_DEGREES, oracle_invariant_checked
 
     checks: list[CheckResult] = []
     s = validate(spec)
@@ -492,9 +491,6 @@ def verify_all(spec: GeometrySpec, bound: int) -> list[CheckResult]:
         checks.append(CheckResult("solve_and_extract", False, str(err)))
         return checks
     checks.append(CheckResult("solve_and_extract", True))
-    # extraction enforces these two gates internally; surface them by name
-    checks.append(CheckResult("integrand_alpha_support", True))
-    checks.append(CheckResult("overdetermination", True))
 
     if s == 0:
         try:
@@ -527,7 +523,7 @@ def verify_all(spec: GeometrySpec, bound: int) -> list[CheckResult]:
         checks.append(CheckResult("truncation_stability", False, str(err)))
 
     if m == 1:
-        for d in range(1, min(2, bound) + 1):
+        for d in [k for k in ORACLE_DEGREES if k <= bound]:
             try:
                 val, _ = oracle_invariant_checked(spec, d)
                 ok = val == table.value((d,))

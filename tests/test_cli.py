@@ -212,9 +212,14 @@ def test_verify_quintic(spec_file, capsys):
 
 def test_conflicting_mode_flags_exit_2(spec_file, capsys):
     path = spec_file(PAIR)
-    with pytest.raises(SystemExit) as e:
-        run(capsys, "compute", "--spec", path, "--max-degree", "1", "--euler", "--chern")
-    assert e.value.code == 2
+    rc, out, err = run(
+        capsys, "compute", "--spec", path, "--max-degree", "1", "--euler", "--chern"
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: argument --chern: not allowed with argument --euler"
+    ]
 
 
 def test_timing_goes_to_stderr_not_stdout(spec_file, capsys):
@@ -236,12 +241,39 @@ def test_timing_goes_to_stderr_not_stdout(spec_file, capsys):
 )
 def test_bound_and_samples_below_one_exit_2(spec_file, capsys, argv):
     path = spec_file(PAIR)
-    with pytest.raises(SystemExit) as e:
-        main([argv[0], "--spec", path, *argv[1:]])
-    out, err = capsys.readouterr()
-    assert e.value.code == 2
+    rc, out, err = run(capsys, argv[0], "--spec", path, *argv[1:])
+    assert rc == 2
     assert out == ""
-    assert "at least 1" in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: argument ") and "at least 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ((), "the following arguments are required: command"),
+        (("compute", "--max-degree", "1"), "the following arguments are required: --spec"),
+        (("frobnicate",), "argument command: invalid choice: 'frobnicate'"),
+        (("oracle", "--spec", "{path}", "--degree", "x"), "argument --degree: invalid int value: 'x'"),
+        (("verify", "--spec", "{path}", "--max-degree", "1", "--bogus"), "unrecognized arguments: --bogus"),
+    ],
+    ids=["no-command", "missing-flag", "unknown-command", "bad-int", "unknown-flag"],
+)
+def test_rejected_command_lines_exit_2_with_one_line(spec_file, capsys, argv, message):
+    path = spec_file(PAIR)
+    rc, out, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert rc == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: " + message)
+
+
+def test_help_still_exits_0(capsys):
+    for argv in (["--help"], ["compute", "--help"]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: concavex")
 
 
 def test_oracle_cli_and_library_share_one_draw(spec_file, capsys, monkeypatch):
@@ -350,12 +382,9 @@ def test_fuzzed_specs_end_in_a_documented_exit_code(text, data):
         argv = _argv(data, path)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                rc = main(argv)
-            except SystemExit as exit_:  # argparse rejects a flag value
-                assert exit_.code == 2
-                rc = 2
+            rc = main(argv)
     assert rc in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
     if rc in (2, 3):
         assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1

@@ -9,13 +9,11 @@ from hypothesis import given, settings, strategies as st
 from concavex.cohomology import monomial
 from concavex.laurent import alpha_power, block_one, block_scalar, from_class
 from concavex.qseries import (
-    QSeries,
-    degree_total,
     degrees_upto,
-    qseries_one,
     scalar_exp,
     series_exp,
     series_inverse,
+    series_mul,
 )
 
 DIMS = (1,)
@@ -25,38 +23,56 @@ def test_degree_enumeration_order():
     ds = degrees_upto(2, 2)
     assert ds[0] == (0, 0)
     assert ds.index((0, 1)) < ds.index((1, 0)) < ds.index((0, 2))
-    assert all(degree_total(d) <= 2 for d in ds)
+    assert all(sum(d) <= 2 for d in ds)
 
 
-def _series(coeffs: dict, bound=4) -> QSeries:
-    s = QSeries(1, bound, DIMS)
-    for d, c in coeffs.items():
-        s.set(d, block_scalar(DIMS, c))
-    return s
+def _series(coeffs: dict) -> dict:
+    return {d: block_scalar(DIMS, c) for d, c in coeffs.items()}
+
+
+def _nonzero(s: dict) -> dict:
+    return {d: b for d, b in s.items() if not b.is_zero()}
 
 
 def test_exp_inverse_roundtrip():
-    s = _series({(1,): Rat(3), (2,): Rat(-1, 2)})
-    e = series_exp(s)
-    n = _series({(1,): Rat(-3), (2,): Rat(1, 2)})
-    assert e * series_exp(n) == qseries_one(1, 4, DIMS)
-    inv = series_inverse(e)
-    assert e * inv == qseries_one(1, 4, DIMS)
+    one = {(0,): block_one(DIMS)}
+    e = series_exp(DIMS, _series({(1,): Rat(3), (2,): Rat(-1, 2)}), 4)
+    assert set(e) == set(degrees_upto(1, 4))
+    minus = series_exp(DIMS, _series({(1,): Rat(-3), (2,): Rat(1, 2)}), 4)
+    assert _nonzero(series_mul(DIMS, e, minus, 4)) == one
+    inv = series_inverse(DIMS, e, 4)
+    assert set(inv) == set(degrees_upto(1, 4))
+    assert _nonzero(series_mul(DIMS, e, inv, 4)) == one
 
 
 def test_exp_requires_no_constant_term():
     with pytest.raises(ValueError):
-        series_exp(qseries_one(1, 3, DIMS))
+        series_exp(DIMS, {(0,): block_one(DIMS)}, 3)
     with pytest.raises(ValueError):
-        series_inverse(_series({(1,): Rat(1)}))
+        series_inverse(DIMS, _series({(1,): Rat(1)}), 3)
 
 
 def test_block_coefficients_flow_through_products():
-    s = QSeries(1, 2, DIMS)
-    s.set((1,), alpha_power(DIMS, -1))
-    sq = s * s
-    assert sq.coefficient((2,)) == alpha_power(DIMS, -2)
-    assert sq.coefficient((1,)).is_zero()
+    s = {(1,): alpha_power(DIMS, -1)}
+    sq = series_mul(DIMS, s, s, 2)
+    assert sq == {(2,): alpha_power(DIMS, -2)}
+
+
+def test_series_mul_truncates_at_the_bound():
+    dims = (1, 1)
+    a = {(0, 0): block_one(dims), (1, 0): alpha_power(dims, -1), (0, 2): block_scalar(dims, 3)}
+    b = {(0, 1): block_scalar(dims, 2), (2, 0): alpha_power(dims, -2)}
+    got = series_mul(dims, a, b, 2)
+    # (1, 0) + (2, 0), (0, 2) + (0, 1) and (0, 2) + (2, 0) exceed the bound
+    assert got == {
+        (0, 1): block_scalar(dims, 2),
+        (2, 0): alpha_power(dims, -2),
+        (1, 1): alpha_power(dims, -1) * block_scalar(dims, 2),
+    }
+    assert series_mul(dims, a, b, 0) == {}
+    assert set(series_mul(dims, a, b, 4)) == {
+        (0, 1), (2, 0), (1, 1), (3, 0), (0, 3), (2, 2)
+    }
 
 
 def scalar_series():
@@ -71,25 +87,20 @@ def scalar_series():
 @given(scalar_series())
 def test_scalar_exp_matches_block_exp(coeffs):
     bound = 4
-    blocks = QSeries(1, bound, DIMS)
-    for d, c in coeffs.items():
-        if c:
-            blocks.set(d, block_scalar(DIMS, c))
-    be = series_exp(blocks)
+    be = series_exp(DIMS, _series({d: c for d, c in coeffs.items() if c}), bound)
     se = scalar_exp({d: Rat(c) for d, c in coeffs.items() if c}, 1, bound)
     for d in degrees_upto(1, bound):
-        assert be.coefficient(d) == block_scalar(DIMS, se.get(d, Rat(0)))
+        assert be[d] == block_scalar(DIMS, se.get(d, Rat(0)))
 
 
-
-def _power_chain_exp(s: QSeries) -> QSeries:
+def _power_chain_exp(dims, s, bound):
     """exp(s) as sum_k s^k / k!, the powers multiplied out."""
-    out = qseries_one(s.m, s.bound, s.dims)
-    power = qseries_one(s.m, s.bound, s.dims)
-    for k in range(1, s.bound + 1):
-        power = power * s
-        for d, b in power.coeffs.items():
-            out.set(d, out.coefficient(d) + b.scale(Rat(1, math.factorial(k))))
+    one = {(0,) * len(dims): block_one(dims)}
+    out, power = dict(one), one
+    for k in range(1, bound + 1):
+        power = series_mul(dims, power, s, bound)
+        for d, b in power.items():
+            out[d] = out.get(d, block_scalar(dims, 0)) + b.scale(Rat(1, math.factorial(k)))
     return out
 
 
@@ -102,7 +113,7 @@ def _power_chain_exp(s: QSeries) -> QSeries:
 def test_series_exp_matches_the_power_chain(shape, numerators, den):
     dims, m = shape
     bound = 3
-    s = QSeries(m, bound, dims)
+    s = {}
     h = tuple(1 if i == m - 1 else 0 for i in range(m))
     degrees = degrees_upto(m, bound)[1:]
     for k, (d, c) in enumerate(zip(degrees, numerators)):
@@ -110,5 +121,5 @@ def test_series_exp_matches_the_power_chain(shape, numerators, den):
         blk = alpha_power(dims, -1) * block_scalar(dims, Rat(c, den))
         if k % 2:
             blk = blk * from_class(monomial(dims, h))
-        s.set(d, blk)
-    assert series_exp(s) == _power_chain_exp(s)
+        s[d] = blk
+    assert _nonzero(series_exp(dims, s, bound)) == _nonzero(_power_chain_exp(dims, s, bound))
