@@ -41,6 +41,7 @@ from .localization import (
     SamplingError,
     oracle_draws,
     oracle_invariant_checked,
+    spell_degrees,
 )
 from .mirror import (
     InvariantTable,
@@ -176,7 +177,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if len(spec.factors) != 1:
         raise SpecError("the graph sum covers single-factor specs only")
     if args.degree not in ORACLE_DEGREES:
-        raise SpecError("the graph sum covers degrees 1 and 2 only")
+        raise SpecError(f"the graph sum covers degrees {spell_degrees(ORACLE_DEGREES)} only")
     draws = oracle_draws(spec, args.degree, args.samples, args.seed)
     lines = [f"sample seed={sample.seed}: {_rat(v)}" for sample, v in draws]
     agree = len({v for _, v in draws}) == 1

@@ -26,15 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import CohClass, Rat, hyperplane, scalar
+from .cohomology import CohClass, Rat, hyperplane, one, scalar
 from .geometry import GeometrySpec, first_chern, pairing
 from .laurent import (
     LaurentBlock,
     _invert_x_factor,
     block_one,
-    from_class,
     invert_linear_factor,
-    variable_x,
 )
 from .localization import SamplingError, WeightSample
 from .qseries import Degree
@@ -42,14 +40,12 @@ from .qseries import Degree
 
 def _affine_block(c: CohClass, alpha_coeff: int) -> LaurentBlock:
     """x + c + alpha_coeff * alpha as a Laurent block."""
-    b = variable_x(c.dims)
-    if not c.is_zero():
-        b = b + from_class(c)
-    if alpha_coeff:
-        extra = LaurentBlock(c.dims)
-        extra._put((1, 0, (0,) * len(c.dims)), scalar(c.dims, alpha_coeff))
-        b = b + extra
-    return b
+    t0 = (0,) * len(c.dims)
+    return LaurentBlock(c.dims, {
+        (0, 1, t0): one(c.dims),
+        (0, 0, t0): c,
+        (1, 0, t0): scalar(c.dims, alpha_coeff),
+    })
 
 
 def chern_ratio(spec: GeometrySpec) -> LaurentBlock:

@@ -8,24 +8,33 @@ one slot per projective factor.  Coefficients live in the cohomology ring of
 the underlying product of projective spaces, so denominators of the form
 (divisor - k*alpha) expand to finite sums by nilpotency.
 
+A block stores integers only: per key a sparse row ``[(slot, numerator),
+...]`` over the flat exponent box of the ring, zero slots and all-zero keys
+dropped, and one positive denominator for the whole block, kept in lowest
+terms (gcd of it and every numerator is 1), so the form is canonical and
+equality compares rows.  Blocks are immutable.  The ``terms`` view, the
+same map with dense ``CohClass`` coefficients of ``Fraction`` entries, is
+built on first read and cached.
+
 Every product, and every sum of products, goes through one kernel,
-``_mul_sum``.  It flattens each operand once to integer numerators over
-the operand's own common denominator, accumulates all pairs in Python ints
-over one denominator for the whole sum, truncates at the box edge through
-the ring's cached slot-pair table, and forms Fractions only once, per
-output slot.  A product that is integrated over the fibre at once goes
-through ``_mul_integrate`` instead, which computes only the top slot.
+``_mul_sum``.  It accumulates all pairs of stored rows in Python ints over
+one denominator for the whole sum and truncates at the box edge through
+the ring's cached slot-pair table.  A product that is integrated over the
+fibre at once goes through ``_mul_integrate`` instead, which computes only
+the top slot.  Sums, differences, rescalings and substitutions share one
+linear-combination step, ``_lincomb``.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from operator import add
+from types import MappingProxyType
 
 from .cohomology import CohClass, Rat, _slot_pairs, monomial, one, scalar, zero
 
 Key = tuple[int, int, tuple[int, ...]]
+Row = list[tuple[int, int]]
 
 __all__ = [
     "Key",
@@ -44,98 +53,95 @@ def _tzero(m: int) -> tuple[int, ...]:
     return (0,) * m
 
 
-@dataclass
 class LaurentBlock:
-    """Sparse Laurent block with CohClass coefficients.
+    """Sparse Laurent block: integer rows over one block denominator.
 
     ``dims`` fixes both the cohomology ring and the number of t slots.
-    Zero coefficients are never stored.
+    ``LaurentBlock(dims, terms)`` converts a map of keys to classes once;
+    zero classes are dropped.  ``terms`` reads the block back as that map.
     """
 
-    dims: tuple[int, ...]
-    terms: dict[Key, CohClass] = field(default_factory=dict)
+    __slots__ = ("dims", "_rows", "_den", "_view")
 
-    # -- construction helpers ---------------------------------------------
+    def __init__(self, dims: tuple[int, ...], terms: dict[Key, CohClass] | None = None) -> None:
+        # the lcm of the denominators is already in lowest terms
+        nonzero = [(key, c) for key, c in (terms or {}).items() if not c.is_zero()]
+        den = math.lcm(*{r.denominator for _, c in nonzero for r in c.coeffs})
+        self.dims = dims
+        self._rows: dict[Key, Row] = {
+            key: [(i, r.numerator * (den // r.denominator)) for i, r in enumerate(c.coeffs) if r]
+            for key, c in nonzero
+        }
+        self._den = den
+        self._view = None
 
-    def copy(self) -> "LaurentBlock":
-        return LaurentBlock(self.dims, dict(self.terms))
-
-    def _put(self, key: Key, c: CohClass) -> None:
-        if key in self.terms:
-            s = self.terms[key] + c
-            if s.is_zero():
-                del self.terms[key]
-            else:
-                self.terms[key] = s
-        elif not c.is_zero():
-            self.terms[key] = c
+    @property
+    def terms(self) -> MappingProxyType[Key, CohClass]:
+        """{key: class} with dense Fraction coefficients, built once."""
+        if self._view is None:
+            nil, den = Rat(0), self._den
+            size = math.prod(n + 1 for n in self.dims)
+            view = {}
+            for key, row in self._rows.items():
+                coeffs = [nil] * size
+                for i, v in row:
+                    coeffs[i] = Rat(v, den)
+                view[key] = CohClass(self.dims, tuple(coeffs))
+            self._view = MappingProxyType(view)
+        return self._view
 
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._rows
 
     def coefficient(self, key: Key) -> CohClass:
         return self.terms.get(key, zero(self.dims))
 
     def alpha_support(self) -> tuple[int, int] | None:
         """(min, max) alpha exponent over the support, or None if zero."""
-        if not self.terms:
+        if not self._rows:
             return None
-        exps = [k[0] for k in self.terms]
+        exps = [k[0] for k in self._rows]
         return min(exps), max(exps)
 
     def x_support(self) -> tuple[int, int] | None:
-        if not self.terms:
+        if not self._rows:
             return None
-        exps = [k[1] for k in self.terms]
+        exps = [k[1] for k in self._rows]
         return min(exps), max(exps)
 
     def alpha_stratum(self, a: int) -> "LaurentBlock":
         """The sub-block of terms with alpha exponent exactly a."""
-        out = LaurentBlock(self.dims)
-        for k, c in self.terms.items():
-            if k[0] == a:
-                out.terms[k] = c
-        return out
+        return _block(self.dims, {k: r for k, r in self._rows.items() if k[0] == a}, self._den)
 
     def x_stratum(self, j: int) -> "LaurentBlock":
-        out = LaurentBlock(self.dims)
-        for k, c in self.terms.items():
-            if k[1] == j:
-                out.terms[k] = c
-        return out
+        return _block(self.dims, {k: r for k, r in self._rows.items() if k[1] == j}, self._den)
 
     def t_degree(self) -> int:
         """Maximal total t-degree over the support (-1 if zero)."""
-        if not self.terms:
+        if not self._rows:
             return -1
-        return max(sum(k[2]) for k in self.terms)
+        return max(sum(k[2]) for k in self._rows)
 
     # -- arithmetic --------------------------------------------------------
 
+    def _parts(self, r: Rat | int = 1) -> list[tuple[Key, Rat | int, Row, int]]:
+        return [(key, r, row, self._den) for key, row in self._rows.items()]
+
     def __add__(self, other: "LaurentBlock") -> "LaurentBlock":
         self._check(other)
-        out = self.copy()
-        for k, c in other.terms.items():
-            out._put(k, c)
-        return out
+        return _lincomb(self.dims, self._parts() + other._parts())
 
     def __sub__(self, other: "LaurentBlock") -> "LaurentBlock":
         self._check(other)
-        out = self.copy()
-        for k, c in other.terms.items():
-            out._put(k, -c)
-        return out
+        return _lincomb(self.dims, self._parts() + other._parts(-1))
 
     def __neg__(self) -> "LaurentBlock":
-        return LaurentBlock(self.dims, {k: -c for k, c in self.terms.items()})
+        return self.scale(-1)
 
     def scale(self, r: Rat | int) -> "LaurentBlock":
-        r = Rat(r)
-        if r == 0:
-            return LaurentBlock(self.dims)
-        return LaurentBlock(self.dims, {k: c.scale(r) for k, c in self.terms.items()})
+        return _lincomb(self.dims, self._parts(r))
 
     def __mul__(self, other: "LaurentBlock") -> "LaurentBlock":
         self._check(other)
@@ -156,7 +162,7 @@ class LaurentBlock:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentBlock):
             return NotImplemented
-        return self.dims == other.dims and self.terms == other.terms
+        return (self.dims, self._den, self._rows) == (other.dims, other._den, other._rows)
 
     def _check(self, other: "LaurentBlock") -> None:
         if self.dims != other.dims:
@@ -169,16 +175,13 @@ class LaurentBlock:
 
         Requires a polynomial block (no negative x exponents).
         """
-        value = Rat(value)
         lo = self.x_support()
-        if lo is not None and lo[0] < 0 and value == 0:
-            raise ValueError("cannot substitute x=0 into a block with x poles")
-        out = LaurentBlock(self.dims)
-        for (a, j, t), c in self.terms.items():
-            if j < 0:
-                raise ValueError("cannot substitute into a block with x poles")
-            out._put((a, 0, t), c.scale(value**j))
-        return out
+        if lo is not None and lo[0] < 0:
+            raise ValueError("cannot substitute into a block with x poles")
+        value = Rat(value)
+        return _lincomb(self.dims, [
+            ((a, 0, t), value**j, row, self._den) for (a, j, t), row in self._rows.items()
+        ])
 
     def substitute_alpha(self, value: Rat | int) -> "LaurentBlock":
         """Evaluate the circle-action weight at a rational value.
@@ -186,12 +189,12 @@ class LaurentBlock:
         Negative exponents require value != 0.
         """
         value = Rat(value)
-        out = LaurentBlock(self.dims)
-        for (a, j, t), c in self.terms.items():
-            if a < 0 and value == 0:
-                raise ZeroDivisionError("alpha pole at alpha = 0")
-            out._put((0, j, t), c.scale(value**a))
-        return out
+        lo = self.alpha_support()
+        if lo is not None and lo[0] < 0 and value == 0:
+            raise ZeroDivisionError("alpha pole at alpha = 0")
+        return _lincomb(self.dims, [
+            ((0, j, t), value**a, row, self._den) for (a, j, t), row in self._rows.items()
+        ])
 
     def integrate_fibrewise(self) -> "LaurentBlock":
         """Integrate every coefficient over the product of projective spaces.
@@ -199,16 +202,14 @@ class LaurentBlock:
         The result is a block over the empty product (scalar coefficients)
         with the same alpha, x, t support pattern.
         """
-        out = LaurentBlock(())
-        for (a, j, t), c in self.terms.items():
-            r = c.integrate()
-            if r:
-                out._put((a, j, t), CohClass((), (r,)))
-        return out
+        top = math.prod(n + 1 for n in self.dims) - 1
+        return _block((), {
+            key: [(0, row[-1][1])] for key, row in self._rows.items() if row[-1][0] == top
+        }, self._den)
 
     def as_scalar(self) -> Rat:
         """The value of a constant scalar block (dims may be anything)."""
-        if not self.terms:
+        if not self._rows:
             return Rat(0)
         m = len(self.dims)
         if set(self.terms) != {(0, 0, _tzero(m))}:
@@ -220,7 +221,7 @@ class LaurentBlock:
         return c.coeffs[0]
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._rows:
             return "0"
         bits = []
         for key in sorted(self.terms):
@@ -238,29 +239,54 @@ class LaurentBlock:
         return " + ".join(bits)
 
 
-def _flatten(blk: LaurentBlock) -> tuple[list, int]:
-    """[(key, [(slot, numerator), ...])] over the block's lcm denominator, and that lcm."""
-    den = math.lcm(*{r.denominator for c in blk.terms.values() for r in c.coeffs if r})
-    return [
-        (key, [(i, r.numerator * (den // r.denominator)) for i, r in enumerate(c.coeffs) if r])
-        for key, c in blk.terms.items()
-    ], den
+def _block(dims: tuple[int, ...], rows: dict[Key, Row], den: int) -> LaurentBlock:
+    """The block of these sparse nonzero rows over den > 0, put in lowest terms."""
+    g = den
+    for row in rows.values():
+        if g == 1:
+            break
+        g = math.gcd(g, *[v for _, v in row])
+    if g > 1:
+        rows = {key: [(i, v // g) for i, v in row] for key, row in rows.items()}
+        den //= g
+    out = LaurentBlock.__new__(LaurentBlock)
+    out.dims, out._rows, out._den, out._view = dims, rows, den, None
+    return out
+
+
+def _sparse(sums: dict[Key, list[int]]) -> dict[Key, Row]:
+    """Dense per-key accumulators as sparse rows, zero slots and keys dropped."""
+    return {
+        key: row for key, acc in sums.items() if (row := [(i, v) for i, v in enumerate(acc) if v])
+    }
+
+
+def _lincomb(
+    dims: tuple[int, ...], parts: list[tuple[Key, Rat | int, Row, int]]
+) -> LaurentBlock:
+    """Sum of r * row / den at key over the parts, in ints over one denominator."""
+    den = math.lcm(*{d * r.denominator for _, r, _, d in parts})
+    size = math.prod(n + 1 for n in dims)
+    sums: dict[Key, list[int]] = {}
+    for key, r, row, d in parts:
+        f = r.numerator * (den // (d * r.denominator))
+        acc = sums.get(key)
+        if acc is None:
+            acc = sums[key] = [0] * size
+        for i, v in row:
+            acc[i] += f * v
+    return _block(dims, _sparse(sums), den)
 
 
 def _mul_sum(dims: tuple[int, ...], pairs: list[tuple[LaurentBlock, LaurentBlock]]) -> LaurentBlock:
     """Sum of a * b over the pairs, accumulated in ints over one denominator."""
     table = _slot_pairs(dims)
-    flat = {}
-    for pair in pairs:
-        for blk in pair:
-            if id(blk) not in flat:
-                flat[id(blk)] = _flatten(blk)
-    den = math.lcm(*{flat[id(a)][1] * flat[id(b)][1] for a, b in pairs})
+    den = math.lcm(*{a._den * b._den for a, b in pairs})
     sums: dict[Key, list[int]] = {}
     for a, b in pairs:
-        (fa, da), (fb, db) = flat[id(a)], flat[id(b)]
-        scale = den // (da * db)
-        for (a1, j1, t1), xs in fa:
+        scale = den // (a._den * b._den)
+        fb = b._rows.items()
+        for (a1, j1, t1), xs in a._rows.items():
             for (a2, j2, t2), ys in fb:
                 key = (a1 + a2, j1 + j2, tuple(map(add, t1, t2)))
                 acc = sums.get(key)
@@ -272,11 +298,7 @@ def _mul_sum(dims: tuple[int, ...], pairs: list[tuple[LaurentBlock, LaurentBlock
                         k = row[j]
                         if k >= 0:
                             acc[k] += x * y
-    out, nil = LaurentBlock(dims), Rat(0)
-    for key, acc in sums.items():
-        if any(acc):
-            out.terms[key] = CohClass(dims, tuple(Rat(v, den) if v else nil for v in acc))
-    return out
+    return _block(dims, _sparse(sums), den)
 
 
 def _mul_integrate(a: LaurentBlock, b: LaurentBlock) -> LaurentBlock:
@@ -287,25 +309,22 @@ def _mul_integrate(a: LaurentBlock, b: LaurentBlock) -> LaurentBlock:
     the top (the partner _slot_pairs maps to it) is top - i, and each key
     pair costs one dot product, accumulated in ints over one denominator.
     """
-    (fa, da), (fb, db) = _flatten(a), _flatten(b)
     top = math.prod(n + 1 for n in a.dims) - 1
     partners = []  # per key of b, its numerators at slot top - i, indexed by i
-    for key, ys in fb:
+    for key, ys in b._rows.items():
         row = [0] * (top + 1)
         for i, y in ys:
             row[top - i] = y
         partners.append((key, row))
     sums: dict[Key, int] = {}
-    for (a1, j1, t1), xs in fa:
+    for (a1, j1, t1), xs in a._rows.items():
         for (a2, j2, t2), row in partners:
             v = 0
             for i, x in xs:
                 v += x * row[i]
             key = (a1 + a2, j1 + j2, tuple(map(add, t1, t2)))
             sums[key] = sums.get(key, 0) + v
-    return LaurentBlock((), {
-        key: CohClass((), (Rat(v, da * db),)) for key, v in sums.items() if v
-    })
+    return _block((), {key: [(0, v)] for key, v in sums.items() if v}, a._den * b._den)
 
 
 def block_one(dims: tuple[int, ...]) -> LaurentBlock:
@@ -317,22 +336,15 @@ def block_scalar(dims: tuple[int, ...], r: Rat | int) -> LaurentBlock:
 
 
 def from_class(c: CohClass) -> LaurentBlock:
-    b = LaurentBlock(c.dims)
-    if not c.is_zero():
-        b.terms[(0, 0, _tzero(len(c.dims)))] = c
-    return b
+    return LaurentBlock(c.dims, {(0, 0, _tzero(len(c.dims))): c})
 
 
 def variable_x(dims: tuple[int, ...], power: int = 1) -> LaurentBlock:
-    b = LaurentBlock(dims)
-    b.terms[(0, power, _tzero(len(dims)))] = one(dims)
-    return b
+    return LaurentBlock(dims, {(0, power, _tzero(len(dims))): one(dims)})
 
 
 def alpha_power(dims: tuple[int, ...], power: int) -> LaurentBlock:
-    b = LaurentBlock(dims)
-    b.terms[(power, 0, _tzero(len(dims)))] = one(dims)
-    return b
+    return LaurentBlock(dims, {(power, 0, _tzero(len(dims))): one(dims)})
 
 
 def _geometric_inverse(c: CohClass, r: Rat | int, v: tuple[int, int]) -> LaurentBlock:
@@ -346,16 +358,16 @@ def _geometric_inverse(c: CohClass, r: Rat | int, v: tuple[int, int]) -> Laurent
         raise ValueError("class must be nilpotent (zero scalar part)")
     dims = c.dims
     t0 = _tzero(len(dims))
-    out = LaurentBlock(dims)
+    terms = {}
     power = one(dims)
     weight = 1 / Rat(r)
     for j in range(sum(dims) + 1):
-        out._put(((-1 - j) * v[0], (-1 - j) * v[1], t0), power.scale(weight))
+        terms[((-1 - j) * v[0], (-1 - j) * v[1], t0)] = power.scale(weight)
         power = power * c
         if power.is_zero():
             break
         weight /= -r
-    return out
+    return LaurentBlock(dims, terms)
 
 
 def invert_linear_factor(c: CohClass, k: int) -> LaurentBlock:
@@ -376,12 +388,9 @@ def kahler_factor(dims: tuple[int, ...]) -> LaurentBlock:
     The closed form is sum over multi-exponents beta of
     (-1)^{|beta|} / beta! * H^beta * t^beta * alpha^{-|beta|}.
     """
-    out = LaurentBlock(dims)
-    ranges = [range(n + 1) for n in dims]
-    for beta in itertools.product(*ranges):
+    terms = {}
+    for beta in itertools.product(*(range(n + 1) for n in dims)):
         total = sum(beta)
-        denom = 1
-        for e in beta:
-            denom *= math.factorial(e)
-        out._put((-total, 0, beta), monomial(dims, beta, Rat((-1) ** total, denom)))
-    return out
+        denom = math.prod(math.factorial(e) for e in beta)
+        terms[(-total, 0, beta)] = monomial(dims, beta, Rat((-1) ** total, denom))
+    return LaurentBlock(dims, terms)

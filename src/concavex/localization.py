@@ -1,13 +1,13 @@
 """Independent fixed-point oracle for low-degree invariants on one P^n.
 
-Sums Atiyah-Bott style contributions over torus-fixed stable maps of degree
-1 and 2.  Torus weights are evaluated at random distinct rationals instead
-of being carried symbolically; agreement of the result across independent
-samples certifies that the weight dependence cancels.  The sums run over
-integers: denominators are cleared once per sample, each node weight cancels
-exactly, and each graph contributes one quotient.  Everything downstream
-treats these numbers as ground truth, so this module deliberately shares no
-code with the series pipeline.
+Sums Atiyah-Bott style contributions over torus-fixed stable maps of each
+degree in ``ORACLE_DEGREES``.  Torus weights are evaluated at random
+distinct rationals instead of being carried symbolically; agreement of the
+result across independent samples certifies that the weight dependence
+cancels.  The sums run over integers: denominators are cleared once per
+sample, each node weight cancels exactly, and each graph contributes one
+quotient.  Everything downstream treats these numbers as ground truth, so
+this module deliberately shares no code with the series pipeline.
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ __all__ = [
     "SamplingError",
     "OracleInconsistencyError",
     "sample_weights",
+    "spell_degrees",
     "oracle_invariant",
     "oracle_draws",
     "oracle_invariant_checked",
@@ -37,6 +38,12 @@ __all__ = [
 # for `compute`, `verify` and `oracle`
 ORACLE_DEGREES = (1, 2)
 ORACLE_SAMPLES = 3
+
+
+def spell_degrees(degrees: Sequence[int]) -> str:
+    """Degrees for a message: "1 and 2", "1, 2 and 3"."""
+    *head, last = map(str, degrees)
+    return f"{', '.join(head)} and {last}" if head else last
 
 
 class SamplingError(ValueError):
@@ -215,7 +222,7 @@ def _node_graph_sum(spec: GeometrySpec, lam: tuple[Rat, ...]) -> Rat:
 def oracle_invariant(spec: GeometrySpec, d: int, sample: WeightSample) -> Rat:
     """Fixed-point sum for one weight sample.
 
-    Supports a single projective factor and d in {1, 2}.  Raises
+    Supports a single projective factor and d in ORACLE_DEGREES.  Raises
     SamplingError when the sample hits a vanishing denominator.
     """
     if spec.m != 1:
@@ -224,7 +231,7 @@ def oracle_invariant(spec: GeometrySpec, d: int, sample: WeightSample) -> Rat:
     if len(sample.weights) != n + 1:
         raise ValueError("weight sample arity does not match the factor")
     if d not in ORACLE_DEGREES:
-        raise ValueError(f"oracle supports degrees 1 and 2, got {d}")
+        raise ValueError(f"oracle supports degrees {spell_degrees(ORACLE_DEGREES)}, got {d}")
     return (_degree_one if d == 1 else _degree_two)(spec, sample.weights)
 
 

@@ -125,10 +125,10 @@ def _log_terms(
 ) -> tuple[LaurentBlock, LaurentBlock]:
     """The q^d terms f x / alpha of log E and -(sum_i g_i H_i) / alpha of log G."""
     t0 = _tzero(len(dims))
-    fblk, gblk = LaurentBlock(dims), LaurentBlock(dims)
-    fblk._put((-1, 1, t0), scalar(dims, f))
-    gblk._put((-1, 0, t0), linear(dims, [-c for c in g]))
-    return fblk, gblk
+    return (
+        LaurentBlock(dims, {(-1, 1, t0): scalar(dims, f)}),
+        LaurentBlock(dims, {(-1, 0, t0): linear(dims, [-c for c in g])}),
+    )
 
 
 def _transform_series(

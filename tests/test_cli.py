@@ -187,6 +187,21 @@ def test_oracle_degree_three_exits_2(spec_file, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("degrees,words", [((1, 2), "1 and 2"), ((1, 2, 3), "1, 2 and 3")])
+def test_oracle_range_messages_name_every_oracle_degree(
+    spec_file, capsys, monkeypatch, degrees, words
+):
+    monkeypatch.setattr(cli, "ORACLE_DEGREES", degrees)
+    monkeypatch.setattr(localization, "ORACLE_DEGREES", degrees)
+    beyond = max(degrees) + 1
+    rc, out, err = run(capsys, "oracle", "--spec", spec_file(PAIR), "--degree", str(beyond))
+    assert (rc, out) == (2, "")
+    assert err == f"error: the graph sum covers degrees {words} only\n"
+    with pytest.raises(ValueError) as lib:
+        localization.oracle_invariant(parse_spec(PAIR), beyond, localization.sample_weights(1, 0))
+    assert str(lib.value) == f"oracle supports degrees {words}, got {beyond}"
+
+
 def test_oracle_multi_factor_exits_2(spec_file, capsys):
     path = spec_file("space 1\nspace 1\nbundle convex 1 1\nbundle convex 1 1\n")
     rc, out, _ = run(capsys, "oracle", "--spec", path, "--degree", "1")

@@ -7,6 +7,8 @@ it only re-exports.  A private helper (``def _name`` or ``class _name`` at
 module level) counts as used when some module references it outside its
 own body.  The fixed-point oracle must also stay independent of the series
 pipeline: it may take only the rational type and the spec from the package.
+A Laurent block's integer storage stays private to ``laurent.py``: every
+other module reads blocks through their methods and the ``terms`` view.
 """
 
 import ast
@@ -139,3 +141,32 @@ def test_checker_finds_every_package_import():
         ("cohomology", "Rat"), ("", "qseries"), ("concavex.mirror", ""),
         ("laurent", "LaurentBlock"),
     }
+
+
+# the stored rows and denominator of a block, and the helpers that handle them
+BLOCK_STORAGE = {"_rows", "_den", "_parts", "_block", "_sparse", "_lincomb"}
+
+
+def _storage_reads(source: str) -> list[str]:
+    return sorted(
+        f"line {n.lineno}: {name}"
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
+        and (name := getattr(n, "id", None) or getattr(n, "attr", None) or n.name)
+        in BLOCK_STORAGE
+    )
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "laurent.py"], ids=lambda p: p.name
+)
+def test_only_laurent_reads_the_integer_storage_of_a_block(path):
+    assert _storage_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_a_storage_read():
+    source = (
+        "from .laurent import _lincomb as lc, LaurentBlock\n"
+        "def f(b):\n    return b._den, b.terms, b.dims\n"
+    )
+    assert _storage_reads(source) == ["line 1: _lincomb", "line 3: _den"]

@@ -1,6 +1,7 @@
 """Laurent blocks: strata bookkeeping, exact inverses, the Kahler factor."""
 
 import itertools
+import math
 from fractions import Fraction as Rat
 
 import pytest
@@ -41,9 +42,10 @@ def test_invert_linear_factor_back_multiplies_to_one():
 def test_invert_linear_factor_known_expansion():
     # (H - alpha)^{-1} on the line: -1/alpha - H/alpha^2
     inv = invert_linear_factor(hyperplane(P1, 0), 1)
-    want = LaurentBlock(P1)
-    want._put((-1, 0, (0,)), scalar(P1, -1))
-    want._put((-2, 0, (0,)), hyperplane(P1, 0).scale(-1))
+    want = LaurentBlock(P1, {
+        (-1, 0, (0,)): scalar(P1, -1),
+        (-2, 0, (0,)): hyperplane(P1, 0).scale(-1),
+    })
     assert inv == want
 
 
@@ -203,6 +205,69 @@ def test_mul_integrate_with_the_kahler_factor():
 
 def test_mul_sum_of_nothing_is_zero():
     assert _mul_sum((2, 2), []) == LaurentBlock((2, 2))
+
+
+# -- the stored integer form against a Fraction reference on the view ------
+
+
+def _as_dict(blk):
+    """{key: {exponents: value}} of a block, read through its Fraction view."""
+    return {
+        k: {e: r for e, r in zip(_box(blk.dims), c.coeffs) if r} for k, c in blk.terms.items()
+    }
+
+
+def _reference_sum(*parts):
+    """sum of r * block over (r, block dict) parts, zero entries dropped."""
+    out = {}
+    for r, blk in parts:
+        for k, c in blk.items():
+            acc = out.setdefault(k, {})
+            for e, v in c.items():
+                acc[e] = acc.get(e, 0) + r * v
+    out = {k: {e: v for e, v in acc.items() if v} for k, acc in out.items()}
+    return {k: acc for k, acc in out.items() if acc}
+
+
+def _lowest_terms(blk):
+    return math.gcd(blk._den, *(v for row in blk._rows.values() for _, v in row)) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pair_lists(), st.builds(Rat, st.integers(-4, 4), st.integers(1, 6)))
+def test_integer_form_matches_fraction_arithmetic_on_the_view(case, r):
+    dims, pairs = case
+    top = tuple(dims)
+    for a, b in pairs:
+        da, db = _as_dict(a), _as_dict(b)
+        results = {
+            "add": (a + b, _reference_sum((1, da), (1, db))),
+            "sub": (a - b, _reference_sum((1, da), (-1, db))),
+            "neg": (-a, _reference_sum((-1, da))),
+            "scale": (a.scale(r), _reference_sum((r, da))),
+            "integrate": (a.integrate_fibrewise(), {
+                k: {(): c[top]} for k, c in da.items() if top in c
+            }),
+        }
+        for n in range(-3, 3):
+            results[f"alpha {n}"] = (a.alpha_stratum(n), {k: c for k, c in da.items() if k[0] == n})
+            results[f"x {n}"] = (a.x_stratum(n), {k: c for k, c in da.items() if k[1] == n})
+        if all(k[1] >= 0 for k in da):
+            results["x = 0"] = (a.substitute_x(0), {k: c for k, c in da.items() if k[1] == 0})
+        elif da:
+            with pytest.raises(ValueError):
+                a.substitute_x(0)
+        for name, (got, want) in results.items():
+            assert _as_dict(got) == want, name
+            assert _lowest_terms(got), name
+            assert LaurentBlock(got.dims, got.terms) == got, name
+        assert (a == b) == (da == db)
+        assert a + b - b == a and (a - a).is_zero()
+    for blk in [x for pair in pairs for x in pair] + [_mul_sum(dims, pairs)] + [
+        _mul_integrate(a, b) for a, b in pairs
+    ]:
+        assert _lowest_terms(blk)
+        assert LaurentBlock(blk.dims, blk.terms) == blk
 
 
 TRACED_SPECS = [

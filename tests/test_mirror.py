@@ -36,6 +36,7 @@ P3_QUARTIC = parse_spec("name p3q\nspace 3\nbundle convex 4\n")
 TWO_FACTOR = parse_spec(
     "space 1\nspace 1\nbundle convex 1 1\nbundle convex 1 1\n"
 )
+BICUBIC = parse_spec("space 2\nspace 2\nbundle convex 3 3\n")
 # the concave summand pairs to 0 with every degree (0, k)
 ZERO_ENTRY = parse_spec("space 1\nspace 2\nbundle convex 1 3\nbundle concave 1 0\n")
 BENCH_SPECS = sorted((Path(__file__).parents[1] / "bench" / "specs").glob("*.cvx"))
@@ -295,6 +296,25 @@ def test_blocks_and_transform_series_are_built_once(monkeypatch):
     assert calls["series_exp"] == 2 and calls["series_inverse"] == 1
     assert calls["series_mul"] == 1
     assert kernel_in["series_mul"] == len(degrees_upto(2, bound)) == 10
+
+
+@pytest.mark.parametrize("spec,bound", [(BICUBIC, 3), (QUINTIC, 4)], ids=["bicubic", "quintic"])
+def test_solve_and_extraction_keep_blocks_on_integers(monkeypatch, spec, bound):
+    """No R_d, residual or X_d block builds its Fraction view on the way."""
+    returned = {"reduced_block": [], "_integrand_factors": []}
+    for name, out in returned.items():
+        def kept(*args, _real=getattr(mirror, name), _out=out, **kwargs):
+            _out.append(_real(*args, **kwargs))
+            return _out[-1]
+
+        monkeypatch.setattr(mirror, name, kept)
+    mm = solve_mirror_map(spec, bound)
+    extract_invariants(spec, mm, bound)
+    nonzero = len(degrees_upto(spec.m, bound)) - 1
+    (xs,) = returned["_integrand_factors"]
+    blocks = returned["reduced_block"] + list(mm.residuals.values()) + list(xs.values())
+    assert len(blocks) == 3 * nonzero + 1
+    assert [blk for blk in blocks if blk._view is not None] == []
 
 
 def test_check_after_solving_catches_a_wrong_shift(monkeypatch):
