@@ -5,14 +5,16 @@ degree in ``ORACLE_DEGREES``.  Torus weights are evaluated at random
 distinct rationals instead of being carried symbolically; agreement of the
 result across independent samples certifies that the weight dependence
 cancels.  The sums run over integers: denominators are cleared once per
-sample, each node weight cancels exactly, and each graph contributes one
-quotient.  Everything downstream treats these numbers as ground truth, so
-this module deliberately shares no code with the series pipeline.
+sample, each node weight cancels exactly, each edge's Chern series is
+expanded once per sample, and each graph contributes one quotient.
+Everything downstream treats these numbers as ground truth, so this module
+deliberately shares no code with the series pipeline.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -85,13 +87,15 @@ def _integral(lam: tuple[Rat, ...]) -> tuple[int, ...]:
     return tuple(int(w * scale) for w in lam)
 
 
-def _chern_top(numer: Sequence[Rat], top: int, denom: Sequence[Rat] = ()) -> Rat:
-    """Coefficient of T^top in prod(1 + w T) / prod(1 + u T), over integers.
+def _chern_series(
+    numer: Sequence[Rat], top: int, denom: Sequence[Rat] = ()
+) -> tuple[list[int], int]:
+    """prod(1 + w T) / prod(1 + u T) up to T^top, over integers.
 
     A denominator weight that occurs among the numerator weights cancels
     exactly; only the leftover ones need the truncated long division.  The
-    weights are scaled once by the lcm L of their denominators, the integer
-    coefficient is computed, and the result is that coefficient over L^top.
+    weights are scaled once by the lcm L of their denominators.  Returns the
+    integer coefficients and L: the coefficient of T^k is series[k] / L^k.
     """
     numer = list(numer)
     rest = []
@@ -110,6 +114,12 @@ def _chern_top(numer: Sequence[Rat], top: int, denom: Sequence[Rat] = ()) -> Rat
         u = int(u * scale)
         for k in range(1, top + 1):
             series[k] -= u * series[k - 1]
+    return series, scale
+
+
+def _chern_top(numer: Sequence[Rat], top: int, denom: Sequence[Rat] = ()) -> Rat:
+    """Coefficient of T^top in prod(1 + w T) / prod(1 + u T)."""
+    series, scale = _chern_series(numer, top, denom)
     return Rat(series[top], scale**top)
 
 
@@ -181,7 +191,12 @@ def _double_cover_sum(spec: GeometrySpec, lam: tuple[Rat, ...]) -> Rat:
 
 
 def _node_graph_sum(spec: GeometrySpec, lam: tuple[Rat, ...]) -> Rat:
-    """Two lines glued at a node over p_j; branch swap gives the 1/2."""
+    """Two lines glued at a node over p_j; branch swap gives the 1/2.
+
+    Each edge's Chern series is expanded to T^top once per sample: outgoing
+    (j, k) over its sections, head (i, j) also over the concave obstructions
+    at p_j, node weights divided out.  Graph i -> j -> k dots the two.
+    """
     lam = _integral(lam)
     n = spec.factors[0]
     top = _moduli_dim(n, 2)
@@ -192,6 +207,8 @@ def _node_graph_sum(spec: GeometrySpec, lam: tuple[Rat, ...]) -> Rat:
         (i, j): _edge_section_weights(spec, lam[i], lam[j], 1)
         for i, j in itertools.permutations(range(n + 1), 2)
     }
+    # reversed, so that head[t] meets outgoing[top - t]
+    outgoing = {e: _chern_series(w, top)[0][::-1] for e, w in edges.items()}
     total = Rat(0)
     for j in range(n + 1):
         # the weight l lam[j] at the node: one section of a convex summand
@@ -201,6 +218,7 @@ def _node_graph_sum(spec: GeometrySpec, lam: tuple[Rat, ...]) -> Rat:
         for i in range(n + 1):
             if i == j:
                 continue
+            head = _chern_series(edges[i, j] + extra, top, node)[0]
             for k in range(n + 1):
                 if k == j:
                     continue
@@ -214,8 +232,7 @@ def _node_graph_sum(spec: GeometrySpec, lam: tuple[Rat, ...]) -> Rat:
                 # over the surviving reparametrization weights
                 normal = evals[i] // (lam[i] - lam[j]) * evals[j] * smoothing
                 normal *= evals[k] // (lam[k] - lam[j])
-                numer = edges[i, j] + edges[j, k] + extra
-                total += _chern_top(numer, top, node) / (2 * normal)
+                total += Rat(sum(map(operator.mul, head, outgoing[j, k])), 2 * normal)
     return total
 
 

@@ -479,7 +479,9 @@ class CheckResult:
 
 def verify_all(spec: GeometrySpec, bound: int) -> list[CheckResult]:
     """Engine run plus every consistency gate, reported check by check."""
-    from .localization import ORACLE_DEGREES, oracle_invariant_checked
+    from .localization import (
+        ORACLE_DEGREES, OracleInconsistencyError, SamplingError, oracle_invariant_checked,
+    )
 
     checks: list[CheckResult] = []
     s = validate(spec)
@@ -531,6 +533,6 @@ def verify_all(spec: GeometrySpec, bound: int) -> list[CheckResult]:
                     CheckResult(f"oracle_degree_{d}", ok,
                                 "" if ok else f"{val} != {table.value((d,))}")
                 )
-            except Exception as err:  # sampling or inconsistency
+            except (SamplingError, OracleInconsistencyError) as err:
                 checks.append(CheckResult(f"oracle_degree_{d}", False, str(err)))
     return checks

@@ -333,6 +333,18 @@ def test_any_other_internal_error_exits_3_without_a_traceback(
     assert err.splitlines() == ["internal error: RuntimeError: boom"]
 
 
+def test_an_oracle_fault_in_verify_exits_3(spec_file, capsys, monkeypatch):
+    # only sampling failures and disagreements are verification results
+    def broken(spec, d, *args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(localization, "oracle_invariant_checked", broken)
+    rc, out, err = run(capsys, "verify", "--spec", spec_file(PAIR), "--max-degree", "2")
+    assert rc == 3
+    assert out == ""
+    assert err.splitlines() == ["internal error: RuntimeError: boom"]
+
+
 _GARBAGE = ("", "# comment", "name fuzz", "space", "space x", "space 0",
             "bundle", "bundle convex", "bundle odd 1", "frobnicate 3")
 # out-of-grammar degrees: a negative magnitude, or past any balance

@@ -6,6 +6,7 @@ intersections are taken from the literature instead.  Any code change that
 shifts one of them is a regression, not a recalibration.
 """
 
+import math
 from fractions import Fraction as Rat
 
 import pytest
@@ -15,9 +16,12 @@ from concavex.localization import (
     OracleInconsistencyError,
     SamplingError,
     WeightSample,
+    _chern_series,
     _chern_top,
     _degree_one,
     _double_cover_sum,
+    _edge_section_weights,
+    _integral,
     _node_graph_sum,
     oracle_invariant,
     oracle_invariant_checked,
@@ -31,6 +35,9 @@ LOCAL_P2 = parse_spec("space 2\nbundle concave 3\n")
 P3_QUARTIC = parse_spec("space 3\nbundle convex 4\n")
 CI2222 = parse_spec("space 7\n" + "bundle convex 2\n" * 4)
 P5_33 = parse_spec("space 5\nbundle convex 3\nbundle convex 3\n")
+# the one spec here with both node weights (convex) and extra obstruction
+# weights (concave) at the node
+P3_MIXED = parse_spec("space 3\nbundle convex 3\nbundle concave 1\n")
 
 ANCHORS = [
     (PAIR, 1, Rat(1)),
@@ -95,7 +102,7 @@ def test_non_integral_samples_give_the_same_invariants():
     assert oracle_invariant(QUINTIC, 2, sample) == Rat(4876875, 8)
 
 
-def _chern_top_by_fractions(numer, top, denom):
+def _chern_series_by_fractions(numer, top, denom):
     series = [Rat(1)] + [Rat(0)] * top
     for w in numer:
         for k in range(top, 0, -1):
@@ -103,7 +110,7 @@ def _chern_top_by_fractions(numer, top, denom):
     for u in denom:
         for k in range(1, top + 1):
             series[k] -= u * series[k - 1]
-    return series[top]
+    return series
 
 
 @pytest.mark.parametrize(
@@ -122,9 +129,70 @@ def _chern_top_by_fractions(numer, top, denom):
          "short", "leftover", "leftover-fractions"],
 )
 def test_chern_top_matches_fraction_long_division(numer, top, denom):
+    want = _chern_series_by_fractions(numer, top, denom)
     got = _chern_top(numer, top, denom)
     assert isinstance(got, Rat)
-    assert got == _chern_top_by_fractions(numer, top, denom)
+    assert got == want[top]
+    series, scale = _chern_series(numer, top, denom)
+    assert [Rat(c, scale**k) for k, c in enumerate(series)] == want
+
+
+def _node_graph_sum_per_graph(spec, lam):
+    """The node-graph sum with one Chern product per graph, as a reference.
+
+    Graph i -> j -> k weighs the sections of both lines plus the concave
+    obstructions at p_j, with the node weights at p_j removed.
+    """
+    lam = _integral(lam)
+    n = spec.factors[0]
+    top = (n + 1) * 2 + n - 3
+    evals = [
+        math.prod(lam[v] - lam[m] for m in range(n + 1) if m != v) for v in range(n + 1)
+    ]
+    total = Rat(0)
+    for j in range(n + 1):
+        node = [abs(b.multidegree[0]) * lam[j] for b in spec.bundles if b.kind == "convex"]
+        extra = [-abs(b.multidegree[0]) * lam[j] for b in spec.bundles if b.kind != "convex"]
+        for i in range(n + 1):
+            for k in range(n + 1):
+                if j in (i, k):
+                    continue
+                smoothing = 2 * lam[j] - lam[i] - lam[k]
+                if smoothing == 0:
+                    raise SamplingError("degenerate node smoothing weight")
+                normal = evals[i] // (lam[i] - lam[j]) * evals[j] * smoothing
+                normal *= evals[k] // (lam[k] - lam[j])
+                numer = (_edge_section_weights(spec, lam[i], lam[j], 1)
+                         + _edge_section_weights(spec, lam[j], lam[k], 1) + extra)
+                total += _chern_top(numer, top, node) / (2 * normal)
+    return total
+
+
+def _value_or_degenerate(f, spec, lam):
+    try:
+        return f(spec, lam)
+    except SamplingError:
+        return "degenerate"
+
+
+# the non-integral sample of acceptance criterion 9, continued to P^7
+NON_INTEGRAL = (Rat(1, 2), Rat(-2), Rat(4), Rat(-8, 3), Rat(16), Rat(-32, 5),
+                Rat(64), Rat(-128, 7))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [PAIR, QUINTIC, LOCAL_P2, P3_QUARTIC, CI2222, P3_MIXED],
+    ids=["pair", "quintic", "local-p2", "p3-quartic", "ci2222", "p3-mixed"],
+)
+def test_node_graph_sum_matches_the_per_graph_formula(spec):
+    n = spec.factors[0]
+    samples = [sample_weights(n, seed).weights for seed in range(4)]
+    samples.append(NON_INTEGRAL[: n + 1])
+    got = [_value_or_degenerate(_node_graph_sum, spec, lam) for lam in samples]
+    want = [_value_or_degenerate(_node_graph_sum_per_graph, spec, lam) for lam in samples]
+    assert got == want
+    assert sum(v != "degenerate" for v in got) >= 3
 
 
 def test_schubert_count_matches_oracle():
