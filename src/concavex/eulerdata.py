@@ -10,8 +10,8 @@ determines a closed-form Laurent block, assembled from
   * the inverted Euler factor of the ambient linear model, a product
     of (H_i - k*alpha)^{n_i+1}.
 
-Degree d adds few factors to degree d - e_i, so the blocks are built
-degree by degree, each from the one below it.
+Degree d adds few factors to degree d - e_i, so each block is built once,
+from the one below it, and cached: every later caller shares that block.
 
 Everything is exact; denominators only ever involve nilpotent classes
 plus a nonzero multiple of alpha or x, so inverses are finite sums.
@@ -25,6 +25,7 @@ linking products used to cross-check it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .cohomology import CohClass, Rat, hyperplane, one, scalar
 from .geometry import GeometrySpec, first_chern, pairing
@@ -48,6 +49,7 @@ def _affine_block(c: CohClass, alpha_coeff: int) -> LaurentBlock:
     })
 
 
+@cache
 def chern_ratio(spec: GeometrySpec) -> LaurentBlock:
     """Ratio of the Chern polynomials of the two bundle parts.
 
@@ -87,28 +89,22 @@ def _raise_degree(spec: GeometrySpec, r: LaurentBlock, e: Degree, i: int) -> Lau
     return out
 
 
-def reduced_block(
-    spec: GeometrySpec, d: Degree, lower: dict[Degree, LaurentBlock] | None = None
-) -> LaurentBlock:
+@cache
+def reduced_block(spec: GeometrySpec, d: Degree) -> LaurentBlock:
     """Degree-d hypergeometric block with the Chern-polynomial ratio divided out.
 
     Inverted Euler factor times, per convex summand, the factors
     (x + c1 - k*alpha) for k = 1..<c1,d>, and per concave summand the
     factors (x + c1 + k*alpha) for k = 0..-<c1,d>-1.  The result is
     polynomial in x and equals 1 at d = 0.  It is R_{d-e_i}, i the first
-    axis with d_i > 0, times the factors d adds: one step if `lower` holds
-    R_{d-e_i}, else the same steps from 1, raising the last axis first.
+    axis with d_i > 0, times the factors d adds; each R_d is built once
+    per process and shared.
     """
-    i = next((i for i, di in enumerate(d) if di), 0)
-    below = d[:i] + (d[i] - 1,) + d[i + 1:]  # never a key at d = 0
-    out, e = block_one(spec.factors), [0] * len(d)
-    if lower and below in lower:
-        out, e = lower[below], list(below)
-    for j in reversed(range(len(d))):
-        while e[j] < d[j]:
-            out = _raise_degree(spec, out, tuple(e), j)
-            e[j] += 1
-    return out
+    if not any(d):
+        return block_one(spec.factors)
+    i = next(i for i, di in enumerate(d) if di)
+    below = d[:i] + (d[i] - 1,) + d[i + 1:]
+    return _raise_degree(spec, reduced_block(spec, below), below, i)
 
 
 def hyper_block(spec: GeometrySpec, d: Degree) -> LaurentBlock:

@@ -322,8 +322,9 @@ def _mul_integrate(a: LaurentBlock, b: LaurentBlock) -> LaurentBlock:
             v = 0
             for i, x in xs:
                 v += x * row[i]
-            key = (a1 + a2, j1 + j2, tuple(map(add, t1, t2)))
-            sums[key] = sums.get(key, 0) + v
+            if v:  # most key pairs miss the top class: store no zeros for them
+                key = (a1 + a2, j1 + j2, tuple(map(add, t1, t2)))
+                sums[key] = sums.get(key, 0) + v
     return _block((), {key: [(0, v)] for key, v in sums.items() if v}, a._den * b._den)
 
 

@@ -35,10 +35,11 @@ by pair of slots (laurent._mul_integrate) without forming J_d.  Writing
 Phi(t) = sum K_d exp(d.t) for the sought table, matching the t-constant
 part of the integrals against 2*Phi - sum_i t_i dPhi/dt_i expressed in
 the shifted variables yields a triangular system for the K_d; the
-t-linear part is then an overdetermined consistency check.  The matching
-series (2 - <d', g>) exp(<d', g>) is built once per d', by the recurrence
-exp(<d', g>) = exp(<d' - e_i, g>) exp(g_i), and only to the total degree
-D - |d'| that the system reads.
+t-linear part is then an overdetermined consistency check.  Per d', the
+series exp(<d', g>) = exp(<d' - e_i, g>) exp(g_i) and the matching series
+(2 - <d', g>) exp(<d', g>) are built once, to the total degree D - |d'|
+the system reads; each q^diff coefficient of both is filed under degree
+d' + diff, where the triangular solve and the t-linear check read it.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .cohomology import Rat, linear, scalar
 from .eulerdata import chern_ratio, hyper_block, reduced_block
 from .geometry import GeometrySpec, validate
 from .laurent import (
+    Key,
     LaurentBlock,
     _mul_integrate,
     _mul_sum,
@@ -213,15 +215,13 @@ def solve_mirror_map(spec: GeometrySpec, bound: int) -> MirrorMap:
     sum over d' != 0 of U_{d-d'} R_{d'}.  The stored coefficients then
     complete E_d, G_d and U_d, both strata of U * sum R q^d - G must
     cancel at d, and that residual is kept on the map for the integrand.
-    Each block R_d is built from one of lower degree.
+    The blocks R_d come from eulerdata's cache, each built once.
     """
     validate(spec)
     dims = spec.factors
     m = len(dims)
     degrees = degrees_upto(m, bound)
-    reduced: Series = {}
-    for d in degrees:
-        reduced[d] = reduced_block(spec, d, reduced)
+    reduced: Series = {d: reduced_block(spec, d) for d in degrees}
     if reduced[_tzero(m)] != block_one(dims):
         raise MirrorInconsistencyError("degree-0 reduced block is not 1")
 
@@ -349,7 +349,7 @@ def extract_invariants(
     degrees = list(xs)
 
     level = 0 if euler else s
-    integrated: Series = {}
+    integrated: dict[Degree, dict[Key, Rat]] = {}
     top = level
     for d in degrees:
         # kahler's only key with alpha^{>= 0} is the unit, so J_d and X_d
@@ -359,8 +359,8 @@ def extract_invariants(
             raise ExtractionError(
                 f"degree {d}: integrand stratum at alpha^{sup[1]}"
             )
-        ld = _mul_integrate(eht, xs[d])
-        for (a, j, t), _ in ld.terms.items():
+        vals = {key: c.coeffs[0] for key, c in _mul_integrate(eht, xs[d]).terms.items()}
+        for a, j, t in vals:
             if j < level:
                 raise ExtractionError(
                     f"degree {d}: x-degree {j} below the splitting excess"
@@ -381,14 +381,15 @@ def extract_invariants(
                         f"degree {d}: t-linear stratum at alpha^{a}"
                     )
             top = max(top, j)
-        integrated[d] = ld
+        integrated[d] = vals
 
     # exp(<d', g>) = exp(<d' - e_i, g>) exp(g_i), i the first axis of d', and
     # the matching series (2 - <d', g>) exp(<d', g>), both to total degree
-    # D - |d'|; matching[d] holds each d' != d with its nonzero q^{d - d'} term
+    # D - |d'|; below[d] holds (d', exp coefficient, matching coefficient)
+    # at q^{d - d'} for each d' <= d, d' = d included
     axis_exp = [scalar_exp(g, m, bound) for g in mm.shifts]
     expg: dict[Degree, dict[Degree, Rat]] = {_tzero(m): {_tzero(m): Rat(1)}}
-    matching: dict[Degree, list[tuple[Degree, Rat]]] = {d: [] for d in degrees}
+    below: dict[Degree, list[tuple[Degree, Rat, Rat]]] = {d: [] for d in degrees}
     for dp in degrees:
         i = next(k for k, c in enumerate(dp) if c)
         prev = tuple(c - (k == i) for k, c in enumerate(dp))
@@ -397,34 +398,26 @@ def extract_invariants(
         for k, g in enumerate(mm.shifts):
             for dd, c in g.items():
                 two_minus[dd] = two_minus.get(dd, Rat(0)) - dp[k] * c
-        for diff, c in scalar_mul(two_minus, expg[dp], bound - sum(dp)).items():
-            if any(diff):
-                matching[tuple(a + b for a, b in zip(dp, diff))].append((dp, c))
+        match = scalar_mul(two_minus, expg[dp], bound - sum(dp))
+        for diff in expg[dp].keys() | match.keys():
+            row = (dp, expg[dp].get(diff, Rat(0)), match.get(diff, Rat(0)))
+            below[tuple(a + b for a, b in zip(dp, diff))].append(row)
 
     solved: dict[int, dict[Degree, Rat]] = {}
     for j in range(level, top + 1):
         kj: dict[Degree, Rat] = {}
-        alpha_at = s - 3 - j
+        key = (s - 3 - j, j, _tzero(m))
         for d in degrees:
-            c0 = Rat(0)
-            cls = integrated[d].coefficient((alpha_at, j, _tzero(m)))
-            if not cls.is_zero():
-                c0 = cls.coeffs[0]
-            kj[d] = (c0 - sum(kj[dp] * c for dp, c in matching[d])) / 2
+            c0 = integrated[d].get(key, Rat(0))
+            kj[d] = (c0 - sum(kj[dp] * c for dp, _, c in below[d] if dp != d)) / 2
         solved[j] = kj
 
     # overdetermination: the t-linear strata are determined by the same K_d
     for d in degrees:
         for i in range(m):
             ti = tuple(1 if a == i else 0 for a in range(m))
-            cls = integrated[d].coefficient((-3, level, ti))
-            got = Rat(0) if cls.is_zero() else cls.coeffs[0]
-            want = Rat(0)
-            for dp in degrees:
-                diff = _sub(d, dp)
-                if diff is None:
-                    continue
-                want -= solved[level][dp] * dp[i] * expg[dp].get(diff, Rat(0))
+            got = integrated[d].get((-3, level, ti), Rat(0))
+            want = -sum(solved[level][dp] * dp[i] * e for dp, e, _ in below[d])
             if got != want:
                 raise ExtractionError(
                     f"degree {d}: t-linear stratum mismatch on axis {i} "

@@ -5,10 +5,12 @@ bivariate convolution so the block arithmetic is not trusted to check
 itself.
 """
 
+import itertools
 from fractions import Fraction as Rat
 
 import pytest
 
+from concavex import eulerdata
 from concavex.cohomology import hyperplane, scalar
 from concavex.eulerdata import (
     EquivariantRestrictions,
@@ -110,17 +112,25 @@ def test_normal_euler_inverse(spec):
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name or "two-factor")
-def test_recurrence_matches_blocks_built_from_scratch(spec):
-    built = {}
-    for d in degrees_upto(spec.m, 3):
-        built[d] = reduced_block(spec, d, built)
-        assert built[d] == reduced_block(spec, d), d
-        if any(d):
-            # the block below d is read from `lower`, not rebuilt: scale it
-            i = next(i for i, di in enumerate(d) if di)
-            below = d[:i] + (d[i] - 1,) + d[i + 1:]
-            scaled = reduced_block(spec, d, {below: built[below].scale(2)})
-            assert scaled == built[d].scale(2), d
+def test_each_block_is_built_once(monkeypatch, spec):
+    built = []  # the degree of each block a step makes
+
+    def counted(s, r, e, i, _real=_raise_degree):
+        built.append(e[:i] + (e[i] + 1,) + e[i + 1:])
+        return _real(s, r, e, i)
+
+    monkeypatch.setattr(eulerdata, "_raise_degree", counted)
+    top = (3,) * spec.m
+    cold = reduced_block(spec, top)
+    assert len(built) == 3 * spec.m  # one step per level, down to 1
+    box = list(itertools.product(range(4), repeat=spec.m))
+    for d in box:
+        reduced_block(spec, d)
+        hyper_block(spec, d)
+    # every nonzero degree of the box is made by exactly one step
+    assert sorted(built) == [d for d in sorted(box) if any(d)]
+    assert reduced_block(spec, top) is cold
+    assert chern_ratio(spec) is chern_ratio(spec)
 
 
 @pytest.mark.parametrize("spec", [TWO_FACTOR, ZERO_ENTRY], ids=["two-factor", "zero-entry"])

@@ -6,16 +6,18 @@ after the two agreed.
 """
 
 import dataclasses
+import re
 from collections import Counter
 from fractions import Fraction as Rat
 from pathlib import Path
 
 import pytest
 
-from concavex import laurent, mirror, qseries
+from concavex import eulerdata, laurent, mirror, qseries
+from concavex.cohomology import monomial
 from concavex.eulerdata import chern_ratio, hyper_block
 from concavex.geometry import parse_spec, validate
-from concavex.laurent import alpha_power, kahler_factor
+from concavex.laurent import LaurentBlock, kahler_factor
 from concavex.mirror import (
     ExtractionError,
     InvariantEntry,
@@ -231,18 +233,41 @@ def test_integrand_needs_the_map_of_its_spec_at_a_large_enough_bound():
     assert extract_invariants(QUINTIC, mm, 1).value((1,)) == 2875
 
 
-@pytest.mark.parametrize("euler,stratum", [(False, -1), (True, 0)])
-def test_extraction_rejects_an_integrand_stratum_above_alpha_minus_two(euler, stratum):
-    mm = solve_mirror_map(QUINTIC, 2)
+@pytest.mark.parametrize(
+    "spec,euler,added,message",
+    [
+        pytest.param(QUINTIC, False, (-1, 0), "integrand stratum at alpha^-1", id="False--1"),
+        pytest.param(QUINTIC, True, None, "integrand stratum at alpha^0", id="True-0"),
+        pytest.param(
+            QUINTIC, False, (-2, 2), "t-linear stratum mismatch on axis 0 (-2880 != -2875)",
+            id="t-linear-mismatch",
+        ),
+        pytest.param(QUINTIC, False, (-2, 3), "stray stratum alpha^-2 x^0", id="stray"),
+        pytest.param(QUINTIC, False, (-2, 1), "t-degree 2 at the x^0 stratum", id="t-degree"),
+        pytest.param(QUINTIC, False, (-3, 2), "t-linear stratum at alpha^-4", id="t-linear-alpha"),
+        pytest.param(
+            P3_QUARTIC, False, (-3, 2), "x-degree 0 below the splitting excess", id="below-excess"
+        ),
+    ],
+)
+def test_extraction_rejects_an_integrand_stratum_above_alpha_minus_two(spec, euler, added, message):
+    """Each row breaks one grading gate of extraction at degree 1.
+
+    The first two put a stratum above alpha^-2 into the integrand; the
+    others add alpha^a H^h at x^0 to the residual, which passes that gate
+    and fails a later one.
+    """
+    mm = solve_mirror_map(spec, 2)
     if euler:  # the Euler route rebuilds (U, G) from the map's coefficients
         normalization = dict(mm.normalization)
         normalization[(1,)] += 1
         mm = dataclasses.replace(mm, normalization=normalization)
     else:
-        stray = mm.residuals[(1,)] + alpha_power(QUINTIC.factors, -1)
-        mm = dataclasses.replace(mm, residuals={**mm.residuals, (1,): stray})
-    with pytest.raises(ExtractionError, match=rf"degree \(1,\): integrand stratum at alpha\^{stratum}$"):
-        extract_invariants(QUINTIC, mm, 2, euler=euler)
+        a, h = added
+        stray = LaurentBlock(spec.factors, {(a, 0, (0,)): monomial(spec.factors, (h,))})
+        mm = dataclasses.replace(mm, residuals={**mm.residuals, (1,): mm.residuals[(1,)] + stray})
+    with pytest.raises(ExtractionError, match=rf"degree \(1,\): {re.escape(message)}$"):
+        extract_invariants(spec, mm, 2, euler=euler)
 
 
 def test_blocks_and_transform_series_are_built_once(monkeypatch):
@@ -296,6 +321,26 @@ def test_blocks_and_transform_series_are_built_once(monkeypatch):
     assert calls["series_exp"] == 2 and calls["series_inverse"] == 1
     assert calls["series_mul"] == 1
     assert kernel_in["series_mul"] == len(degrees_upto(2, bound)) == 10
+
+
+def test_verify_and_the_euler_route_build_no_block_twice(monkeypatch):
+    steps = []
+
+    def counted(*args, _real=eulerdata._raise_degree):
+        steps.append(args[2:])
+        return _real(*args)
+
+    monkeypatch.setattr(eulerdata, "_raise_degree", counted)
+    # the re-solve at D + 2 raises only R_3 and R_4, the Euler route none
+    assert all(c.passed for c in verify_all(QUINTIC, 2))
+    assert len(steps) == 4
+    eulerdata.reduced_block.cache_clear()
+    steps.clear()
+    mm = solve_mirror_map(QUINTIC, 4)
+    assert len(steps) == 4
+    # hyper_block reads the blocks the solve built
+    extract_invariants(QUINTIC, mm, 4, euler=True)
+    assert len(steps) == 4
 
 
 @pytest.mark.parametrize("spec,bound", [(BICUBIC, 3), (QUINTIC, 4)], ids=["bicubic", "quintic"])
