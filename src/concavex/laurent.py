@@ -8,33 +8,47 @@ one slot per projective factor.  Coefficients live in the cohomology ring of
 the underlying product of projective spaces, so denominators of the form
 (divisor - k*alpha) expand to finite sums by nilpotency.
 
-A block stores integers only: per key a sparse row ``[(slot, numerator),
-...]`` over the flat exponent box of the ring, zero slots and all-zero keys
-dropped, and one positive denominator for the whole block, kept in lowest
-terms (gcd of it and every numerator is 1), so the form is canonical and
-equality compares rows.  Blocks are immutable.  The ``terms`` view, the
-same map with dense ``CohClass`` coefficients of ``Fraction`` entries, is
-built on first read and cached.
+A block stores integers only: one flat dict ``{code: numerator}``, zero
+numerators dropped, over one positive denominator for the whole block, kept
+in lowest terms (gcd of it and every numerator is 1), so the form is
+canonical and equality compares dicts.  Blocks are immutable.  The ``terms``
+view, the same map with dense ``CohClass`` coefficients of ``Fraction``
+entries, is built on first read and cached.
+
+A code packs a key and a slot of the ring's flat exponent box into one int.
+The fields a, j, t_1 .. t_m are 32 bits wide each and signed, a the most
+significant: they make the int f = sum of e_k * 2**(32 * (m + 1 - k)) over
+the fields e_0 = a, e_1 = j, e_{1+i} = t_i.  The slot is the last digit, in
+base the box size: code = f * size + slot.  A field reads back with a shift
+and a mask once half its range is added to every field.  In C order the slot
+is linear in the exponents, so when the ring's slot-pair table keeps the
+product of two slots in the box, the product of two terms has code
+c1 + c2: a product costs one int addition per pair of terms.  A field that
+left its range would carry into its neighbour, so a block records a bound
+on its largest |field|; a key from outside, or a product, whose bound would
+reach 2**31 raises ValueError instead of wrapping.  A block also records its
+number m of t fields, because a block over the empty product
+(``integrate_fibrewise``) keeps the t exponents of its source.
 
 Every product, and every sum of products, goes through one kernel,
-``_mul_sum``.  It accumulates all pairs of stored rows in Python ints over
-one denominator for the whole sum and truncates at the box edge through
-the ring's cached slot-pair table.  A product that is integrated over the
+``_mul_sum``.  It accumulates all pairs of stored terms in Python ints over
+one denominator for the whole sum and skips slot pairs past the box edge
+through the ring's cached table.  A product that is integrated over the
 fibre at once goes through ``_mul_integrate`` instead, which computes only
 the top slot.  Sums, differences, rescalings and substitutions share one
 linear-combination step, ``_lincomb``.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from operator import add
+from collections import defaultdict
 from types import MappingProxyType
 
 from .cohomology import CohClass, Rat, _slot_pairs, monomial, one, scalar, zero
 
 Key = tuple[int, int, tuple[int, ...]]
-Row = list[tuple[int, int]]
 
 __all__ = [
     "Key",
@@ -48,103 +62,158 @@ __all__ = [
     "kahler_factor",
 ]
 
+_WIDTH = 32  # bits per field of a code
+_HALF = 1 << (_WIDTH - 1)  # every |field| stays below this
+_MASK = (1 << _WIDTH) - 1
+
 
 def _tzero(m: int) -> tuple[int, ...]:
     return (0,) * m
 
 
-class LaurentBlock:
-    """Sparse Laurent block: integer rows over one block denominator.
+@functools.cache
+def _bias(m: int) -> int:
+    """Half the range in each of the m + 2 fields: added, it makes every field unsigned."""
+    return sum(_HALF << (_WIDTH * k) for k in range(m + 2))
 
-    ``dims`` fixes both the cohomology ring and the number of t slots.
-    ``LaurentBlock(dims, terms)`` converts a map of keys to classes once;
-    zero classes are dropped.  ``terms`` reads the block back as that map.
+
+@functools.cache
+def _slot_partners(dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Per slot i, the slots j whose product with i stays in the box."""
+    return tuple(tuple(j for j, k in enumerate(row) if k >= 0) for row in _slot_pairs(dims))
+
+
+def _pack(key: Key) -> int:
+    """The fields of a key as one int, f in the module docstring."""
+    a, j, tau = key
+    f = 0
+    for e in (a, j, *tau):
+        if not -_HALF < e < _HALF:
+            raise ValueError(f"exponent {e} does not fit a {_WIDTH}-bit field")
+        f = (f << _WIDTH) + e
+    return f
+
+
+def _unpack(f: int, m: int) -> Key:
+    """The key of packed fields f with m t fields."""
+    u = f + _bias(m)
+    a, j, *tau = [((u >> (_WIDTH * k)) & _MASK) - _HALF for k in range(m + 1, -1, -1)]
+    return a, j, tuple(tau)
+
+
+class LaurentBlock:
+    """Sparse Laurent block: packed integer terms over one block denominator.
+
+    ``dims`` fixes the cohomology ring and, unless the keys say otherwise,
+    the number of t slots.  ``LaurentBlock(dims, terms)`` converts a map of
+    keys to classes once; zero classes are dropped.  ``terms`` reads the
+    block back as that map.
     """
 
-    __slots__ = ("dims", "_rows", "_den", "_view")
+    __slots__ = ("dims", "_arity", "_codes", "_den", "_reach", "_view")
 
     def __init__(self, dims: tuple[int, ...], terms: dict[Key, CohClass] | None = None) -> None:
         # the lcm of the denominators is already in lowest terms
         nonzero = [(key, c) for key, c in (terms or {}).items() if not c.is_zero()]
         den = math.lcm(*{r.denominator for _, c in nonzero for r in c.coeffs})
+        arity = {len(key[2]) for key, _ in nonzero} or {len(dims)}
+        if len(arity) > 1:
+            raise ValueError(f"keys with {sorted(arity)} t exponents in one block")
+        size = len(_slot_pairs(dims))
+        codes, reach = {}, 0
+        for (a, j, tau), c in nonzero:
+            f = _pack((a, j, tau)) * size
+            reach = max(reach, abs(a), abs(j), *map(abs, tau))
+            for i, r in enumerate(c.coeffs):
+                if r:
+                    codes[f + i] = r.numerator * (den // r.denominator)
         self.dims = dims
-        self._rows: dict[Key, Row] = {
-            key: [(i, r.numerator * (den // r.denominator)) for i, r in enumerate(c.coeffs) if r]
-            for key, c in nonzero
-        }
+        (self._arity,) = arity
+        self._codes: dict[int, int] = codes
         self._den = den
+        self._reach = reach
         self._view = None
 
     @property
     def terms(self) -> MappingProxyType[Key, CohClass]:
         """{key: class} with dense Fraction coefficients, built once."""
         if self._view is None:
-            nil, den = Rat(0), self._den
-            size = math.prod(n + 1 for n in self.dims)
-            view = {}
-            for key, row in self._rows.items():
-                coeffs = [nil] * size
-                for i, v in row:
-                    coeffs[i] = Rat(v, den)
-                view[key] = CohClass(self.dims, tuple(coeffs))
-            self._view = MappingProxyType(view)
+            nil, den, size = Rat(0), self._den, len(_slot_pairs(self.dims))
+            rows: dict[Key, list[Rat]] = {}
+            for code, v in self._codes.items():
+                f, slot = divmod(code, size)
+                key = _unpack(f, self._arity)
+                row = rows.get(key)
+                if row is None:
+                    row = rows[key] = [nil] * size
+                row[slot] = Rat(v, den)
+            self._view = MappingProxyType(
+                {key: CohClass(self.dims, tuple(row)) for key, row in rows.items()}
+            )
         return self._view
+
+    def scalars(self) -> dict[Key, Rat]:
+        """{key: value} of a block over the empty product, read from the stored ints."""
+        if self.dims != ():
+            raise ValueError(f"scalars() needs a block over the empty product, not {self.dims}")
+        m, den = self._arity, self._den
+        return {_unpack(code, m): Rat(v, den) for code, v in self._codes.items()}
 
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._rows
+        return not self._codes
 
     def coefficient(self, key: Key) -> CohClass:
         return self.terms.get(key, zero(self.dims))
 
+    def _field(self, k: int) -> list[int]:
+        """Field k (0 alpha, 1 x, 1 + i the t_i exponent) of every stored code."""
+        size, bias = len(_slot_pairs(self.dims)), _bias(self._arity)
+        shift = _WIDTH * (self._arity + 1 - k)
+        return [(((code // size + bias) >> shift) & _MASK) - _HALF for code in self._codes]
+
     def alpha_support(self) -> tuple[int, int] | None:
         """(min, max) alpha exponent over the support, or None if zero."""
-        if not self._rows:
-            return None
-        exps = [k[0] for k in self._rows]
-        return min(exps), max(exps)
+        exps = self._field(0)
+        return (min(exps), max(exps)) if exps else None
 
     def x_support(self) -> tuple[int, int] | None:
-        if not self._rows:
-            return None
-        exps = [k[1] for k in self._rows]
-        return min(exps), max(exps)
+        exps = self._field(1)
+        return (min(exps), max(exps)) if exps else None
+
+    def _stratum(self, k: int, e: int) -> "LaurentBlock":
+        """The sub-block of terms whose field k is e."""
+        codes = {c: v for (c, v), f in zip(self._codes.items(), self._field(k)) if f == e}
+        return _block(self.dims, self._arity, codes, self._den, self._reach)
 
     def alpha_stratum(self, a: int) -> "LaurentBlock":
         """The sub-block of terms with alpha exponent exactly a."""
-        return _block(self.dims, {k: r for k, r in self._rows.items() if k[0] == a}, self._den)
+        return self._stratum(0, a)
 
     def x_stratum(self, j: int) -> "LaurentBlock":
-        return _block(self.dims, {k: r for k, r in self._rows.items() if k[1] == j}, self._den)
+        return self._stratum(1, j)
 
     def t_degree(self) -> int:
         """Maximal total t-degree over the support (-1 if zero)."""
-        if not self._rows:
-            return -1
-        return max(sum(k[2]) for k in self._rows)
+        size, m = len(_slot_pairs(self.dims)), self._arity
+        return max((sum(_unpack(code // size, m)[2]) for code in self._codes), default=-1)
 
     # -- arithmetic --------------------------------------------------------
 
-    def _parts(self, r: Rat | int = 1) -> list[tuple[Key, Rat | int, Row, int]]:
-        return [(key, r, row, self._den) for key, row in self._rows.items()]
-
     def __add__(self, other: "LaurentBlock") -> "LaurentBlock":
-        self._check(other)
-        return _lincomb(self.dims, self._parts() + other._parts())
+        return _lincomb([self, other], [(1, self._codes, self._den), (1, other._codes, other._den)])
 
     def __sub__(self, other: "LaurentBlock") -> "LaurentBlock":
-        self._check(other)
-        return _lincomb(self.dims, self._parts() + other._parts(-1))
+        return _lincomb([self, other], [(1, self._codes, self._den), (-1, other._codes, other._den)])
 
     def __neg__(self) -> "LaurentBlock":
         return self.scale(-1)
 
     def scale(self, r: Rat | int) -> "LaurentBlock":
-        return _lincomb(self.dims, self._parts(r))
+        return _lincomb([self], [(r, self._codes, self._den)])
 
     def __mul__(self, other: "LaurentBlock") -> "LaurentBlock":
-        self._check(other)
         return _mul_sum(self.dims, [(self, other)])
 
     def __pow__(self, k: int) -> "LaurentBlock":
@@ -162,13 +231,19 @@ class LaurentBlock:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentBlock):
             return NotImplemented
-        return (self.dims, self._den, self._rows) == (other.dims, other._den, other._rows)
-
-    def _check(self, other: "LaurentBlock") -> None:
-        if self.dims != other.dims:
-            raise ValueError(f"dimension mismatch: {self.dims} vs {other.dims}")
+        return (self.dims, self._den, self._codes) == (other.dims, other._den, other._codes) and (
+            self._arity == other._arity or not self._codes
+        )
 
     # -- specializations ---------------------------------------------------
+
+    def _substitute(self, k: int, value: Rat) -> "LaurentBlock":
+        """Set field k to 0, each term times value**(its field k)."""
+        unit = len(_slot_pairs(self.dims)) << (_WIDTH * (self._arity + 1 - k))
+        groups: dict[int, dict[int, int]] = {}
+        for (c, v), e in zip(self._codes.items(), self._field(k)):
+            groups.setdefault(e, {})[c - e * unit] = v
+        return _lincomb([self], [(value**e, codes, self._den) for e, codes in groups.items()])
 
     def substitute_x(self, value: Rat | int) -> "LaurentBlock":
         """Evaluate the Chern variable at a rational value.
@@ -178,10 +253,7 @@ class LaurentBlock:
         lo = self.x_support()
         if lo is not None and lo[0] < 0:
             raise ValueError("cannot substitute into a block with x poles")
-        value = Rat(value)
-        return _lincomb(self.dims, [
-            ((a, 0, t), value**j, row, self._den) for (a, j, t), row in self._rows.items()
-        ])
+        return self._substitute(1, Rat(value))
 
     def substitute_alpha(self, value: Rat | int) -> "LaurentBlock":
         """Evaluate the circle-action weight at a rational value.
@@ -192,9 +264,7 @@ class LaurentBlock:
         lo = self.alpha_support()
         if lo is not None and lo[0] < 0 and value == 0:
             raise ZeroDivisionError("alpha pole at alpha = 0")
-        return _lincomb(self.dims, [
-            ((0, j, t), value**a, row, self._den) for (a, j, t), row in self._rows.items()
-        ])
+        return self._substitute(0, value)
 
     def integrate_fibrewise(self) -> "LaurentBlock":
         """Integrate every coefficient over the product of projective spaces.
@@ -202,26 +272,22 @@ class LaurentBlock:
         The result is a block over the empty product (scalar coefficients)
         with the same alpha, x, t support pattern.
         """
-        top = math.prod(n + 1 for n in self.dims) - 1
-        return _block((), {
-            key: [(0, row[-1][1])] for key, row in self._rows.items() if row[-1][0] == top
-        }, self._den)
+        size = len(_slot_pairs(self.dims))
+        return _block((), self._arity, {
+            code // size: v for code, v in self._codes.items() if code % size == size - 1
+        }, self._den, self._reach)
 
     def as_scalar(self) -> Rat:
         """The value of a constant scalar block (dims may be anything)."""
-        if not self._rows:
-            return Rat(0)
-        m = len(self.dims)
-        if set(self.terms) != {(0, 0, _tzero(m))}:
+        size = len(_slot_pairs(self.dims))
+        if any(code // size for code in self._codes):
             raise ValueError("block is not a constant")
-        c = self.terms[(0, 0, _tzero(m))]
-        for exps, r in c.terms():
-            if any(exps):
-                raise ValueError("block is not a scalar")
-        return c.coeffs[0]
+        if any(self._codes.keys() - {0}):
+            raise ValueError("block is not a scalar")
+        return Rat(self._codes.get(0, 0), self._den)
 
     def __repr__(self) -> str:
-        if not self._rows:
+        if not self._codes:
             return "0"
         bits = []
         for key in sorted(self.terms):
@@ -239,66 +305,87 @@ class LaurentBlock:
         return " + ".join(bits)
 
 
-def _block(dims: tuple[int, ...], rows: dict[Key, Row], den: int) -> LaurentBlock:
-    """The block of these sparse nonzero rows over den > 0, put in lowest terms."""
-    g = den
-    for row in rows.values():
-        if g == 1:
-            break
-        g = math.gcd(g, *[v for _, v in row])
+def _common_arity(dims: tuple[int, ...], blocks: list[LaurentBlock]) -> int:
+    """The number of t fields shared by the blocks; zero blocks have any."""
+    for blk in blocks:
+        if blk.dims != dims:
+            raise ValueError(f"dimension mismatch: {dims} vs {blk.dims}")
+    arity = {blk._arity for blk in blocks if blk._codes}
+    if len(arity) > 1:
+        raise ValueError(f"t arity mismatch: {sorted(arity)}")
+    return arity.pop() if arity else len(dims)
+
+
+def _block(dims: tuple[int, ...], m: int, codes: dict[int, int], den: int, reach: int) -> LaurentBlock:
+    """The block of these nonzero numerators over den > 0, put in lowest terms."""
+    g = math.gcd(den, *codes.values())
     if g > 1:
-        rows = {key: [(i, v // g) for i, v in row] for key, row in rows.items()}
+        codes = {c: v // g for c, v in codes.items()}
         den //= g
     out = LaurentBlock.__new__(LaurentBlock)
-    out.dims, out._rows, out._den, out._view = dims, rows, den, None
+    out.dims, out._arity, out._codes, out._den, out._reach, out._view = (
+        dims, m, codes, den, reach, None
+    )
     return out
 
 
-def _sparse(sums: dict[Key, list[int]]) -> dict[Key, Row]:
-    """Dense per-key accumulators as sparse rows, zero slots and keys dropped."""
-    return {
-        key: row for key, acc in sums.items() if (row := [(i, v) for i, v in enumerate(acc) if v])
-    }
-
-
 def _lincomb(
-    dims: tuple[int, ...], parts: list[tuple[Key, Rat | int, Row, int]]
+    blocks: list[LaurentBlock], parts: list[tuple[Rat | int, dict[int, int], int]]
 ) -> LaurentBlock:
-    """Sum of r * row / den at key over the parts, in ints over one denominator."""
-    den = math.lcm(*{d * r.denominator for _, r, _, d in parts})
-    size = math.prod(n + 1 for n in dims)
-    sums: dict[Key, list[int]] = {}
-    for key, r, row, d in parts:
+    """Sum of r * codes / den over the parts, in ints over one denominator.
+
+    The codes come from the blocks and keep their layout.
+    """
+    dims = blocks[0].dims
+    m = _common_arity(dims, blocks)
+    den = math.lcm(*{d * r.denominator for r, _, d in parts})
+    acc: defaultdict[int, int] = defaultdict(int)
+    for r, codes, d in parts:
         f = r.numerator * (den // (d * r.denominator))
-        acc = sums.get(key)
-        if acc is None:
-            acc = sums[key] = [0] * size
-        for i, v in row:
-            acc[i] += f * v
-    return _block(dims, _sparse(sums), den)
+        for c, v in codes.items():
+            acc[c] += f * v
+    reach = max(blk._reach for blk in blocks)
+    return _block(dims, m, {c: v for c, v in acc.items() if v}, den, reach)
+
+
+def _product_bounds(dims: tuple[int, ...], pairs: list[tuple[LaurentBlock, LaurentBlock]]) -> tuple[int, int]:
+    """The arity and the field bound of the products.
+
+    Raises ValueError if a product could carry a field past its width.
+    """
+    m = _common_arity(dims, [blk for pair in pairs for blk in pair])
+    reach = max((a._reach + b._reach for a, b in pairs if a._codes and b._codes), default=0)
+    if reach >= _HALF:
+        raise ValueError(f"a product exponent could leave its {_WIDTH}-bit field")
+    return m, reach
 
 
 def _mul_sum(dims: tuple[int, ...], pairs: list[tuple[LaurentBlock, LaurentBlock]]) -> LaurentBlock:
-    """Sum of a * b over the pairs, accumulated in ints over one denominator."""
-    table = _slot_pairs(dims)
+    """Sum of a * b over the pairs, accumulated in ints over one denominator.
+
+    Each term of a meets only the terms of b whose slots keep the product
+    in the box; for those the product's code is the sum of the codes.
+    """
+    m, reach = _product_bounds(dims, pairs)
     den = math.lcm(*{a._den * b._den for a, b in pairs})
-    sums: dict[Key, list[int]] = {}
+    partners = _slot_partners(dims)
+    size = len(partners)
+    acc: defaultdict[int, int] = defaultdict(int)
     for a, b in pairs:
         scale = den // (a._den * b._den)
-        fb = b._rows.items()
-        for (a1, j1, t1), xs in a._rows.items():
-            for (a2, j2, t2), ys in fb:
-                key = (a1 + a2, j1 + j2, tuple(map(add, t1, t2)))
-                acc = sums.get(key)
-                if acc is None:
-                    acc = sums[key] = [0] * len(table)
-                for i, x in xs:
-                    row, x = table[i], x * scale
-                    for j, y in ys:
-                        k = row[j]
-                        if k >= 0:
-                            acc[k] += x * y
-    return _block(dims, _sparse(sums), den)
+        by_slot: dict[int, list[tuple[int, int]]] = {}
+        for cb, y in b._codes.items():
+            by_slot.setdefault(cb % size, []).append((cb, y))
+        fits: dict[int, list[tuple[int, int]]] = {}  # per slot of a, the terms of b it meets
+        for ca, x in a._codes.items():
+            i = ca % size
+            ys = fits.get(i)
+            if ys is None:
+                ys = fits[i] = [t for j in partners[i] if j in by_slot for t in by_slot[j]]
+            x *= scale
+            for cb, y in ys:
+                acc[ca + cb] += x * y
+    return _block(dims, m, {c: v for c, v in acc.items() if v}, den, reach)
 
 
 def _mul_integrate(a: LaurentBlock, b: LaurentBlock) -> LaurentBlock:
@@ -306,26 +393,21 @@ def _mul_integrate(a: LaurentBlock, b: LaurentBlock) -> LaurentBlock:
 
     Only the top class survives the integral.  In C order the slot index
     is linear in the exponents, so the one slot that completes slot i to
-    the top (the partner _slot_pairs maps to it) is top - i, and each key
-    pair costs one dot product, accumulated in ints over one denominator.
+    the top (the partner _slot_pairs maps to it) is top - i: b's terms are
+    grouped by top - slot, and each term of a meets one group.  The sum of
+    two such codes is (fields) * size + top.
     """
-    top = math.prod(n + 1 for n in a.dims) - 1
-    partners = []  # per key of b, its numerators at slot top - i, indexed by i
-    for key, ys in b._rows.items():
-        row = [0] * (top + 1)
-        for i, y in ys:
-            row[top - i] = y
-        partners.append((key, row))
-    sums: dict[Key, int] = {}
-    for (a1, j1, t1), xs in a._rows.items():
-        for (a2, j2, t2), row in partners:
-            v = 0
-            for i, x in xs:
-                v += x * row[i]
-            if v:  # most key pairs miss the top class: store no zeros for them
-                key = (a1 + a2, j1 + j2, tuple(map(add, t1, t2)))
-                sums[key] = sums.get(key, 0) + v
-    return _block((), {key: [(0, v)] for key, v in sums.items() if v}, a._den * b._den)
+    m, reach = _product_bounds(a.dims, [(a, b)])
+    size = len(_slot_pairs(a.dims))
+    top = size - 1
+    by_partner: dict[int, list[tuple[int, int]]] = {}
+    for cb, y in b._codes.items():
+        by_partner.setdefault(top - cb % size, []).append((cb, y))
+    acc: defaultdict[int, int] = defaultdict(int)
+    for ca, x in a._codes.items():
+        for cb, y in by_partner.get(ca % size, ()):
+            acc[ca + cb] += x * y
+    return _block((), m, {c // size: v for c, v in acc.items() if v}, a._den * b._den, reach)
 
 
 def block_one(dims: tuple[int, ...]) -> LaurentBlock:

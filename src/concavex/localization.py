@@ -195,7 +195,9 @@ def _node_graph_sum(spec: GeometrySpec, lam: tuple[Rat, ...]) -> Rat:
 
     Each edge's Chern series is expanded to T^top once per sample: outgoing
     (j, k) over its sections, head (i, j) also over the concave obstructions
-    at p_j, node weights divided out.  Graph i -> j -> k dots the two.
+    at p_j, node weights divided out.  Graph i -> j -> k dots the two, and
+    the per-graph quotients are summed in ints over the lcm of their
+    denominators, one division for the whole family.
     """
     lam = _integral(lam)
     n = spec.factors[0]
@@ -209,7 +211,7 @@ def _node_graph_sum(spec: GeometrySpec, lam: tuple[Rat, ...]) -> Rat:
     }
     # reversed, so that head[t] meets outgoing[top - t]
     outgoing = {e: _chern_series(w, top)[0][::-1] for e, w in edges.items()}
-    total = Rat(0)
+    graphs = []  # (numerator, denominator) per graph
     for j in range(n + 1):
         # the weight l lam[j] at the node: one section of a convex summand
         # too many, one more obstruction of a concave one
@@ -232,8 +234,9 @@ def _node_graph_sum(spec: GeometrySpec, lam: tuple[Rat, ...]) -> Rat:
                 # over the surviving reparametrization weights
                 normal = evals[i] // (lam[i] - lam[j]) * evals[j] * smoothing
                 normal *= evals[k] // (lam[k] - lam[j])
-                total += Rat(sum(map(operator.mul, head, outgoing[j, k])), 2 * normal)
-    return total
+                graphs.append((sum(map(operator.mul, head, outgoing[j, k])), 2 * normal))
+    den = math.lcm(*(q for _, q in graphs))
+    return Rat(sum(p * (den // q) for p, q in graphs), den)
 
 
 def oracle_invariant(spec: GeometrySpec, d: int, sample: WeightSample) -> Rat:

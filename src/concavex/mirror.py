@@ -359,7 +359,7 @@ def extract_invariants(
             raise ExtractionError(
                 f"degree {d}: integrand stratum at alpha^{sup[1]}"
             )
-        vals = {key: c.coeffs[0] for key, c in _mul_integrate(eht, xs[d]).terms.items()}
+        vals = _mul_integrate(eht, xs[d]).scalars()
         for a, j, t in vals:
             if j < level:
                 raise ExtractionError(

@@ -143,8 +143,13 @@ def test_checker_finds_every_package_import():
     }
 
 
-# the stored rows and denominator of a block, and the helpers that handle them
-BLOCK_STORAGE = {"_rows", "_den", "_parts", "_block", "_sparse", "_lincomb"}
+# the stored codes, denominator and bounds of a block, its cached view, the
+# code layout and the helpers that handle them
+BLOCK_STORAGE = {
+    "_codes", "_den", "_arity", "_reach", "_view",
+    "_WIDTH", "_HALF", "_MASK", "_bias", "_pack", "_unpack", "_field", "_slot_partners",
+    "_stratum", "_substitute", "_common_arity", "_product_bounds", "_block", "_lincomb",
+}
 
 
 def _storage_reads(source: str) -> list[str]:

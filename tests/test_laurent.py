@@ -7,7 +7,7 @@ from fractions import Fraction as Rat
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from concavex.cohomology import CohClass, hyperplane, monomial, one, scalar
+from concavex.cohomology import CohClass, _slot_pairs, hyperplane, monomial, one, scalar
 from concavex.eulerdata import chern_ratio, hyper_block, reduced_block
 from concavex.geometry import parse_spec
 from concavex.laurent import (
@@ -15,6 +15,8 @@ from concavex.laurent import (
     _invert_x_factor,
     _mul_integrate,
     _mul_sum,
+    _pack,
+    _unpack,
     alpha_power,
     block_one,
     block_scalar,
@@ -207,6 +209,90 @@ def test_mul_sum_of_nothing_is_zero():
     assert _mul_sum((2, 2), []) == LaurentBlock((2, 2))
 
 
+# -- the code layout: one int per (key, slot) --------------------------------
+
+
+@st.composite
+def _keys(draw, m):
+    """Keys whose fields, and the fields of the sum of two of them, fit 32 bits."""
+    signed = st.integers(-(2**30) + 1, 2**30 - 1)
+    tau = st.tuples(*[st.integers(0, 2**30 - 1)] * m)
+    return draw(signed), draw(signed), draw(tau)
+
+
+@st.composite
+def _key_pairs(draw):
+    m = draw(st.integers(0, 3))
+    dims = draw(st.tuples(*[st.integers(1, 2)] * m))
+    return dims, draw(_keys(m)), draw(_keys(m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_key_pairs())
+def test_codes_unpack_and_add_like_keys(case):
+    dims, k1, k2 = case
+    m = len(dims)
+    table = _slot_pairs(dims)
+    size = len(table)
+    total = (k1[0] + k2[0], k1[1] + k2[1], tuple(u + v for u, v in zip(k1[2], k2[2])))
+    for i in range(size):
+        c1 = _pack(k1) * size + i
+        assert divmod(c1, size) == (_pack(k1), i)
+        assert _unpack(c1 // size, m) == k1
+        for j in range(size):
+            if table[i][j] >= 0:
+                assert c1 + _pack(k2) * size + j == _pack(total) * size + table[i][j]
+    # the strata filters read alpha and x back from the codes
+    blk = LaurentBlock(dims, {k1: one(dims), k2: monomial(dims, (1,) * m)})
+    assert blk.alpha_support() == (min(k1[0], k2[0]), max(k1[0], k2[0]))
+    assert blk.x_support() == (min(k1[1], k2[1]), max(k1[1], k2[1]))
+    assert blk.t_degree() == max(sum(k1[2]), sum(k2[2]))
+    for key in (k1, k2):
+        want = {k: c for k, c in blk.terms.items() if k[0] == key[0]}
+        assert blk.alpha_stratum(key[0]).terms == want
+        want = {k: c for k, c in blk.terms.items() if k[1] == key[1]}
+        assert blk.x_stratum(key[1]).terms == want
+
+
+def test_a_field_past_its_width_raises_instead_of_wrapping():
+    for power in (2**31, -(2**31)):
+        with pytest.raises(ValueError):
+            alpha_power(P1, power)
+        with pytest.raises(ValueError):
+            variable_x(P1, power)
+    with pytest.raises(ValueError):
+        LaurentBlock(P1, {(0, 0, (2**31,)): one(P1)})
+    big = alpha_power(P1, 2**30)
+    with pytest.raises(ValueError):
+        big**2
+    with pytest.raises(ValueError):
+        alpha_power(P1, -(2**30)) ** 2
+    with pytest.raises(ValueError):
+        _mul_integrate(big, big)
+    with pytest.raises(ValueError):
+        _mul_sum(P1, [(block_one(P1), block_one(P1)), (variable_x(P1, 2**30), variable_x(P1, 2**30))])
+    # one step short of the width, the product is still exact
+    near = alpha_power(P1, 2**30 - 1)
+    assert near * near == alpha_power(P1, 2**31 - 2)
+    assert (near * near).alpha_support() == (2**31 - 2, 2**31 - 2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_pair_lists())
+def test_scalars_read_the_stored_ints_without_the_view(case):
+    dims, pairs = case
+    blocks = [_mul_integrate(a, b) for a, b in pairs] + [
+        blk.integrate_fibrewise() for pair in pairs for blk in pair
+    ]
+    got = [blk.scalars() for blk in blocks]
+    assert [blk for blk in blocks if blk._view is not None] == []
+    assert got == [{key: c.coeffs[0] for key, c in blk.terms.items()} for blk in blocks]
+    for a, _ in pairs:
+        if dims != ():
+            with pytest.raises(ValueError):
+                a.scalars()
+
+
 # -- the stored integer form against a Fraction reference on the view ------
 
 
@@ -230,7 +316,7 @@ def _reference_sum(*parts):
 
 
 def _lowest_terms(blk):
-    return math.gcd(blk._den, *(v for row in blk._rows.values() for _, v in row)) == 1
+    return math.gcd(blk._den, *blk._codes.values()) == 1
 
 
 @settings(max_examples=100, deadline=None)
