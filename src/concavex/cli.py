@@ -8,9 +8,8 @@ Three subcommands:
 
 All rationals are printed as "numerator/denominator" strings, never
 floats, in every output format.  Reports are byte-identical across runs
-with the same flags; timing goes to stderr only.  `compute --chern`
-spells out the default (Chern variable kept symbolic); `--euler`
-specializes it to 0.
+with the same flags; timing goes to stderr only.  `compute` keeps the
+Chern variable symbolic; `--euler` specializes it to 0.
 
 Exit codes: 0 success; 1 failed verification or an oracle disagreement
 (weight samples that disagree or stay degenerate, or a `compute` oracle
@@ -231,11 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="path to a spec file")
     p.add_argument("--max-degree", type=_positive_int, required=True, metavar="D")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--euler", action="store_true",
-                      help="specialize the Chern variable to 0 from the start")
-    mode.add_argument("--chern", action="store_true",
-                      help="keep the Chern variable symbolic (default)")
+    p.add_argument("--euler", action="store_true",
+                   help="specialize the Chern variable to 0 from the start")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("oracle", help="fixed-point graph sum cross-check")

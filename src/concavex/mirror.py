@@ -9,18 +9,22 @@ three families of rational coefficients, degree by degree:
   * f_d, weighting x q^d / alpha in an exponential prefactor;
   * g_{i,d}, one shift series per projective factor.
 
-With U := exp(sum f_d x q^d / alpha) / N(q) and
+With U := exp(sum f_d x q^d / alpha - log N(q)) and
 G := exp(-(sum_i g_i(q) H_i)/alpha), the series U * sum R_d q^d - G
-must vanish at the alpha^0 and alpha^{-1} strata.  Each stratum at the
-current degree is an inhomogeneous linear condition whose unknown part
-is exactly {scalar} (for nu) or {x, H_1, .., H_m} (for f and g), so the
-solve is a read-off; anything outside that span is a hard error.  One
-pass over the degrees does it: E = exp(sum f_d x q^d / alpha), G and U
-are extended degree by degree by the recurrence of qseries (U from
-N U = E), first with d's own coefficients still zero for the read-off,
-then completed from the coefficients read off.  Every series here is a
-qseries.Series, a plain dict {degree: block}; the Euler route's reference
-(U, G) is rebuilt from scratch with series_exp and series_inverse.
+must vanish at the alpha^0 and alpha^{-1} strata.  At each degree the
+unknowns (log N)_d, f_d and g_{i,d} enter that residual as
+-(log N)_d + f_d x / alpha + sum_i g_{i,d} H_i / alpha, so the solve reads
+each off one fixed place: the unit slot of the alpha^0 x^0 key, the unit
+slot of the alpha^{-1} x^1 key and the H_i slot of the alpha^{-1} x^0
+key.  One pass over the degrees does it: U and G are extended degree by
+degree by the exponential recurrence of qseries, first with d's own
+coefficients still zero for the read-off, then completed from the
+coefficients read off.  Anything outside span{1, x/alpha, H_i/alpha} is
+left in the residual, and the one check after solving, that no stratum at
+alpha^{-1} or above remains, reports it.  N is the exp of the log N read
+off.  Every series here is a qseries.Series, a plain dict
+{degree: block}; the Euler route's reference (U, G) is rebuilt from
+scratch as exp(F) N^{-1} with series_exp and series_inverse.
 
 The invariants then come out of the integrated series: multiplying back
 by the Chern ratio and the Kahler prefactor gives per degree d the block
@@ -125,7 +129,7 @@ class InvariantTable:
 def _log_terms(
     dims: tuple[int, ...], f: Rat, g: tuple[Rat, ...]
 ) -> tuple[LaurentBlock, LaurentBlock]:
-    """The q^d terms f x / alpha of log E and -(sum_i g_i H_i) / alpha of log G."""
+    """The q^d terms f x / alpha of F and -(sum_i g_i H_i) / alpha of log G."""
     t0 = _tzero(len(dims))
     return (
         LaurentBlock(dims, {(-1, 1, t0): scalar(dims, f)}),
@@ -173,98 +177,51 @@ def _residual(
     return _mul_sum(dims, pairs)
 
 
-def _read_linear_stratum(
-    blk: LaurentBlock, d: Degree, dims: tuple[int, ...]
-) -> tuple[Rat, tuple[Rat, ...]]:
-    """Split an alpha^{-1} stratum into x-part and hyperplane parts.
-
-    The stratum must lie in span{x, H_1, .., H_m}; anything else means
-    no choice of prefactor and shifts can cancel it.
-    """
-    m = len(dims)
-    xcoef = Rat(0)
-    hcoefs = [Rat(0)] * m
-    for (a, j, t), c in blk.terms.items():
-        if any(t) or j not in (0, 1):
-            raise MirrorInconsistencyError(
-                f"degree {d}: alpha^-1 stratum outside the solvable span"
-            )
-        if j == 1:
-            for exps, r in c.terms():
-                if any(exps):
-                    raise MirrorInconsistencyError(
-                        f"degree {d}: x-weighted stratum is not scalar"
-                    )
-                xcoef = r
-        else:
-            for exps, r in c.terms():
-                if sum(exps) != 1:
-                    raise MirrorInconsistencyError(
-                        f"degree {d}: alpha^-1 stratum has a non-linear class"
-                    )
-                hcoefs[exps.index(1)] = r
-    return xcoef, tuple(hcoefs)
-
-
 def solve_mirror_map(spec: GeometrySpec, bound: int) -> MirrorMap:
     """Determine normalization, prefactor and shifts in one pass over the degrees.
 
-    E = exp(F), G and U = E / N are kept per degree and extended by
-    recurrence.  At degree d they are first formed with d's own
-    coefficients still zero: the read-off needs only U_d - G_d plus the
-    sum over d' != 0 of U_{d-d'} R_{d'}.  The stored coefficients then
-    complete E_d, G_d and U_d, both strata of U * sum R q^d - G must
-    cancel at d, and that residual is kept on the map for the integrand.
-    The blocks R_d come from eulerdata's cache, each built once.
+    U = exp(F - log N) and G are kept per degree and extended by the
+    exponential recurrence.  At degree d they are first formed with d's own
+    coefficients still zero: the read-off needs only U_d - G_d plus the sum
+    over d' != 0 of U_{d-d'} R_{d'}, and it reads (log N)_d, f_d and g_{i,d}
+    from three fixed places of that block.  The coefficients read off then
+    complete U_d and G_d, no stratum of U * sum R q^d - G may remain at
+    alpha^{-1} or above, and that residual is kept on the map for the
+    integrand.  The blocks R_d come from eulerdata's cache, each built once.
     """
     validate(spec)
     dims = spec.factors
     m = len(dims)
+    t0 = _tzero(m)
+    axes = [tuple(int(k == i) for k in range(m)) for i in range(m)]
     degrees = degrees_upto(m, bound)
     reduced: Series = {d: reduced_block(spec, d) for d in degrees}
-    if reduced[_tzero(m)] != block_one(dims):
-        raise MirrorInconsistencyError("degree-0 reduced block is not 1")
 
-    normalization: dict[Degree, Rat] = {}
+    log_norm: dict[Degree, Rat] = {}
     prefactor: dict[Degree, Rat] = {}
     shifts: tuple[dict[Degree, Rat], ...] = tuple({} for _ in range(m))
-    one = block_one(dims)
-    f_log: Series = {}  # q^d terms of log E and log G
+    u_log: Series = {}  # q^d terms of log U and log G
     g_log: Series = {}
-    minus_nu: Series = {}  # -nu_d, for N U = E
-    e = {_tzero(m): one}
-    g = {_tzero(m): one}
-    u = {_tzero(m): one}
+    u = {t0: block_one(dims)}
+    g = {t0: block_one(dims)}
     residuals: Series = {}
     for d in degrees[1:]:
-        e[d] = _exp_coefficient(dims, f_log, e, d)
+        u[d] = _exp_coefficient(dims, u_log, u, d)
         g[d] = _exp_coefficient(dims, g_log, g, d)
-        u[d] = _mul_sum(dims, [(one, e[d])] + [
-            (c, u[diff])
-            for dp, c in minus_nu.items()
-            if (diff := _sub(d, dp)) is not None
-        ])
         lower = _residual(dims, u, reduced, d)
         acc = lower + (u[d] - g[d])
-        try:
-            nu = acc.alpha_stratum(0).as_scalar()
-        except ValueError:
-            raise MirrorInconsistencyError(
-                f"degree {d}: alpha^0 stratum is not a pure scalar"
-            ) from None
-        xcoef, hcoefs = _read_linear_stratum(acc.alpha_stratum(-1), d, dims)
-        normalization[d] = nu
-        prefactor[d] = -xcoef
+        low = acc.alpha_stratum(-1)
+        log_norm[d] = acc.alpha_stratum(0).coefficient((0, 0, t0)).coefficient(t0)
+        prefactor[d] = -low.coefficient((-1, 1, t0)).coefficient(t0)
+        hs = low.coefficient((-1, 0, t0))
         for i in range(m):
-            shifts[i][d] = -hcoefs[i]
+            shifts[i][d] = -hs.coefficient(axes[i])
 
-        # complete degree d from the stored coefficients: E_0 = U_0 = G_0 = 1
-        fblk, gblk = _log_terms(dims, prefactor[d], tuple(h[d] for h in shifts))
-        nblk = block_scalar(dims, -normalization[d])
-        e[d] = e[d] + fblk
-        g[d] = g[d] + gblk
-        u[d] = u[d] + fblk + nblk
-        f_log[d], g_log[d], minus_nu[d] = fblk, gblk, nblk
+        # complete degree d from the stored coefficients: U_0 = G_0 = 1
+        fblk, g_log[d] = _log_terms(dims, prefactor[d], tuple(h[d] for h in shifts))
+        u_log[d] = fblk - block_scalar(dims, log_norm[d])
+        u[d] = u[d] + u_log[d]
+        g[d] = g[d] + g_log[d]
         acc = lower + (u[d] - g[d])
         sup = acc.alpha_support()
         if sup is not None and sup[1] >= -1:
@@ -272,6 +229,8 @@ def solve_mirror_map(spec: GeometrySpec, bound: int) -> MirrorMap:
                 f"degree {d}: residual stratum at alpha^{sup[1]} after solving"
             )
         residuals[d] = acc
+    norm = scalar_exp(log_norm, m, bound)
+    normalization = {d: norm.get(d, Rat(0)) for d in degrees[1:]}
     return MirrorMap(spec, bound, normalization, prefactor, shifts, residuals)
 
 

@@ -15,6 +15,8 @@ extends its series with the same per-degree step, `_exp_coefficient`.
 """
 from __future__ import annotations
 
+import itertools
+
 from .cohomology import Rat
 from .laurent import LaurentBlock, _mul_sum, _tzero, block_one
 
@@ -35,20 +37,10 @@ __all__ = [
 
 def degrees_upto(m: int, bound: int) -> list[Degree]:
     """All effective degrees with total degree <= bound, sorted by (|d|, lex)."""
-    out: list[Degree] = []
-    for total in range(bound + 1):
-        out.extend(_degrees_exact(m, total))
-    return out
-
-
-def _degrees_exact(m: int, total: int) -> list[Degree]:
-    if m == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in _degrees_exact(m - 1, total - first):
-            out.append((first,) + rest)
-    return out
+    return sorted(
+        (d for d in itertools.product(range(bound + 1), repeat=m) if sum(d) <= bound),
+        key=lambda d: (sum(d), d),
+    )
 
 
 def _sub(d: Degree, e: Degree) -> Degree | None:

@@ -116,7 +116,7 @@ def test_compute_output_is_byte_identical(spec_file, capsys):
 
 def test_compute_euler_equals_default_on_pair(spec_file, capsys):
     path = spec_file(PAIR)
-    _, chern, _ = run(capsys, "compute", "--spec", path, "--max-degree", "3", "--chern")
+    _, chern, _ = run(capsys, "compute", "--spec", path, "--max-degree", "3")
     _, euler, _ = run(capsys, "compute", "--spec", path, "--max-degree", "3", "--euler")
     a = {tuple(e["degree"]): e["K"] for e in json.loads(chern)["invariants"]}
     b = {tuple(e["degree"]): e["K"] for e in json.loads(euler)["invariants"]}
@@ -126,7 +126,7 @@ def test_compute_euler_equals_default_on_pair(spec_file, capsys):
 def test_euler_and_verify_when_concave_summand_pairs_to_zero(spec_file, capsys):
     # the degree-(0, k) blocks keep the x pole of that summand's Chern ratio
     path = spec_file(ZERO_ENTRY)
-    rc, chern, _ = run(capsys, "compute", "--spec", path, "--max-degree", "2", "--chern")
+    rc, chern, _ = run(capsys, "compute", "--spec", path, "--max-degree", "2")
     assert rc == 0
     rc, euler, _ = run(capsys, "compute", "--spec", path, "--max-degree", "2", "--euler")
     assert rc == 0
@@ -225,16 +225,12 @@ def test_verify_quintic(spec_file, capsys):
     assert out.splitlines()[-1] == "all checks passed"
 
 
-def test_conflicting_mode_flags_exit_2(spec_file, capsys):
+def test_chern_flag_is_rejected(spec_file, capsys):
     path = spec_file(PAIR)
-    rc, out, err = run(
-        capsys, "compute", "--spec", path, "--max-degree", "1", "--euler", "--chern"
-    )
+    rc, out, err = run(capsys, "compute", "--spec", path, "--max-degree", "1", "--chern")
     assert rc == 2
     assert out == ""
-    assert err.splitlines() == [
-        "error: argument --chern: not allowed with argument --euler"
-    ]
+    assert err.splitlines() == ["error: unrecognized arguments: --chern"]
 
 
 def test_timing_goes_to_stderr_not_stdout(spec_file, capsys):

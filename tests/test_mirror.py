@@ -5,6 +5,7 @@ by the fixed-point oracle (or a classical closed form), and frozen only
 after the two agreed.
 """
 
+import ast
 import dataclasses
 import re
 from collections import Counter
@@ -63,6 +64,27 @@ def test_quintic_map_anchors():
     assert mm.prefactor[(1,)] == 274
     assert mm.shift_vector((1,)) == (Rat(770),)
     assert mm.normalization[(2,)] == 113400  # 10!/(2!)^5
+
+
+def test_readme_library_snippet_shows_the_values_it_computes():
+    """Run the README's python block; each `# Fraction(...)` comment is its line's value."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    lines = block.splitlines()
+    namespace: dict = {}
+    shown = []
+    for stmt in ast.parse(block).body:
+        code = ast.get_source_segment(block, stmt)
+        comment = lines[stmt.end_lineno - 1].partition("#")[2].strip()
+        if isinstance(stmt, ast.Expr) and "Fraction(" in comment:
+            assert eval(code, namespace) == eval(comment, {"Fraction": Rat}), code
+            shown.append(comment)
+        else:
+            exec(code, namespace)
+    assert shown == [
+        "Fraction(120)", "Fraction(274)", "(Fraction(770),)",
+        "Fraction(2875)", "Fraction(4876875, 8)",
+    ]
 
 
 def test_quintic_invariants():
@@ -296,7 +318,7 @@ def test_blocks_and_transform_series_are_built_once(monkeypatch):
         monkeypatch.setattr(mirror, name, counted)
     bound = 3
     mm = solve_mirror_map(TWO_FACTOR, bound)
-    # one pass: E, G and U grow by recurrence, never rebuilt from scratch
+    # one pass: U and G grow by recurrence, never rebuilt from scratch
     for name in ("_transform_series", "series_exp", "series_inverse", "series_mul"):
         assert calls[name] == 0, name
     assert calls["reduced_block"] == len(degrees_upto(2, bound)) == 10
@@ -305,13 +327,15 @@ def test_blocks_and_transform_series_are_built_once(monkeypatch):
     assert calls["_residual"] == len(degrees_upto(2, bound)) - 1 == 9
     # each sum of products is one kernel call per output degree, not one per pair
     assert kernel_in["_residual"] == 9
-    # and so is each degree's E_d, G_d and U_d
-    assert kernel[0] - kernel_in["reduced_block"] == 4 * 9
+    # and so is each degree's U_d and G_d
+    assert kernel[0] - kernel_in["reduced_block"] == 3 * 9
+    # N = exp(log N), once, after the pass
+    assert calls["scalar_exp"] == 1
     extract_invariants(TWO_FACTOR, mm, bound)
     # extraction integrates kahler * X_d without building J_d or (U, G)
     assert calls["_transform_series"] == calls["integrand_series"] == 0
     # one exp(g_i) per axis; exp(<d', g>) comes from a product per degree
-    assert calls["scalar_exp"] == TWO_FACTOR.m == 2
+    assert calls["scalar_exp"] == 1 + TWO_FACTOR.m == 3
     assert calls["hyper_block"] == 0
     # the Euler route's reference (U, G): one product exp(F) * N^-1 of two
     # series full to the bound, one kernel call per output degree
@@ -363,16 +387,46 @@ def test_solve_and_extraction_keep_blocks_on_integers(monkeypatch, spec, bound):
 
 
 def test_check_after_solving_catches_a_wrong_shift(monkeypatch):
-    real = mirror._read_linear_stratum
+    real = mirror._log_terms
+    calls = []
 
-    def off_by_one(blk, d, dims):
-        xcoef, hcoefs = real(blk, d, dims)
-        if d == (1, 0):
-            hcoefs = (hcoefs[0] + 1,) + hcoefs[1:]
-        return xcoef, hcoefs
+    def off_by_one(dims, f, g):
+        calls.append(g)
+        if len(calls) == 2:  # degrees run (0, 1), (1, 0), ...
+            g = (g[0] + 1,) + g[1:]
+        return real(dims, f, g)
 
-    monkeypatch.setattr(mirror, "_read_linear_stratum", off_by_one)
-    with pytest.raises(MirrorInconsistencyError, match="after solving"):
+    monkeypatch.setattr(mirror, "_log_terms", off_by_one)
+    with pytest.raises(MirrorInconsistencyError, match=r"degree \(1, 0\): .* after solving"):
+        solve_mirror_map(TWO_FACTOR, 2)
+
+
+@pytest.mark.parametrize(
+    "key,exps,alpha",
+    [
+        pytest.param((-1, 1, (0, 0)), (1, 0), -1, id="x*H/alpha"),
+        pytest.param((0, 0, (0, 0)), (0, 1), 0, id="H-at-alpha^0"),
+        pytest.param((-1, 0, (0, 0)), (0, 0), -1, id="1/alpha"),
+        pytest.param((-1, 2, (0, 0)), (0, 0), -1, id="x^2/alpha"),
+        pytest.param((-1, 0, (1, 0)), (1, 0), -1, id="t*H/alpha"),
+        pytest.param((1, 0, (0, 0)), (0, 0), 1, id="alpha^1"),
+    ],
+)
+@pytest.mark.parametrize("degree", [(0, 1), (1, 1)])
+def test_check_after_solving_reports_a_term_outside_the_solvable_span(
+    monkeypatch, key, exps, alpha, degree
+):
+    """Only 1, x/alpha and H_i/alpha are read off; any other low term is left over."""
+    stray = LaurentBlock(TWO_FACTOR.factors, {key: monomial(TWO_FACTOR.factors, exps, 3)})
+    real = mirror._residual
+
+    def with_stray(dims, u, reduced, d):
+        out = real(dims, u, reduced, d)
+        return out + stray if d == degree else out
+
+    monkeypatch.setattr(mirror, "_residual", with_stray)
+    message = rf"degree {re.escape(str(degree))}: residual stratum at alpha\^{alpha} after solving$"
+    with pytest.raises(MirrorInconsistencyError, match=message):
         solve_mirror_map(TWO_FACTOR, 2)
 
 

@@ -26,6 +26,27 @@ def test_degree_enumeration_order():
     assert all(sum(d) <= 2 for d in ds)
 
 
+def _compositions(m, total):
+    """The degrees of one total degree in lex order, first axis outermost."""
+    if m == 0:
+        return [()] if total == 0 else []
+    return [(k,) + rest for k in range(total + 1) for rest in _compositions(m - 1, total - k)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_degree_enumeration_matches_the_compositions_by_total(m):
+    for bound in range(6):
+        want = [d for total in range(bound + 1) for d in _compositions(m, total)]
+        assert degrees_upto(m, bound) == want
+
+
+def test_the_empty_product_has_only_the_zero_degree():
+    assert degrees_upto(0, 3) == [()]
+    unit = {(): block_one(())}
+    assert series_exp((), {}, 2) == unit
+    assert series_inverse((), unit, 2) == unit
+
+
 def _series(coeffs: dict) -> dict:
     return {d: block_scalar(DIMS, c) for d, c in coeffs.items()}
 
