@@ -277,15 +277,6 @@ class LaurentBlock:
             code // size: v for code, v in self._codes.items() if code % size == size - 1
         }, self._den, self._reach)
 
-    def as_scalar(self) -> Rat:
-        """The value of a constant scalar block (dims may be anything)."""
-        size = len(_slot_pairs(self.dims))
-        if any(code // size for code in self._codes):
-            raise ValueError("block is not a constant")
-        if any(self._codes.keys() - {0}):
-            raise ValueError("block is not a scalar")
-        return Rat(self._codes.get(0, 0), self._den)
-
     def __repr__(self) -> str:
         if not self._codes:
             return "0"

@@ -1,13 +1,14 @@
 """Independent fixed-point oracle for low-degree invariants on one P^n.
 
 Sums Atiyah-Bott style contributions over torus-fixed stable maps of each
-degree in ``ORACLE_DEGREES``.  Torus weights are evaluated at random
-distinct rationals instead of being carried symbolically; agreement of the
-result across independent samples certifies that the weight dependence
-cancels.  The sums run over integers: denominators are cleared once per
-sample, each node weight cancels exactly, each edge's Chern series is
-expanded once per sample, and each graph contributes one quotient.
-Everything downstream treats these numbers as ground truth, so this module
+degree in ``ORACLE_DEGREES``: delta-fold covers of a coordinate line, at any
+delta by one Kontsevich edge term, and at degree 2 two lines glued at a node.
+Torus weights are evaluated at random distinct rationals instead of being
+carried symbolically; agreement across independent samples certifies that
+the weight dependence cancels.  Each sample is scaled once to integer
+weights, every graph gives one (numerator, denominator) pair of ints, and
+the pairs are summed over their lcm, one division per sample.  Everything
+downstream treats these numbers as ground truth, so this module
 deliberately shares no code with the series pipeline.
 """
 from __future__ import annotations
@@ -87,15 +88,11 @@ def _integral(lam: tuple[Rat, ...]) -> tuple[int, ...]:
     return tuple(int(w * scale) for w in lam)
 
 
-def _chern_series(
-    numer: Sequence[Rat], top: int, denom: Sequence[Rat] = ()
-) -> tuple[list[int], int]:
-    """prod(1 + w T) / prod(1 + u T) up to T^top, over integers.
+def _chern_series(numer: Sequence[int], top: int, denom: Sequence[int] = ()) -> list[int]:
+    """prod(1 + w T) / prod(1 + u T) up to T^top, for integer weights.
 
     A denominator weight that occurs among the numerator weights cancels
-    exactly; only the leftover ones need the truncated long division.  The
-    weights are scaled once by the lcm L of their denominators.  Returns the
-    integer coefficients and L: the coefficient of T^k is series[k] / L^k.
+    exactly; only the leftover ones need the truncated long division.
     """
     numer = list(numer)
     rest = []
@@ -104,23 +101,14 @@ def _chern_series(
             numer.remove(u)
         else:
             rest.append(u)
-    scale = math.lcm(*(w.denominator for w in numer + rest))
     series = [1] + [0] * top
     for count, w in enumerate(numer, 1):
-        w = int(w * scale)
         for k in range(min(count, top), 0, -1):
             series[k] += w * series[k - 1]
     for u in rest:
-        u = int(u * scale)
         for k in range(1, top + 1):
             series[k] -= u * series[k - 1]
-    return series, scale
-
-
-def _chern_top(numer: Sequence[Rat], top: int, denom: Sequence[Rat] = ()) -> Rat:
-    """Coefficient of T^top in prod(1 + w T) / prod(1 + u T)."""
-    series, scale = _chern_series(numer, top, denom)
-    return Rat(series[top], scale**top)
+    return series
 
 
 def _edge_section_weights(
@@ -143,63 +131,44 @@ def _edge_section_weights(
     return numer
 
 
-def _degree_one(spec: GeometrySpec, lam: tuple[Rat, ...]) -> Rat:
-    lam = _integral(lam)
-    n = spec.factors[0]
-    top = _moduli_dim(n, 1)
-    total = Rat(0)
-    for i, j in itertools.combinations(range(n + 1), 2):
-        tangent = 1
-        for m in range(n + 1):
-            if m in (i, j):
-                continue
-            tangent *= (lam[i] - lam[m]) * (lam[j] - lam[m])
-        if tangent == 0:
-            raise SamplingError("degenerate tangent weight")
-        numer = _edge_section_weights(spec, lam[i], lam[j], 1)
-        total += _chern_top(numer, top) / tangent
-    return total
+def _cover_graphs(
+    spec: GeometrySpec, lam: tuple[int, ...], delta: int
+) -> list[tuple[int, int]]:
+    """(numerator, denominator) of the delta-fold cover of each line p_i p_j.
 
-
-def _degree_two(spec: GeometrySpec, lam: tuple[Rat, ...]) -> Rat:
-    return _double_cover_sum(spec, lam) + _node_graph_sum(spec, lam)
-
-
-def _double_cover_sum(spec: GeometrySpec, lam: tuple[Rat, ...]) -> Rat:
-    """Double covers of a coordinate line; deck symmetry factor 1/2.
-
-    Every section and normal weight is taken times 2, which keeps the
-    halves integral and leaves the degree-0 contribution unchanged.
+    Kontsevich's edge term times its two valence-1 vertex terms
+    +-(lam_i - lam_j)/delta and the deck factor 1/delta, with every weight
+    taken times delta as in `_edge_section_weights`, leaves the integer
+    normal (-1)^(delta+1) delta (delta!)^2 (lam_i - lam_j)^(2 delta - 2)
+    prod_{m != i,j} prod_{a=0..delta} (a lam_i + (delta - a) lam_j - delta lam_m).
     """
-    lam = _integral(lam)
     n = spec.factors[0]
-    top = _moduli_dim(n, 2)
-    total = Rat(0)
+    top = _moduli_dim(n, delta)
+    factor = (-1) ** (delta + 1) * delta * math.factorial(delta) ** 2
+    graphs = []
     for i, j in itertools.combinations(range(n + 1), 2):
-        normal = -((2 * (lam[i] - lam[j])) ** 2)
+        normal = factor * (lam[i] - lam[j]) ** (2 * delta - 2)
         for m in range(n + 1):
             if m in (i, j):
                 continue
-            for a in range(3):
-                w = a * lam[i] + (2 - a) * lam[j] - 2 * lam[m]
+            for a in range(delta + 1):
+                w = a * lam[i] + (delta - a) * lam[j] - delta * lam[m]
                 if w == 0:
-                    raise SamplingError("degenerate double cover weight")
+                    raise SamplingError("degenerate cover normal weight")
                 normal *= w
-        numer = _edge_section_weights(spec, lam[i], lam[j], 2)
-        total += _chern_top(numer, top) / (2 * normal)
-    return total
+        numer = _edge_section_weights(spec, lam[i], lam[j], delta)
+        graphs.append((_chern_series(numer, top)[top], normal))
+    return graphs
 
 
-def _node_graph_sum(spec: GeometrySpec, lam: tuple[Rat, ...]) -> Rat:
+def _node_graphs(spec: GeometrySpec, lam: tuple[int, ...]) -> list[tuple[int, int]]:
     """Two lines glued at a node over p_j; branch swap gives the 1/2.
 
     Each edge's Chern series is expanded to T^top once per sample: outgoing
     (j, k) over its sections, head (i, j) also over the concave obstructions
-    at p_j, node weights divided out.  Graph i -> j -> k dots the two, and
-    the per-graph quotients are summed in ints over the lcm of their
-    denominators, one division for the whole family.
+    at p_j, node weights divided out.  Graph i -> j -> k dots the two.
+    Returns (numerator, denominator) per graph.
     """
-    lam = _integral(lam)
     n = spec.factors[0]
     top = _moduli_dim(n, 2)
     evals = [
@@ -210,7 +179,7 @@ def _node_graph_sum(spec: GeometrySpec, lam: tuple[Rat, ...]) -> Rat:
         for i, j in itertools.permutations(range(n + 1), 2)
     }
     # reversed, so that head[t] meets outgoing[top - t]
-    outgoing = {e: _chern_series(w, top)[0][::-1] for e, w in edges.items()}
+    outgoing = {e: _chern_series(w, top)[::-1] for e, w in edges.items()}
     graphs = []  # (numerator, denominator) per graph
     for j in range(n + 1):
         # the weight l lam[j] at the node: one section of a convex summand
@@ -220,7 +189,7 @@ def _node_graph_sum(spec: GeometrySpec, lam: tuple[Rat, ...]) -> Rat:
         for i in range(n + 1):
             if i == j:
                 continue
-            head = _chern_series(edges[i, j] + extra, top, node)[0]
+            head = _chern_series(edges[i, j] + extra, top, node)
             for k in range(n + 1):
                 if k == j:
                     continue
@@ -235,8 +204,7 @@ def _node_graph_sum(spec: GeometrySpec, lam: tuple[Rat, ...]) -> Rat:
                 normal = evals[i] // (lam[i] - lam[j]) * evals[j] * smoothing
                 normal *= evals[k] // (lam[k] - lam[j])
                 graphs.append((sum(map(operator.mul, head, outgoing[j, k])), 2 * normal))
-    den = math.lcm(*(q for _, q in graphs))
-    return Rat(sum(p * (den // q) for p, q in graphs), den)
+    return graphs
 
 
 def oracle_invariant(spec: GeometrySpec, d: int, sample: WeightSample) -> Rat:
@@ -252,7 +220,10 @@ def oracle_invariant(spec: GeometrySpec, d: int, sample: WeightSample) -> Rat:
         raise ValueError("weight sample arity does not match the factor")
     if d not in ORACLE_DEGREES:
         raise ValueError(f"oracle supports degrees {spell_degrees(ORACLE_DEGREES)}, got {d}")
-    return (_degree_one if d == 1 else _degree_two)(spec, sample.weights)
+    lam = _integral(sample.weights)
+    graphs = _cover_graphs(spec, lam, d) + (_node_graphs(spec, lam) if d == 2 else [])
+    den = math.lcm(*(q for _, q in graphs))
+    return Rat(sum(p * (den // q) for p, q in graphs), den)
 
 
 def oracle_draws(
@@ -305,24 +276,9 @@ def quintic_lines_schubert() -> Rat:
     off the coefficient of the top Schur class via the alternant trick
     (multiply by x1 - x2, take the coefficient of x1^4 x2^3).
     """
-    poly: dict[tuple[int, int], Rat] = {(0, 0): Rat(1)}
-
-    def mul_linear(p: dict[tuple[int, int], Rat], a: int, b: int) -> dict[tuple[int, int], Rat]:
-        out: dict[tuple[int, int], Rat] = {}
-        for (e1, e2), c in p.items():
-            if a:
-                key = (e1 + 1, e2)
-                out[key] = out.get(key, Rat(0)) + c * a
-            if b:
-                key = (e1, e2 + 1)
-                out[key] = out.get(key, Rat(0)) + c * b
-        return out
-
+    # prod (a x1 + (5 - a) x2) is homogeneous: coefficients by x1 exponent
+    poly = [1]
     for a in range(6):
-        poly = mul_linear(poly, a, 5 - a)
-    # multiply by (x1 - x2)
-    final: dict[tuple[int, int], Rat] = {}
-    for (e1, e2), c in poly.items():
-        final[(e1 + 1, e2)] = final.get((e1 + 1, e2), Rat(0)) + c
-        final[(e1, e2 + 1)] = final.get((e1, e2 + 1), Rat(0)) - c
-    return final.get((4, 3), Rat(0))
+        poly = [a * lower + (5 - a) * same for lower, same in zip([0] + poly, poly + [0])]
+    # times (x1 - x2), at x1^4 x2^3
+    return Rat(poly[3] - poly[4])

@@ -17,12 +17,10 @@ from concavex.localization import (
     SamplingError,
     WeightSample,
     _chern_series,
-    _chern_top,
-    _degree_one,
-    _double_cover_sum,
+    _cover_graphs,
     _edge_section_weights,
     _integral,
-    _node_graph_sum,
+    _node_graphs,
     oracle_invariant,
     oracle_invariant_checked,
     quintic_lines_schubert,
@@ -71,14 +69,36 @@ def test_weight_independence_across_seeds(seed):
         assert got == value, (spec.name, d, seed)
 
 
+def _total(graphs):
+    return sum(Rat(p, q) for p, q in graphs)
+
+
+# `oracle` prints the seed of every draw it used, so a change in which draws
+# count as degenerate would change its report; draw 0 of seed 0 is
+# degenerate at degree 2 on the quintic and on CI(2,2,2,2)
+DRAW_SPECS = {"quintic": QUINTIC, "ci2222": CI2222, "pair": PAIR, "local-p2": LOCAL_P2}
+DEGREE_TWO_DRAWS = [
+    ("quintic", 0, [1, 2, 3]),
+    ("ci2222", 0, [1, 2, 3]),
+    ("pair", 0, [0, 1, 2]),
+    ("local-p2", 0, [0, 1, 2]),
+] + [(name, 4, [4000, 4001, 4002]) for name in DRAW_SPECS]
+
+
+@pytest.mark.parametrize("name,seed,draws", DEGREE_TWO_DRAWS, ids=lambda v: str(v))
+def test_degenerate_draw_pattern_is_frozen(name, seed, draws):
+    _, used = oracle_invariant_checked(DRAW_SPECS[name], 2, samples=3, seed=seed)
+    assert [s.seed for s in used] == draws
+
+
 def test_degree_two_needs_both_graph_types():
     # If either family of fixed loci were dropped the d=2 sum would change,
     # so pin each partial sum to a nonzero, sample-dependent value and check
     # they add up to the full invariant.
     sample = WeightSample((Rat(0), Rat(1), Rat(3), Rat(9), Rat(27)), seed=-1)
-    lam = sample.weights
-    covers = _double_cover_sum(QUINTIC, lam)
-    nodes = _node_graph_sum(QUINTIC, lam)
+    lam = _integral(sample.weights)
+    covers = _total(_cover_graphs(QUINTIC, lam, 2))
+    nodes = _total(_node_graphs(QUINTIC, lam))
     assert covers != 0
     assert nodes != 0
     assert covers + nodes == oracle_invariant(QUINTIC, 2, sample)
@@ -87,7 +107,7 @@ def test_degree_two_needs_both_graph_types():
 
 def test_degree_one_direct_sample():
     sample = WeightSample((Rat(0), Rat(1), Rat(3), Rat(9), Rat(27)), seed=-1)
-    assert _degree_one(QUINTIC, sample.weights) == Rat(2875)
+    assert _total(_cover_graphs(QUINTIC, _integral(sample.weights), 1)) == Rat(2875)
 
 
 def test_non_integral_samples_give_the_same_invariants():
@@ -118,23 +138,22 @@ def _chern_series_by_fractions(numer, top, denom):
     [
         ([1, 2, 3], 2, []),
         ([3, -5, 7, 2], 4, [2]),
-        ([Rat(1, 2), Rat(-2, 3), 4, Rat(5, 6)], 2, [Rat(1, 2)]),
-        ([Rat(3, 2), Rat(3, 2), Rat(-1, 3)], 3, [Rat(3, 2)]),
+        # halves and thirds, each row taken times the lcm 6 of its denominators
+        ([3, -4, 24, 5], 2, [3]),
+        ([9, 9, -2], 3, [9]),
         ([0, 3, 0, -1], 2, [0]),
         ([0, 0], 3, []),
         ([1, 2], 4, [5]),
-        ([Rat(1, 2), 7, -3], 3, [Rat(-4, 3), 7]),
+        ([3, 42, -18], 3, [-8, 42]),
     ],
     ids=["ints", "ints-cancel", "halves-thirds", "repeated", "zeros",
          "short", "leftover", "leftover-fractions"],
 )
 def test_chern_top_matches_fraction_long_division(numer, top, denom):
     want = _chern_series_by_fractions(numer, top, denom)
-    got = _chern_top(numer, top, denom)
-    assert isinstance(got, Rat)
-    assert got == want[top]
-    series, scale = _chern_series(numer, top, denom)
-    assert [Rat(c, scale**k) for k, c in enumerate(series)] == want
+    got = _chern_series(numer, top, denom)
+    assert all(isinstance(c, int) for c in got)
+    assert got == want
 
 
 def _node_graph_sum_per_graph(spec, lam):
@@ -164,7 +183,7 @@ def _node_graph_sum_per_graph(spec, lam):
                 normal *= evals[k] // (lam[k] - lam[j])
                 numer = (_edge_section_weights(spec, lam[i], lam[j], 1)
                          + _edge_section_weights(spec, lam[j], lam[k], 1) + extra)
-                total += _chern_top(numer, top, node) / (2 * normal)
+                total += Rat(_chern_series(numer, top, node)[top], 2 * normal)
     return total
 
 
@@ -189,8 +208,60 @@ def test_node_graph_sum_matches_the_per_graph_formula(spec):
     n = spec.factors[0]
     samples = [sample_weights(n, seed).weights for seed in range(4)]
     samples.append(NON_INTEGRAL[: n + 1])
-    got = [_value_or_degenerate(_node_graph_sum, spec, lam) for lam in samples]
+    got = [_value_or_degenerate(lambda s, l: _total(_node_graphs(s, _integral(l))), spec, lam)
+           for lam in samples]
     want = [_value_or_degenerate(_node_graph_sum_per_graph, spec, lam) for lam in samples]
+    assert got == want
+    assert sum(v != "degenerate" for v in got) >= 3
+
+
+def _cover_graphs_by_hand(spec, lam, delta):
+    """Per-line values of the degree-1 and degree-2 cover graphs, as a reference.
+
+    Lines divide by the tangent weights (lam_i - lam_m)(lam_j - lam_m) at
+    both ends.  Double covers take every weight times 2, divide by
+    -(2(lam_i - lam_j))^2 prod_m prod_a (a lam_i + (2 - a) lam_j - 2 lam_m)
+    and by 2 for the deck symmetry.
+    """
+    lam = _integral(lam)
+    n = spec.factors[0]
+    top = (n + 1) * delta + n - 3
+    values = []
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            others = [lam[m] for m in range(n + 1) if m not in (i, j)]
+            if delta == 1:
+                normal = math.prod((lam[i] - u) * (lam[j] - u) for u in others)
+            else:
+                normal = -2 * (2 * (lam[i] - lam[j])) ** 2
+                for u in others:
+                    for a in range(3):
+                        w = a * lam[i] + (2 - a) * lam[j] - 2 * u
+                        if w == 0:
+                            raise SamplingError("degenerate double cover weight")
+                        normal *= w
+            numer = _edge_section_weights(spec, lam[i], lam[j], delta)
+            values.append(_chern_series_by_fractions(numer, top, [])[top] / normal)
+    return values
+
+
+@pytest.mark.parametrize("delta", [1, 2])
+@pytest.mark.parametrize(
+    "spec",
+    [PAIR, QUINTIC, LOCAL_P2, P3_QUARTIC, CI2222, P3_MIXED],
+    ids=["pair", "quintic", "local-p2", "p3-quartic", "ci2222", "p3-mixed"],
+)
+def test_cover_graphs_match_the_hand_derived_normals(spec, delta):
+    n = spec.factors[0]
+    samples = [sample_weights(n, seed).weights for seed in range(4)]
+    samples.append(NON_INTEGRAL[: n + 1])
+
+    def per_graph(spec, lam):
+        return [Rat(p, q) for p, q in _cover_graphs(spec, _integral(lam), delta)]
+
+    got = [_value_or_degenerate(per_graph, spec, lam) for lam in samples]
+    want = [_value_or_degenerate(lambda s, l: _cover_graphs_by_hand(s, l, delta), spec, lam)
+            for lam in samples]
     assert got == want
     assert sum(v != "degenerate" for v in got) >= 3
 
