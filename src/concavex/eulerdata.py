@@ -11,23 +11,16 @@ determines a closed-form Laurent block, assembled from
     of (H_i - k*alpha)^{n_i+1}.
 
 Degree d adds few factors to degree d - e_i, so each block is built once,
-from the one below it, and cached: every later caller shares that block.
+from the one below it, into a table {degree: block} that the caller owns:
+the solve keeps its table on the MirrorMap.  Nothing is kept here.
 
 Everything is exact; denominators only ever involve nilpotent classes
 plus a nonzero multiple of alpha or x, so inverses are finite sums.
-
-The module also carries the equivariant variant for the tangent bundle
-of a single projective space, restricted to torus fixed points at
-rational weight samples, together with the fixed-point integrator and
-linking products used to cross-check it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache
-
-from .cohomology import CohClass, Rat, hyperplane, one, scalar
+from .cohomology import CohClass, hyperplane, one, scalar
 from .geometry import GeometrySpec, first_chern, pairing
 from .laurent import (
     LaurentBlock,
@@ -35,8 +28,7 @@ from .laurent import (
     block_one,
     invert_linear_factor,
 )
-from .localization import SamplingError, WeightSample
-from .qseries import Degree
+from .qseries import Degree, Series
 
 
 def _affine_block(c: CohClass, alpha_coeff: int) -> LaurentBlock:
@@ -49,7 +41,6 @@ def _affine_block(c: CohClass, alpha_coeff: int) -> LaurentBlock:
     })
 
 
-@cache
 def chern_ratio(spec: GeometrySpec) -> LaurentBlock:
     """Ratio of the Chern polynomials of the two bundle parts.
 
@@ -89,106 +80,32 @@ def _raise_degree(spec: GeometrySpec, r: LaurentBlock, e: Degree, i: int) -> Lau
     return out
 
 
-@cache
-def reduced_block(spec: GeometrySpec, d: Degree) -> LaurentBlock:
+def reduced_block(spec: GeometrySpec, d: Degree, table: Series) -> LaurentBlock:
     """Degree-d hypergeometric block with the Chern-polynomial ratio divided out.
 
     Inverted Euler factor times, per convex summand, the factors
     (x + c1 - k*alpha) for k = 1..<c1,d>, and per concave summand the
     factors (x + c1 + k*alpha) for k = 0..-<c1,d>-1.  The result is
     polynomial in x and equals 1 at d = 0.  It is R_{d-e_i}, i the first
-    axis with d_i > 0, times the factors d adds; each R_d is built once
-    per process and shared.
+    axis with d_i > 0, times the factors d adds.  `table` holds the blocks
+    of `spec` built so far: a block found there is returned as it is, and
+    each block built on the way down is stored there.
     """
-    if not any(d):
-        return block_one(spec.factors)
-    i = next(i for i, di in enumerate(d) if di)
-    below = d[:i] + (d[i] - 1,) + d[i + 1:]
-    return _raise_degree(spec, reduced_block(spec, below), below, i)
+    if d not in table:
+        if any(d):
+            i = next(i for i, di in enumerate(d) if di)
+            below = d[:i] + (d[i] - 1,) + d[i + 1:]
+            table[d] = _raise_degree(spec, reduced_block(spec, below, table), below, i)
+        else:
+            table[d] = block_one(spec.factors)
+    return table[d]
 
 
-def hyper_block(spec: GeometrySpec, d: Degree) -> LaurentBlock:
+def hyper_block(spec: GeometrySpec, d: Degree, table: Series) -> LaurentBlock:
     """Degree-d hypergeometric block of the bundle data.
 
     The reduced block times the Chern-polynomial ratio: this restores the
     k = 0 factor (x + c1) of each convex product and divides out the k = 0
     factor of each concave product.  At d = 0 it is chern_ratio(spec).
     """
-    return chern_ratio(spec) * reduced_block(spec, d)
-
-
-# ---------------------------------------------------------------------------
-# Equivariant blocks for the tangent bundle of P^n at sampled weights
-
-@dataclass(frozen=True)
-class EquivariantRestrictions:
-    """Fixed-point restrictions of an equivariant block on P^n.
-
-    One scalar-coefficient Laurent block per fixed point, in the order
-    of the weight sample.  Integration is the fixed-point sum with the
-    tangent Euler class prod_{k != j}(lam_j - lam_k) in the denominator.
-    """
-
-    sample: WeightSample
-    blocks: tuple[LaurentBlock, ...]
-
-    def integrate(self) -> LaurentBlock:
-        lam = self.sample.weights
-        total = LaurentBlock(())
-        for j, b in enumerate(self.blocks):
-            e = Rat(1)
-            for k in range(len(lam)):
-                if k != j:
-                    e *= lam[j] - lam[k]
-            total = total + b.scale(1 / e)
-        return total
-
-
-def tangent_block_restrictions(
-    n: int, d: int, sample: WeightSample
-) -> EquivariantRestrictions:
-    """Degree-d tangent-bundle block of P^n at the torus fixed points.
-
-    The block is (1/x) prod_i prod_{k=0}^{d} (x + H - lam_i - k*alpha);
-    restricting to the fixed point p_j sets H to lam_j, where the
-    (i = j, k = 0) factor is exactly x and cancels the 1/x.
-    """
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    lam = sample.weights
-    if len(lam) != n + 1:
-        raise SamplingError("weight sample has wrong length")
-    blocks = []
-    for j in range(n + 1):
-        b = block_one(())
-        for i in range(n + 1):
-            for k in range(d + 1):
-                if i == j and k == 0:
-                    continue
-                b = b * _affine_block(scalar((), lam[j] - lam[i]), -k)
-        blocks.append(b)
-    return EquivariantRestrictions(sample, tuple(blocks))
-
-
-def linking_product(
-    n: int, d: int, j: int, l: int, sample: WeightSample
-) -> LaurentBlock:
-    """Edge-restriction product prod_i prod_{k=0}^d (x + lam_j - lam_i - k*w/d).
-
-    Here w = lam_j - lam_l is the isotropy weight of the coordinate line
-    joining the two fixed points.  Keeps x symbolic; equals x times the
-    p_j tangent restriction with alpha specialized to w/d.
-    """
-    if j == l:
-        raise ValueError("fixed points must differ")
-    if d < 1:
-        raise ValueError("degree must be positive")
-    lam = sample.weights
-    if len(lam) != n + 1:
-        raise SamplingError("weight sample has wrong length")
-    w = Rat(lam[j] - lam[l], d)
-    out = block_one(())
-    for i in range(n + 1):
-        for k in range(d + 1):
-            out = out * _affine_block(scalar((), lam[j] - lam[i] - k * w), 0)
-    return out
+    return chern_ratio(spec) * reduced_block(spec, d, table)

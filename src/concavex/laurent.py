@@ -35,7 +35,7 @@ Every product, and every sum of products, goes through one kernel,
 one denominator for the whole sum and skips slot pairs past the box edge
 through the ring's cached table.  A product that is integrated over the
 fibre at once goes through ``_mul_integrate`` instead, which computes only
-the top slot.  Sums, differences, rescalings and substitutions share one
+the top slot.  Sums, differences, rescalings and x substitutions share one
 linear-combination step, ``_lincomb``.
 """
 from __future__ import annotations
@@ -194,11 +194,6 @@ class LaurentBlock:
     def x_stratum(self, j: int) -> "LaurentBlock":
         return self._stratum(1, j)
 
-    def t_degree(self) -> int:
-        """Maximal total t-degree over the support (-1 if zero)."""
-        size, m = len(_slot_pairs(self.dims)), self._arity
-        return max((sum(_unpack(code // size, m)[2]) for code in self._codes), default=-1)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "LaurentBlock") -> "LaurentBlock":
@@ -237,34 +232,21 @@ class LaurentBlock:
 
     # -- specializations ---------------------------------------------------
 
-    def _substitute(self, k: int, value: Rat) -> "LaurentBlock":
-        """Set field k to 0, each term times value**(its field k)."""
-        unit = len(_slot_pairs(self.dims)) << (_WIDTH * (self._arity + 1 - k))
-        groups: dict[int, dict[int, int]] = {}
-        for (c, v), e in zip(self._codes.items(), self._field(k)):
-            groups.setdefault(e, {})[c - e * unit] = v
-        return _lincomb([self], [(value**e, codes, self._den) for e, codes in groups.items()])
-
     def substitute_x(self, value: Rat | int) -> "LaurentBlock":
         """Evaluate the Chern variable at a rational value.
 
-        Requires a polynomial block (no negative x exponents).
+        Requires a polynomial block (no negative x exponents).  Each term
+        moves to x exponent 0, times value**(its x exponent).
         """
         lo = self.x_support()
         if lo is not None and lo[0] < 0:
             raise ValueError("cannot substitute into a block with x poles")
-        return self._substitute(1, Rat(value))
-
-    def substitute_alpha(self, value: Rat | int) -> "LaurentBlock":
-        """Evaluate the circle-action weight at a rational value.
-
-        Negative exponents require value != 0.
-        """
         value = Rat(value)
-        lo = self.alpha_support()
-        if lo is not None and lo[0] < 0 and value == 0:
-            raise ZeroDivisionError("alpha pole at alpha = 0")
-        return self._substitute(0, value)
+        unit = len(_slot_pairs(self.dims)) << (_WIDTH * self._arity)
+        groups: dict[int, dict[int, int]] = {}
+        for (c, v), j in zip(self._codes.items(), self._field(1)):
+            groups.setdefault(j, {})[c - j * unit] = v
+        return _lincomb([self], [(value**j, codes, self._den) for j, codes in groups.items()])
 
     def integrate_fibrewise(self) -> "LaurentBlock":
         """Integrate every coefficient over the product of projective spaces.

@@ -100,6 +100,8 @@ class MirrorMap:
     shifts: tuple[dict[Degree, Rat], ...]
     # per degree, U * sum R q^d - G: both strata cancelled, as the solve checked
     residuals: Series = field(compare=False, repr=False)
+    # the reduced blocks R_d the solve read, by degree
+    blocks: Series = field(compare=False, repr=False)
 
     def shift_vector(self, d: Degree) -> tuple[Rat, ...]:
         return tuple(g.get(d, Rat(0)) for g in self.shifts)
@@ -177,7 +179,9 @@ def _residual(
     return _mul_sum(dims, pairs)
 
 
-def solve_mirror_map(spec: GeometrySpec, bound: int) -> MirrorMap:
+def solve_mirror_map(
+    spec: GeometrySpec, bound: int, *, reuse: MirrorMap | None = None
+) -> MirrorMap:
     """Determine normalization, prefactor and shifts in one pass over the degrees.
 
     U = exp(F - log N) and G are kept per degree and extended by the
@@ -187,15 +191,20 @@ def solve_mirror_map(spec: GeometrySpec, bound: int) -> MirrorMap:
     from three fixed places of that block.  The coefficients read off then
     complete U_d and G_d, no stratum of U * sum R q^d - G may remain at
     alpha^{-1} or above, and that residual is kept on the map for the
-    integrand.  The blocks R_d come from eulerdata's cache, each built once.
+    integrand.  The map also keeps the blocks R_d, for the Euler route and
+    later solves: with `reuse`, a map solved earlier for the same spec, the
+    solve starts from a copy of its blocks and builds only those it lacks.
     """
     validate(spec)
+    if reuse is not None and reuse.spec != spec:
+        raise ValueError("the mirror map to reuse was solved for another spec")
+    table = dict(reuse.blocks) if reuse is not None else {}
     dims = spec.factors
     m = len(dims)
     t0 = _tzero(m)
     axes = [tuple(int(k == i) for k in range(m)) for i in range(m)]
     degrees = degrees_upto(m, bound)
-    reduced: Series = {d: reduced_block(spec, d) for d in degrees}
+    reduced: Series = {d: reduced_block(spec, d, table) for d in degrees}
 
     log_norm: dict[Degree, Rat] = {}
     prefactor: dict[Degree, Rat] = {}
@@ -231,7 +240,7 @@ def solve_mirror_map(spec: GeometrySpec, bound: int) -> MirrorMap:
         residuals[d] = acc
     norm = scalar_exp(log_norm, m, bound)
     normalization = {d: norm.get(d, Rat(0)) for d in degrees[1:]}
-    return MirrorMap(spec, bound, normalization, prefactor, shifts, residuals)
+    return MirrorMap(spec, bound, normalization, prefactor, shifts, residuals, table)
 
 
 def _integrand_factors(
@@ -246,7 +255,7 @@ def _integrand_factors(
     poles, are multiplied out with x symbolic and restricted only
     afterwards, because the Chern ratio of a concave summand is an
     x-Laurent series.  A concave summand pairing to 0 with dp leaves such
-    a pole in hyper_block(spec, dp).
+    a pole in hyper_block(spec, dp, mm.blocks).
     """
     if spec != mm.spec or bound > mm.bound:
         raise ValueError(
@@ -258,7 +267,7 @@ def _integrand_factors(
     if not euler:
         return {d: omega * mm.residuals[d] for d in degrees}
     u, g = _transform_series(dims, bound, mm.normalization, mm.prefactor, mm.shifts)
-    blocks = {dp: hyper_block(spec, dp) for dp in degrees}
+    blocks = {dp: hyper_block(spec, dp, mm.blocks) for dp in degrees}
     at_x0 = {dp for dp, b in blocks.items() if b.x_support()[0] >= 0}
     blocks.update((dp, blocks[dp].substitute_x(0)) for dp in at_x0)
     out = {}
@@ -460,7 +469,7 @@ def verify_all(spec: GeometrySpec, bound: int) -> list[CheckResult]:
             checks.append(CheckResult("euler_specialization", False, str(err)))
 
     try:
-        mm2 = solve_mirror_map(spec, bound + 2)
+        mm2 = solve_mirror_map(spec, bound + 2, reuse=mm)
         table2 = extract_invariants(spec, mm2, bound + 2)
         stable = all(
             mm2.normalization.get(d, Rat(0)) == mm.normalization.get(d, Rat(0))

@@ -13,14 +13,11 @@ import pytest
 from concavex import eulerdata
 from concavex.cohomology import hyperplane, scalar
 from concavex.eulerdata import (
-    EquivariantRestrictions,
     _euler_inverse,
     _raise_degree,
     chern_ratio,
     hyper_block,
-    linking_product,
     reduced_block,
-    tangent_block_restrictions,
 )
 from concavex.geometry import first_chern, pairing, parse_spec
 from concavex.laurent import (
@@ -30,7 +27,6 @@ from concavex.laurent import (
     invert_linear_factor,
     variable_x,
 )
-from concavex.localization import WeightSample
 from concavex.qseries import degrees_upto
 
 QUINTIC = parse_spec("space 4\nbundle convex 5\n")
@@ -96,8 +92,8 @@ def test_chern_ratio_local_p2_expansion():
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name or "two-factor")
 def test_degree_zero_blocks(spec):
     z = (0,) * spec.m
-    assert hyper_block(spec, z) == chern_ratio(spec)
-    assert reduced_block(spec, z) == block_one(spec.factors)
+    assert hyper_block(spec, z, {}) == chern_ratio(spec)
+    assert reduced_block(spec, z, {}) == block_one(spec.factors)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name or "two-factor")
@@ -120,24 +116,26 @@ def test_each_block_is_built_once(monkeypatch, spec):
         return _real(s, r, e, i)
 
     monkeypatch.setattr(eulerdata, "_raise_degree", counted)
+    table = {}
     top = (3,) * spec.m
-    cold = reduced_block(spec, top)
+    cold = reduced_block(spec, top, table)
     assert len(built) == 3 * spec.m  # one step per level, down to 1
     box = list(itertools.product(range(4), repeat=spec.m))
     for d in box:
-        reduced_block(spec, d)
-        hyper_block(spec, d)
+        reduced_block(spec, d, table)
+        hyper_block(spec, d, table)
     # every nonzero degree of the box is made by exactly one step
     assert sorted(built) == [d for d in sorted(box) if any(d)]
-    assert reduced_block(spec, top) is cold
-    assert chern_ratio(spec) is chern_ratio(spec)
+    assert sorted(table) == sorted(box)
+    assert reduced_block(spec, top, table) is cold
 
 
 @pytest.mark.parametrize("spec", [TWO_FACTOR, ZERO_ENTRY], ids=["two-factor", "zero-entry"])
 def test_recurrence_is_path_independent(spec):
-    via_01 = _raise_degree(spec, reduced_block(spec, (0, 1)), (0, 1), 0)
-    via_10 = _raise_degree(spec, reduced_block(spec, (1, 0)), (1, 0), 1)
-    assert via_01 == via_10 == reduced_block(spec, (1, 1))
+    table = {}
+    via_01 = _raise_degree(spec, reduced_block(spec, (0, 1), table), (0, 1), 0)
+    via_10 = _raise_degree(spec, reduced_block(spec, (1, 0), table), (1, 0), 1)
+    assert via_01 == via_10 == reduced_block(spec, (1, 1), table)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name or "two-factor")
@@ -153,8 +151,9 @@ def test_reduced_times_ratio_is_hyper(spec):
     for b in spec.convex():
         convex_x = convex_x * _shifted(spec, b, 0)
     assert cleared_ratio == convex_x
+    table = {}
     for d in degrees_upto(spec.m, 2):
-        red = reduced_block(spec, d)
+        red = reduced_block(spec, d, table)
         lo_x, _ = red.x_support() or (0, 0)
         assert lo_x >= 0  # reduced blocks are polynomial in x
         want_red = block_one(dims)
@@ -165,7 +164,7 @@ def test_reduced_times_ratio_is_hyper(spec):
             for k in range(0, -pairing(b, d)):
                 want_red = want_red * _shifted(spec, b, k)
         assert _euler_factor(dims, d) * red == want_red
-        cleared_hyper = _euler_factor(dims, d) * hyper_block(spec, d)
+        cleared_hyper = _euler_factor(dims, d) * hyper_block(spec, d, table)
         for b in spec.concave():
             cleared_hyper = cleared_hyper * _shifted(spec, b, 0)
         assert cleared_hyper == convex_x * want_red
@@ -173,12 +172,13 @@ def test_reduced_times_ratio_is_hyper(spec):
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name or "two-factor")
 def test_alpha_support_bounds(spec):
+    table = {}
     for d in degrees_upto(spec.m, 3):
         if not any(d):
             continue
         # a concave summand pairing to 0 with d contributes (x + c1)^-1, at alpha^0
         rk_concave = sum(1 for b in spec.concave() if pairing(b, d))
-        lo, hi = hyper_block(spec, d).alpha_support()
+        lo, hi = hyper_block(spec, d, table).alpha_support()
         assert hi == -rk_concave
         assert lo >= -sum(di * (n + 1) for di, n in zip(d, spec.factors)) - spec.dim
 
@@ -187,7 +187,7 @@ def test_pair_block_is_inverse_square():
     h = hyperplane((1,), 0)
     for d in (1, 2, 3):
         want = invert_linear_factor(h, d) ** 2
-        assert hyper_block(PAIR, (d,)).substitute_x(0) == want
+        assert hyper_block(PAIR, (d,), {}).substitute_x(0) == want
 
 
 def test_quintic_degree_one_block_against_dict_convolution():
@@ -212,7 +212,7 @@ def test_quintic_degree_one_block_against_dict_convolution():
     for _ in range(5):
         expect = mul(expect, inv)
 
-    block = hyper_block(QUINTIC, (1,)).substitute_x(0)
+    block = hyper_block(QUINTIC, (1,), {}).substitute_x(0)
     got = {}
     for (a, j, _t), c in block.terms.items():
         assert j == 0
@@ -226,63 +226,3 @@ def test_quintic_degree_one_block_against_dict_convolution():
     assert got[(2, -1)] == -3850
     assert got[(3, -2)] == 2875
     assert got[(4, -3)] == 5750
-
-
-# -- equivariant tangent blocks --------------------------------------------
-
-SAMPLES = [
-    WeightSample((Rat(0), Rat(1), Rat(3), Rat(9)), seed=-1),
-    WeightSample((Rat(2), Rat(-3), Rat(5), Rat(-7)), seed=-1),
-]
-
-
-@pytest.mark.parametrize("sample", SAMPLES, ids=["geometric", "mixed"])
-def test_tangent_degree_zero_product_identity(sample):
-    n = len(sample.weights) - 1
-    rest = tangent_block_restrictions(n, 0, sample)
-    x = variable_x(())
-    for j, b in enumerate(rest.blocks):
-        prod = block_one(())
-        for lam_i in sample.weights:
-            prod = prod * (x + from_class(scalar((), sample.weights[j] - lam_i)))
-        assert x * b == prod
-
-
-@pytest.mark.parametrize("sample", SAMPLES, ids=["geometric", "mixed"])
-def test_degree_zero_integral_is_euler_characteristic(sample):
-    n = len(sample.weights) - 1
-    total = tangent_block_restrictions(n, 0, sample).integrate()
-    assert total.substitute_x(0).scalars() == {(0, 0, ()): n + 1}
-
-
-@pytest.mark.parametrize("sample", SAMPLES, ids=["geometric", "mixed"])
-@pytest.mark.parametrize("d", [1, 2])
-def test_linking_matches_specialized_restriction(sample, d):
-    n = len(sample.weights) - 1
-    rest = tangent_block_restrictions(n, d, sample)
-    x = variable_x(())
-    for j in range(n + 1):
-        for l in range(n + 1):
-            if j == l:
-                continue
-            w = Rat(sample.weights[j] - sample.weights[l], d)
-            left = rest.blocks[j].substitute_alpha(w) * x
-            assert left == linking_product(n, d, j, l, sample)
-
-
-def test_residue_sum_vanishes():
-    # the fixed-point sum of the constant class 1 is zero whenever n >= 1
-    for sample in SAMPLES:
-        n = len(sample.weights) - 1
-        ones = tuple(block_one(()) for _ in range(n + 1))
-        assert EquivariantRestrictions(sample, ones).integrate().is_zero()
-
-
-def test_equivariant_error_paths():
-    sample = SAMPLES[0]
-    with pytest.raises(ValueError):
-        tangent_block_restrictions(3, -1, sample)
-    with pytest.raises(ValueError):
-        linking_product(3, 1, 2, 2, sample)
-    with pytest.raises(ValueError):
-        linking_product(3, 0, 0, 1, sample)

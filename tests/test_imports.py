@@ -6,7 +6,10 @@ lists in ``__all__`` count as used, and ``__init__.py`` is skipped because
 it only re-exports.  A private helper (``def _name`` or ``class _name`` at
 module level) counts as used when some module references it outside its
 own body.  The fixed-point oracle must also stay independent of the series
-pipeline: it may take only the rational type and the spec from the package.
+pipeline: it may take only the rational type and the spec from the package,
+and the engine's modules import nothing from it.  The package keeps no
+cache keyed by a spec or a degree: the only memoised functions are the
+tables keyed by a ring's shape.
 A Laurent block's integer storage stays private to ``laurent.py``: every
 other module reads blocks through their methods and the ``terms`` view.
 """
@@ -131,6 +134,18 @@ def test_oracle_shares_only_the_rational_type_and_the_spec():
     assert _package_imports(source) == {("cohomology", "Rat"), ("geometry", "GeometrySpec")}
 
 
+ENGINE = ["cohomology.py", "laurent.py", "qseries.py", "geometry.py", "eulerdata.py"]
+
+
+@pytest.mark.parametrize("name", ENGINE)
+def test_engine_imports_nothing_from_the_oracle(name):
+    source = (Path(concavex.__file__).parent / name).read_text(encoding="utf-8")
+    assert [
+        (module, alias) for module, alias in _package_imports(source)
+        if "localization" in (module.rpartition(".")[2], alias)
+    ] == []
+
+
 def test_checker_finds_every_package_import():
     source = (
         "import math\nfrom fractions import Fraction\nfrom .cohomology import Rat\n"
@@ -143,12 +158,45 @@ def test_checker_finds_every_package_import():
     }
 
 
+def _memoised(source: str) -> list[str]:
+    """Each use of functools.cache or lru_cache: the function it decorates, else its line."""
+    tree = ast.parse(source)
+    decorates = {
+        id(sub): node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for dec in node.decorator_list
+        for sub in ast.walk(dec)
+    }
+    return sorted(
+        decorates.get(id(n), f"line {n.lineno}")
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
+        and (getattr(n, "id", None) or getattr(n, "attr", None) or n.name) in {"cache", "lru_cache"}
+    )
+
+
+def test_only_the_ring_tables_are_memoised():
+    found = [name for p in MODULES for name in _memoised(p.read_text(encoding="utf-8"))]
+    assert sorted(found) == ["_bias", "_slot_pairs", "_slot_partners"]
+
+
+def test_checker_finds_every_memoised_function():
+    source = (
+        "import functools\nfrom functools import lru_cache\n"
+        "@functools.cache\ndef a(dims):\n    return dims\n"
+        "@functools.lru_cache(maxsize=None)\ndef b(spec):\n    return spec\n"
+        "c = functools.cache(lambda spec: spec)\n"
+    )
+    assert _memoised(source) == ["a", "b", "line 2", "line 9"]
+
+
 # the stored codes, denominator and bounds of a block, its cached view, the
 # code layout and the helpers that handle them
 BLOCK_STORAGE = {
     "_codes", "_den", "_arity", "_reach", "_view",
     "_WIDTH", "_HALF", "_MASK", "_bias", "_pack", "_unpack", "_field", "_slot_partners",
-    "_stratum", "_substitute", "_common_arity", "_product_bounds", "_block", "_lincomb",
+    "_stratum", "_common_arity", "_product_bounds", "_block", "_lincomb",
 }
 
 

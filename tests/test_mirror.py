@@ -233,7 +233,8 @@ def test_integrand_equals_the_series_rebuilt_from_full_blocks(spec):
     eht = kahler_factor(spec.factors)
     js = integrand_series(spec, mm, bound)
     degrees = [d for d in degrees_upto(spec.m, bound) if any(d)]
-    blocks = {dp: hyper_block(spec, dp) for dp in degrees}
+    table = {}
+    blocks = {dp: hyper_block(spec, dp, table) for dp in degrees}
     assert set(js) == set(degrees)
     for d in degrees:
         want = (u[d] - g[d]) * omega
@@ -358,13 +359,40 @@ def test_verify_and_the_euler_route_build_no_block_twice(monkeypatch):
     # the re-solve at D + 2 raises only R_3 and R_4, the Euler route none
     assert all(c.passed for c in verify_all(QUINTIC, 2))
     assert len(steps) == 4
-    eulerdata.reduced_block.cache_clear()
     steps.clear()
     mm = solve_mirror_map(QUINTIC, 4)
     assert len(steps) == 4
     # hyper_block reads the blocks the solve built
     extract_invariants(QUINTIC, mm, 4, euler=True)
     assert len(steps) == 4
+
+
+def test_solves_without_reuse_share_no_blocks(monkeypatch):
+    steps = []
+
+    def counted(*args, _real=eulerdata._raise_degree):
+        steps.append(args[2:])
+        return _real(*args)
+
+    monkeypatch.setattr(eulerdata, "_raise_degree", counted)
+    first = solve_mirror_map(QUINTIC, 3)
+    second = solve_mirror_map(QUINTIC, 3)
+    # nothing outlives a solve: the second builds R_1 .. R_3 again
+    assert len(steps) == 6
+    assert first.blocks == second.blocks
+    assert all(first.blocks[d] is not second.blocks[d] for d in first.blocks if any(d))
+    # a reusing solve copies the table: the map it reuses gains no block
+    third = solve_mirror_map(QUINTIC, 5, reuse=first)
+    assert len(steps) == 8
+    assert sorted(first.blocks) == [(0,), (1,), (2,), (3,)]
+    assert third.blocks[(3,)] is first.blocks[(3,)]
+    assert third == solve_mirror_map(QUINTIC, 5)
+
+
+def test_reuse_needs_a_map_of_the_same_spec():
+    mm = solve_mirror_map(PAIR, 2)
+    with pytest.raises(ValueError, match="another spec"):
+        solve_mirror_map(LOCAL_P2, 2, reuse=mm)
 
 
 @pytest.mark.parametrize("spec,bound", [(BICUBIC, 3), (QUINTIC, 4)], ids=["bicubic", "quintic"])
