@@ -101,11 +101,11 @@ def reduced_block(spec: GeometrySpec, d: Degree, table: Series) -> LaurentBlock:
     return table[d]
 
 
-def hyper_block(spec: GeometrySpec, d: Degree, table: Series) -> LaurentBlock:
+def hyper_block(spec: GeometrySpec, d: Degree, table: Series, ratio: LaurentBlock) -> LaurentBlock:
     """Degree-d hypergeometric block of the bundle data.
 
-    The reduced block times the Chern-polynomial ratio: this restores the
-    k = 0 factor (x + c1) of each convex product and divides out the k = 0
-    factor of each concave product.  At d = 0 it is chern_ratio(spec).
+    The reduced block times `ratio`, the caller's chern_ratio(spec): this
+    restores the k = 0 factor (x + c1) of each convex product and divides
+    out the k = 0 factor of each concave product.  At d = 0 it is the ratio.
     """
-    return chern_ratio(spec) * reduced_block(spec, d, table)
+    return ratio * reduced_block(spec, d, table)

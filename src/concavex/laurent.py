@@ -152,12 +152,11 @@ class LaurentBlock:
             )
         return self._view
 
-    def scalars(self) -> dict[Key, Rat]:
-        """{key: value} of a block over the empty product, read from the stored ints."""
+    def numerators(self) -> tuple[dict[Key, int], int]:
+        """({key: numerator}, den) of a block over the empty product: the stored ints."""
         if self.dims != ():
-            raise ValueError(f"scalars() needs a block over the empty product, not {self.dims}")
-        m, den = self._arity, self._den
-        return {_unpack(code, m): Rat(v, den) for code, v in self._codes.items()}
+            raise ValueError(f"numerators() needs a block over the empty product, not {self.dims}")
+        return {_unpack(code, self._arity): v for code, v in self._codes.items()}, self._den
 
     # -- queries -----------------------------------------------------------
 

@@ -35,19 +35,21 @@ the Kahler factor times the Chern ratio times the residual the solve
 checked, whose fibrewise integral concentrates, at the x^s stratum (s the
 splitting excess), in alpha^{-3} with t-degree at most one.  Only the top
 class survives the integral, so extraction integrates kahler * X_d pair
-by pair of slots (laurent._mul_integrate) without forming J_d.  Writing
+by pair of slots (laurent._mul_integrate) without forming J_d, and reads
+each integral as int numerators over one denominator.  Writing
 Phi(t) = sum K_d exp(d.t) for the sought table, matching the t-constant
 part of the integrals against 2*Phi - sum_i t_i dPhi/dt_i expressed in
 the shifted variables yields a triangular system for the K_d; the
-t-linear part is then an overdetermined consistency check.  Per d', the
-series exp(<d', g>) = exp(<d' - e_i, g>) exp(g_i) and the matching series
-(2 - <d', g>) exp(<d', g>) are built once, to the total degree D - |d'|
-the system reads; each q^diff coefficient of both is filed under degree
-d' + diff, where the triangular solve and the t-linear check read it.
+t-linear part is then an overdetermined consistency check.  The series
+exp(<d', g>) and (2 - <d', g>) exp(<d', g>) it reads are int EGF
+numerators (qseries.egf_mul), and the system and the check run in ints,
+K_d times 2^|d| delta^|d| |d|! and the lcm of the integral denominators:
+one Fraction per K_d and x-level comes out at the end.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .cohomology import Rat, linear, scalar
@@ -69,8 +71,9 @@ from .qseries import (
     _exp_coefficient,
     _sub,
     degrees_upto,
-    scalar_exp,
-    scalar_mul,
+    egf_exp,
+    egf_mul,
+    egf_numerators,
     series_exp,
     series_inverse,
     series_mul,
@@ -161,12 +164,7 @@ def _transform_series(
     return u, series_exp(dims, g_log, bound)
 
 
-def _residual(
-    dims: tuple[int, ...],
-    u: Series,
-    reduced: Series,
-    d: Degree,
-) -> LaurentBlock:
+def _residual(dims: tuple[int, ...], u: Series, reduced: Series, d: Degree) -> LaurentBlock:
     """Degree-d coefficient of U * sum_{d' != 0} R_d' q^d', free of U_d and G_d.
 
     Adding U_d - G_d (R_0 = 1) gives that of U * sum_d' R_d' q^d' - G.
@@ -238,8 +236,9 @@ def solve_mirror_map(
                 f"degree {d}: residual stratum at alpha^{sup[1]} after solving"
             )
         residuals[d] = acc
-    norm = scalar_exp(log_norm, m, bound)
-    normalization = {d: norm.get(d, Rat(0)) for d in degrees[1:]}
+    (log_egf,), scale = egf_numerators((log_norm,), bound)
+    norm = egf_exp(log_egf, m, bound)
+    normalization = {d: Rat(norm.get(d, 0), scale[sum(d)]) for d in degrees[1:]}
     return MirrorMap(spec, bound, normalization, prefactor, shifts, residuals, table)
 
 
@@ -255,7 +254,7 @@ def _integrand_factors(
     poles, are multiplied out with x symbolic and restricted only
     afterwards, because the Chern ratio of a concave summand is an
     x-Laurent series.  A concave summand pairing to 0 with dp leaves such
-    a pole in hyper_block(spec, dp, mm.blocks).
+    a pole in hyper_block(spec, dp, mm.blocks, omega).
     """
     if spec != mm.spec or bound > mm.bound:
         raise ValueError(
@@ -267,7 +266,7 @@ def _integrand_factors(
     if not euler:
         return {d: omega * mm.residuals[d] for d in degrees}
     u, g = _transform_series(dims, bound, mm.normalization, mm.prefactor, mm.shifts)
-    blocks = {dp: hyper_block(spec, dp, mm.blocks) for dp in degrees}
+    blocks = {dp: hyper_block(spec, dp, mm.blocks, omega) for dp in degrees}
     at_x0 = {dp for dp, b in blocks.items() if b.x_support()[0] >= 0}
     blocks.update((dp, blocks[dp].substitute_x(0)) for dp in at_x0)
     out = {}
@@ -317,91 +316,86 @@ def extract_invariants(
     degrees = list(xs)
 
     level = 0 if euler else s
-    integrated: dict[Degree, dict[Key, Rat]] = {}
+    integrated: dict[Degree, tuple[dict[Key, int], int]] = {}
     top = level
     for d in degrees:
         # kahler's only key with alpha^{>= 0} is the unit, so J_d and X_d
         # share their top alpha stratum
         sup = xs[d].alpha_support()
         if sup is not None and sup[1] > -2:
-            raise ExtractionError(
-                f"degree {d}: integrand stratum at alpha^{sup[1]}"
-            )
-        vals = _mul_integrate(eht, xs[d]).scalars()
-        for a, j, t in vals:
+            raise ExtractionError(f"degree {d}: integrand stratum at alpha^{sup[1]}")
+        integrated[d] = _mul_integrate(eht, xs[d]).numerators()
+        for a, j, t in integrated[d][0]:
             if j < level:
-                raise ExtractionError(
-                    f"degree {d}: x-degree {j} below the splitting excess"
-                )
+                raise ExtractionError(f"degree {d}: x-degree {j} below the splitting excess")
             tdeg = sum(t)
             # t-constant strata are forced to alpha^{s-3-j} by grading
             if tdeg == 0 and a != s - 3 - j:
-                raise ExtractionError(
-                    f"degree {d}: stray stratum alpha^{a} x^{j}"
-                )
+                raise ExtractionError(f"degree {d}: stray stratum alpha^{a} x^{j}")
             if j == level:
                 if tdeg > 1:
-                    raise ExtractionError(
-                        f"degree {d}: t-degree {tdeg} at the x^{level} stratum"
-                    )
+                    raise ExtractionError(f"degree {d}: t-degree {tdeg} at the x^{level} stratum")
                 if tdeg == 1 and a != -3:
-                    raise ExtractionError(
-                        f"degree {d}: t-linear stratum at alpha^{a}"
-                    )
+                    raise ExtractionError(f"degree {d}: t-linear stratum at alpha^{a}")
             top = max(top, j)
-        integrated[d] = vals
 
     # exp(<d', g>) = exp(<d' - e_i, g>) exp(g_i), i the first axis of d', and
     # the matching series (2 - <d', g>) exp(<d', g>), both to total degree
-    # D - |d'|; below[d] holds (d', exp coefficient, matching coefficient)
-    # at q^{d - d'} for each d' <= d, d' = d included
-    axis_exp = [scalar_exp(g, m, bound) for g in mm.shifts]
-    expg: dict[Degree, dict[Degree, Rat]] = {_tzero(m): {_tzero(m): Rat(1)}}
-    below: dict[Degree, list[tuple[Degree, Rat, Rat]]] = {d: [] for d in degrees}
+    # D - |d'|, as EGF numerators over the shifts' scale[n] = delta^n n!;
+    # below[d] holds (d', exp weight, matching weight) at q^{d - d'} for each
+    # d' <= d, d' = d included: the numerators times 2^k C(|d|, k), k = |d - d'|,
+    # the matching one halved (0 at k = 0, where it is not read)
+    gs, scale = egf_numerators(mm.shifts, bound)
+    axis_exp = [egf_exp(g, m, bound) for g in gs]
+    expg: dict[Degree, dict[Degree, int]] = {_tzero(m): {_tzero(m): 1}}
+    below: dict[Degree, list[tuple[Degree, int, int]]] = {d: [] for d in degrees}
     for dp in degrees:
         i = next(k for k, c in enumerate(dp) if c)
         prev = tuple(c - (k == i) for k, c in enumerate(dp))
-        expg[dp] = scalar_mul(expg[prev], axis_exp[i], bound - sum(dp))
-        two_minus = {_tzero(m): Rat(2)}
-        for k, g in enumerate(mm.shifts):
+        expg[dp] = egf_mul(expg[prev], axis_exp[i], bound - sum(dp))
+        two_minus = {_tzero(m): 2}
+        for k, g in enumerate(gs):
             for dd, c in g.items():
-                two_minus[dd] = two_minus.get(dd, Rat(0)) - dp[k] * c
-        match = scalar_mul(two_minus, expg[dp], bound - sum(dp))
+                two_minus[dd] = two_minus.get(dd, 0) - dp[k] * c
+        match = egf_mul(two_minus, expg[dp], bound - sum(dp))
         for diff in expg[dp].keys() | match.keys():
-            row = (dp, expg[dp].get(diff, Rat(0)), match.get(diff, Rat(0)))
+            w = math.comb(sum(dp) + sum(diff), sum(diff)) << sum(diff)
+            row = (dp, w * expg[dp].get(diff, 0), (w >> 1) * match.get(diff, 0))
             below[tuple(a + b for a, b in zip(dp, diff))].append(row)
 
-    solved: dict[int, dict[Degree, Rat]] = {}
+    # the system in ints: solved[j][d] holds K_d unit[d], unit[d] being
+    # 2^|d| scale[|d|] times the lcm of the integrated denominators; with the
+    # weights of below its recurrence has int coefficients, and the only
+    # quotients, (unit[d] / 2) / q and unit[d] / q, are exact since q | den
+    den = math.lcm(*(q for _, q in integrated.values()))
+    unit = {d: (scale[sum(d)] << sum(d)) * den for d in degrees}
+    solved: dict[int, dict[Degree, int]] = {}
     for j in range(level, top + 1):
-        kj: dict[Degree, Rat] = {}
+        kj: dict[Degree, int] = {}
         key = (s - 3 - j, j, _tzero(m))
         for d in degrees:
-            c0 = integrated[d].get(key, Rat(0))
-            kj[d] = (c0 - sum(kj[dp] * c for dp, _, c in below[d] if dp != d)) / 2
+            vals, q = integrated[d]
+            c0 = (unit[d] >> 1) // q * vals.get(key, 0)
+            kj[d] = c0 - sum(kj[dp] * c for dp, _, c in below[d] if dp != d)
         solved[j] = kj
 
     # overdetermination: the t-linear strata are determined by the same K_d
     for d in degrees:
+        vals, q = integrated[d]
         for i in range(m):
-            ti = tuple(1 if a == i else 0 for a in range(m))
-            got = integrated[d].get((-3, level, ti), Rat(0))
+            got = vals.get((-3, level, tuple(int(a == i) for a in range(m))), 0)
             want = -sum(solved[level][dp] * dp[i] * e for dp, e, _ in below[d])
-            if got != want:
+            if unit[d] // q * got != want:
                 raise ExtractionError(
                     f"degree {d}: t-linear stratum mismatch on axis {i} "
-                    f"({got} != {want})"
+                    f"({Rat(got, q)} != {Rat(want, unit[d])})"
                 )
 
     entries = []
     for d in degrees:
-        raw = []
-        for j in range(level, top + 1):
-            v = solved[j][d]
-            if v or j == level:
-                raw.append((j, v))
-        entries.append(
-            InvariantEntry(degree=d, raw=tuple(raw), value=solved[level][d])
-        )
+        raw = [(j, Rat(solved[j][d], unit[d])) for j in range(level, top + 1)]
+        raw = [(j, v) for j, v in raw if v or j == level]
+        entries.append(InvariantEntry(degree=d, raw=tuple(raw), value=raw[0][1]))
     return InvariantTable(spec=spec, excess=s, bound=bound, entries=tuple(entries))
 
 

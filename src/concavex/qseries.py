@@ -4,9 +4,10 @@ A degree is a tuple of m non-negative integers, one per projective factor.
 The series variable q_i stands for exp(t_i); only coefficients with total
 degree |d| <= D are ever stored.  A block series is a plain dict
 {degree: LaurentBlock}, the same dicts the mirror solve extends; a degree
-missing from it was never formed.  A scalar variant with plain Fraction
-coefficients serves the generating function bookkeeping where no
-cohomology is involved.
+missing from it was never formed.  A scalar series, the bookkeeping where
+no cohomology is involved, is held as the int numerators s_d of a truncated
+exponential generating function, S_d = s_d / (delta^|d| |d|!) with delta a
+common denominator: products are binomial convolutions, exp needs no division.
 
 Both exponentials, block and scalar, come from one recurrence, one degree
 at a time: the Euler operator sum_i q_i d/dq_i turns exp(L)' = L' exp(L)
@@ -16,6 +17,9 @@ extends its series with the same per-degree step, `_exp_coefficient`.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import defaultdict
+from operator import add
 
 from .cohomology import Rat
 from .laurent import LaurentBlock, _mul_sum, _tzero, block_one
@@ -30,8 +34,9 @@ __all__ = [
     "series_mul",
     "series_exp",
     "series_inverse",
-    "scalar_mul",
-    "scalar_exp",
+    "egf_numerators",
+    "egf_mul",
+    "egf_exp",
 ]
 
 
@@ -109,32 +114,53 @@ def series_inverse(dims: tuple[int, ...], s: Series, bound: int) -> Series:
     return out
 
 
-# -- scalar series helpers (plain Fraction coefficients) -------------------
+# -- scalar series: integer numerators of a truncated EGF -----------------
 
 
-def scalar_mul(a: dict[Degree, Rat], b: dict[Degree, Rat], bound: int) -> dict[Degree, Rat]:
-    out: dict[Degree, Rat] = {}
-    for d1, c1 in a.items():
-        for d2, c2 in b.items():
-            d = tuple(u + v for u, v in zip(d1, d2))
-            if sum(d) > bound:
-                continue
-            out[d] = out.get(d, Rat(0)) + c1 * c2
-    return {d: c for d, c in out.items() if c}
+def egf_numerators(
+    series: tuple[dict[Degree, Rat], ...], bound: int
+) -> tuple[list[dict[Degree, int]], list[int]]:
+    """The EGF numerators of series with no constant term, and scale[n] = delta^n n!.
+
+    delta is the lcm of their denominators at |d| <= bound; degrees past
+    the bound are dropped and their denominators do not count.
+    """
+    if any(c for s in series for d, c in s.items() if not any(d)):
+        raise ValueError("EGF numerators need series with zero constant term")
+    kept = [{d: c for d, c in s.items() if c and sum(d) <= bound} for s in series]
+    delta = math.lcm(*(c.denominator for s in kept for c in s.values()))
+    scale = list(itertools.accumulate(range(1, bound + 1), lambda x, n: x * delta * n, initial=1))
+    egf = [{d: c.numerator * (scale[sum(d)] // c.denominator) for d, c in s.items()} for s in kept]
+    return egf, scale
 
 
-def scalar_exp(s: dict[Degree, Rat], m: int, bound: int) -> dict[Degree, Rat]:
-    """exp of a scalar series with no constant term, by the recurrence of `series_exp`."""
+def egf_mul(a: dict[Degree, int], b: dict[Degree, int], cut: int) -> dict[Degree, int]:
+    """Product of two EGF series over one delta, every degree with |d| <= cut."""
+    by_total = sorted((sum(d), d, v) for d, v in b.items())
+    out: defaultdict[Degree, int] = defaultdict(int)
+    for d1, x in a.items():
+        n1 = sum(d1)
+        for n2, d2, y in by_total:
+            if n1 + n2 > cut:
+                break
+            out[tuple(map(add, d1, d2))] += math.comb(n1 + n2, n1) * x * y
+    return {d: v for d, v in out.items() if v}
+
+
+def egf_exp(s: dict[Degree, int], m: int, bound: int) -> dict[Degree, int]:
+    """exp of an EGF series with no constant term, each e_d pushed on to every d + d' <= bound."""
     z = (0,) * m
     if s.get(z):
         raise ValueError("exp needs zero constant term")
-    out: dict[Degree, Rat] = {z: Rat(1)}
-    for d in degrees_upto(m, bound)[1:]:
-        acc = sum(
-            sum(dp) * c * out[diff]
-            for dp, c in s.items()
-            if (diff := _sub(d, dp)) is not None and diff in out
-        )
-        if acc:
-            out[d] = acc / sum(d)
+    by_total = sorted((sum(d), d, v) for d, v in s.items() if any(d))
+    acc: defaultdict[Degree, int] = defaultdict(int, {z: 1})
+    out: dict[Degree, int] = {}
+    for d in degrees_upto(m, bound):
+        if e := acc.pop(d, 0):
+            out[d] = e
+            n = sum(d)
+            for k, dp, v in by_total:
+                if n + k > bound:
+                    break
+                acc[tuple(map(add, d, dp))] += math.comb(n + k - 1, k - 1) * v * e
     return out

@@ -92,7 +92,7 @@ def test_chern_ratio_local_p2_expansion():
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name or "two-factor")
 def test_degree_zero_blocks(spec):
     z = (0,) * spec.m
-    assert hyper_block(spec, z, {}) == chern_ratio(spec)
+    assert hyper_block(spec, z, {}, chern_ratio(spec)) == chern_ratio(spec)
     assert reduced_block(spec, z, {}) == block_one(spec.factors)
 
 
@@ -123,7 +123,7 @@ def test_each_block_is_built_once(monkeypatch, spec):
     box = list(itertools.product(range(4), repeat=spec.m))
     for d in box:
         reduced_block(spec, d, table)
-        hyper_block(spec, d, table)
+        hyper_block(spec, d, table, chern_ratio(spec))
     # every nonzero degree of the box is made by exactly one step
     assert sorted(built) == [d for d in sorted(box) if any(d)]
     assert sorted(table) == sorted(box)
@@ -164,7 +164,8 @@ def test_reduced_times_ratio_is_hyper(spec):
             for k in range(0, -pairing(b, d)):
                 want_red = want_red * _shifted(spec, b, k)
         assert _euler_factor(dims, d) * red == want_red
-        cleared_hyper = _euler_factor(dims, d) * hyper_block(spec, d, table)
+        hyper = hyper_block(spec, d, table, chern_ratio(spec))
+        cleared_hyper = _euler_factor(dims, d) * hyper
         for b in spec.concave():
             cleared_hyper = cleared_hyper * _shifted(spec, b, 0)
         assert cleared_hyper == convex_x * want_red
@@ -178,7 +179,7 @@ def test_alpha_support_bounds(spec):
             continue
         # a concave summand pairing to 0 with d contributes (x + c1)^-1, at alpha^0
         rk_concave = sum(1 for b in spec.concave() if pairing(b, d))
-        lo, hi = hyper_block(spec, d, table).alpha_support()
+        lo, hi = hyper_block(spec, d, table, chern_ratio(spec)).alpha_support()
         assert hi == -rk_concave
         assert lo >= -sum(di * (n + 1) for di, n in zip(d, spec.factors)) - spec.dim
 
@@ -187,7 +188,7 @@ def test_pair_block_is_inverse_square():
     h = hyperplane((1,), 0)
     for d in (1, 2, 3):
         want = invert_linear_factor(h, d) ** 2
-        assert hyper_block(PAIR, (d,), {}).substitute_x(0) == want
+        assert hyper_block(PAIR, (d,), {}, chern_ratio(PAIR)).substitute_x(0) == want
 
 
 def test_quintic_degree_one_block_against_dict_convolution():
@@ -212,7 +213,7 @@ def test_quintic_degree_one_block_against_dict_convolution():
     for _ in range(5):
         expect = mul(expect, inv)
 
-    block = hyper_block(QUINTIC, (1,), {}).substitute_x(0)
+    block = hyper_block(QUINTIC, (1,), {}, chern_ratio(QUINTIC)).substitute_x(0)
     got = {}
     for (a, j, _t), c in block.terms.items():
         assert j == 0

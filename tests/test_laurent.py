@@ -62,7 +62,7 @@ def test_kahler_factor_on_the_line():
     eht = kahler_factor(P1)
     assert eht.coefficient((0, 0, (0,))) == one(P1)
     assert eht.coefficient((-1, 0, (1,))) == hyperplane(P1, 0).scale(-1)
-    assert max(sum(t) for _, _, t in eht.integrate_fibrewise().scalars()) == 1
+    assert max(sum(t) for _, _, t in eht.integrate_fibrewise().numerators()[0]) == 1
 
 
 def test_kahler_factor_two_factors_cross_term():
@@ -241,7 +241,7 @@ def test_codes_unpack_and_add_like_keys(case):
     assert blk.x_support() == (min(k1[1], k2[1]), max(k1[1], k2[1]))
     # the fibre integral reads every key back, t exponents included
     top = LaurentBlock(dims, {k1: monomial(dims, dims), k2: monomial(dims, dims, 2)})
-    assert set(top.integrate_fibrewise().scalars()) == {k1, k2}
+    assert set(top.integrate_fibrewise().numerators()[0]) == {k1, k2}
     for key in (k1, k2):
         want = {k: c for k, c in blk.terms.items() if k[0] == key[0]}
         assert blk.alpha_stratum(key[0]).terms == want
@@ -274,18 +274,22 @@ def test_a_field_past_its_width_raises_instead_of_wrapping():
 
 @settings(max_examples=50, deadline=None)
 @given(_pair_lists())
-def test_scalars_read_the_stored_ints_without_the_view(case):
+def test_numerators_read_the_stored_ints_without_the_view(case):
     dims, pairs = case
     blocks = [_mul_integrate(a, b) for a, b in pairs] + [
         blk.integrate_fibrewise() for pair in pairs for blk in pair
     ]
-    got = [blk.scalars() for blk in blocks]
+    got = [blk.numerators() for blk in blocks]
     assert [blk for blk in blocks if blk._view is not None] == []
-    assert got == [{key: c.coeffs[0] for key, c in blk.terms.items()} for blk in blocks]
+    # one positive denominator in lowest terms with every numerator
+    assert all(den > 0 and math.gcd(den, *nums.values()) == 1 for nums, den in got)
+    assert [{key: Rat(v, den) for key, v in nums.items()} for nums, den in got] == [
+        {key: c.coeffs[0] for key, c in blk.terms.items()} for blk in blocks
+    ]
     for a, _ in pairs:
         if dims != ():
             with pytest.raises(ValueError):
-                a.scalars()
+                a.numerators()
 
 
 # -- the stored integer form against a Fraction reference on the view ------
@@ -368,7 +372,7 @@ def test_blocks_keep_the_shape_the_tracer_reads(spec):
     blocks = [
         chern_ratio(spec),
         reduced_block(spec, d, table),
-        hyper_block(spec, d, table),
+        hyper_block(spec, d, table, chern_ratio(spec)),
         kahler_factor(dims),
         kahler_factor(dims) * chern_ratio(spec),
         _mul_sum(dims, [(reduced_block(spec, d, table), chern_ratio(spec))] * 2),

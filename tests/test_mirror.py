@@ -30,7 +30,8 @@ from concavex.mirror import (
     two_pointed,
     verify_all,
 )
-from concavex.qseries import degrees_upto, scalar_exp, scalar_mul
+from concavex.qseries import degrees_upto
+from fraction_series import fraction_exp, fraction_mul
 
 QUINTIC = parse_spec("name quintic\nspace 4\nbundle convex 5\n")
 PAIR = parse_spec("name pair\nspace 1\nbundle concave 1\nbundle concave 1\n")
@@ -234,7 +235,7 @@ def test_integrand_equals_the_series_rebuilt_from_full_blocks(spec):
     js = integrand_series(spec, mm, bound)
     degrees = [d for d in degrees_upto(spec.m, bound) if any(d)]
     table = {}
-    blocks = {dp: hyper_block(spec, dp, table) for dp in degrees}
+    blocks = {dp: hyper_block(spec, dp, table, omega) for dp in degrees}
     assert set(js) == set(degrees)
     for d in degrees:
         want = (u[d] - g[d]) * omega
@@ -306,7 +307,7 @@ def test_blocks_and_transform_series_are_built_once(monkeypatch):
     kernel_in = Counter()  # kernel calls made inside each counted function
     for name in (
         "reduced_block", "hyper_block", "series_exp", "series_inverse",
-        "_transform_series", "_residual", "integrand_series", "scalar_exp",
+        "_transform_series", "_residual", "integrand_series", "egf_exp",
         "series_mul",
     ):
         def counted(*args, _real=getattr(mirror, name), _name=name, **kwargs):
@@ -331,12 +332,12 @@ def test_blocks_and_transform_series_are_built_once(monkeypatch):
     # and so is each degree's U_d and G_d
     assert kernel[0] - kernel_in["reduced_block"] == 3 * 9
     # N = exp(log N), once, after the pass
-    assert calls["scalar_exp"] == 1
+    assert calls["egf_exp"] == 1
     extract_invariants(TWO_FACTOR, mm, bound)
     # extraction integrates kahler * X_d without building J_d or (U, G)
     assert calls["_transform_series"] == calls["integrand_series"] == 0
     # one exp(g_i) per axis; exp(<d', g>) comes from a product per degree
-    assert calls["scalar_exp"] == 1 + TWO_FACTOR.m == 3
+    assert calls["egf_exp"] == 1 + TWO_FACTOR.m == 3
     assert calls["hyper_block"] == 0
     # the Euler route's reference (U, G): one product exp(F) * N^-1 of two
     # series full to the bound, one kernel call per output degree
@@ -397,8 +398,8 @@ def test_reuse_needs_a_map_of_the_same_spec():
 
 @pytest.mark.parametrize("spec,bound", [(BICUBIC, 3), (QUINTIC, 4)], ids=["bicubic", "quintic"])
 def test_solve_and_extraction_keep_blocks_on_integers(monkeypatch, spec, bound):
-    """No R_d, residual or X_d block builds its Fraction view on the way."""
-    returned = {"reduced_block": [], "_integrand_factors": []}
+    """No R_d, residual, X_d or integrated block builds its Fraction view on the way."""
+    returned = {"reduced_block": [], "_integrand_factors": [], "_mul_integrate": []}
     for name, out in returned.items():
         def kept(*args, _real=getattr(mirror, name), _out=out, **kwargs):
             _out.append(_real(*args, **kwargs))
@@ -410,8 +411,17 @@ def test_solve_and_extraction_keep_blocks_on_integers(monkeypatch, spec, bound):
     nonzero = len(degrees_upto(spec.m, bound)) - 1
     (xs,) = returned["_integrand_factors"]
     blocks = returned["reduced_block"] + list(mm.residuals.values()) + list(xs.values())
-    assert len(blocks) == 3 * nonzero + 1
+    blocks += returned["_mul_integrate"]
+    assert len(blocks) == 4 * nonzero + 1
     assert [blk for blk in blocks if blk._view is not None] == []
+
+
+def test_extraction_below_the_solved_bound_reads_no_shift_past_it():
+    """Shifts past the extraction bound carry denominators it must not use."""
+    wide, narrow = solve_mirror_map(BICUBIC, 5), solve_mirror_map(BICUBIC, 3)
+    past = {c.denominator for g in wide.shifts for d, c in g.items() if sum(d) > 3}
+    assert past - {c.denominator for g in narrow.shifts for c in g.values()}
+    assert extract_invariants(BICUBIC, wide, 3) == extract_invariants(BICUBIC, narrow, 3)
 
 
 def test_check_after_solving_catches_a_wrong_shift(monkeypatch):
@@ -478,8 +488,8 @@ def _reference_entries(spec, mm, bound, euler):
         for i in range(m):
             for dd, c in mm.shifts[i].items():
                 pairing[dd] = pairing.get(dd, Rat(0)) + dp[i] * c
-        expg[dp] = scalar_exp(pairing, m, bound)
-        gexp[dp] = [scalar_mul(mm.shifts[i], expg[dp], bound) for i in range(m)]
+        expg[dp] = fraction_exp(pairing, m, bound)
+        gexp[dp] = [fraction_mul(mm.shifts[i], expg[dp], bound) for i in range(m)]
     solved = {}
     for j in range(level, top + 1):
         kj = {}

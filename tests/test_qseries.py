@@ -10,11 +10,14 @@ from concavex.cohomology import monomial
 from concavex.laurent import alpha_power, block_one, block_scalar, from_class
 from concavex.qseries import (
     degrees_upto,
-    scalar_exp,
+    egf_exp,
+    egf_mul,
+    egf_numerators,
     series_exp,
     series_inverse,
     series_mul,
 )
+from fraction_series import fraction_exp, fraction_mul
 
 DIMS = (1,)
 
@@ -109,7 +112,7 @@ def scalar_series():
 def test_scalar_exp_matches_block_exp(coeffs):
     bound = 4
     be = series_exp(DIMS, _series({d: c for d, c in coeffs.items() if c}), bound)
-    se = scalar_exp({d: Rat(c) for d, c in coeffs.items() if c}, 1, bound)
+    se = fraction_exp({d: Rat(c) for d, c in coeffs.items() if c}, 1, bound)
     for d in degrees_upto(1, bound):
         assert be[d] == block_scalar(DIMS, se.get(d, Rat(0)))
 
@@ -144,3 +147,37 @@ def test_series_exp_matches_the_power_chain(shape, numerators, den):
             blk = blk * from_class(monomial(dims, h))
         s[d] = blk
     assert _nonzero(series_exp(dims, s, bound)) == _nonzero(_power_chain_exp(dims, s, bound))
+
+
+def _egf_values(s, scale):
+    """The Fraction coefficients s_d / scale[|d|] of EGF numerators."""
+    return {d: Rat(v, scale[sum(d)]) for d, v in s.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_egf_product_and_exp_match_the_fraction_reference(m, data):
+    bound = 4 if m < 3 else 3
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    degrees = st.sampled_from(degrees_upto(m, bound)[1:])
+    a = data.draw(st.dictionaries(degrees, coeff, max_size=6))
+    b = data.draw(st.dictionaries(degrees, coeff, max_size=6))
+    past = (bound + 1,) + (0,) * (m - 1)  # past the bound: its 1/11 must not count
+    (ea, eb), scale = egf_numerators((a | {past: Rat(1, 11)}, b), bound)
+    delta = math.lcm(*(c.denominator for s in (a, b) for c in s.values() if c))
+    assert scale == [delta**n * math.factorial(n) for n in range(bound + 1)]
+    assert _egf_values(ea, scale) == {d: c for d, c in a.items() if c}
+    # an integer constant term enters as itself, as 2 does in the matching series
+    const = data.draw(st.integers(-3, 3))
+    eb[(0,) * m] = const
+    b[(0,) * m] = Rat(const)
+    cut = data.draw(st.integers(0, bound))
+    assert _egf_values(egf_mul(ea, eb, cut), scale) == fraction_mul(a, b, cut)
+    assert _egf_values(egf_exp(ea, m, bound), scale) == fraction_exp(a, m, bound)
+
+
+def test_egf_numerators_and_exp_need_no_constant_term():
+    with pytest.raises(ValueError):
+        egf_numerators(({(0,): Rat(1, 2)},), 2)
+    with pytest.raises(ValueError):
+        egf_exp({(0, 0): 1}, 2, 2)
