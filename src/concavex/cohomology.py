@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -65,9 +66,7 @@ class CohClass:
     coeffs: tuple[Rat, ...]
 
     def __post_init__(self) -> None:
-        expected = 1
-        for n in self.dims:
-            expected *= n + 1
+        expected = math.prod(n + 1 for n in self.dims)
         if len(self.coeffs) != expected:
             raise ValueError(
                 f"coefficient tuple has length {len(self.coeffs)}, expected {expected}"
@@ -121,13 +120,11 @@ class CohClass:
         self._check(other)
         table = _slot_pairs(self.dims)
         acc = [Rat(0)] * len(self.coeffs)
-        mine = [(i, c) for i, c in enumerate(self.coeffs) if c]
-        for j, d in enumerate(other.coeffs):
-            if d:
-                for i, c in mine:
-                    k = table[i][j]
-                    if k >= 0:
-                        acc[k] += c * d
+        for i, c in enumerate(self.coeffs):
+            for j, d in enumerate(other.coeffs):
+                k = table[i][j]
+                if k >= 0:
+                    acc[k] += c * d
         return CohClass(self.dims, tuple(acc))
 
     def __pow__(self, k: int) -> "CohClass":
@@ -155,16 +152,11 @@ class CohClass:
 
 
 def zero(dims: tuple[int, ...]) -> CohClass:
-    size = 1
-    for n in dims:
-        size *= n + 1
-    return CohClass(dims, tuple([Rat(0)] * size))
+    return CohClass(dims, (Rat(0),) * math.prod(n + 1 for n in dims))
 
 
 def scalar(dims: tuple[int, ...], c: Rat | int) -> CohClass:
-    z = list(zero(dims).coeffs)
-    z[0] = Rat(c)
-    return CohClass(dims, tuple(z))
+    return monomial(dims, (0,) * len(dims), c)
 
 
 def one(dims: tuple[int, ...]) -> CohClass:

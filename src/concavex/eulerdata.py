@@ -15,30 +15,32 @@ from the one below it, into a table {degree: block} that the caller owns:
 the solve keeps its table on the MirrorMap.  Nothing is kept here.
 
 Everything is exact; denominators only ever involve nilpotent classes
-plus a nonzero multiple of alpha or x, so inverses are finite sums.
+plus a nonzero multiple of alpha or x, so inverses are finite sums.  Each
+factor is encoded in closed form from int and rational monomials.
 """
 
 from __future__ import annotations
 
-from .cohomology import CohClass, hyperplane, one, scalar
-from .geometry import GeometrySpec, first_chern, pairing
-from .laurent import (
-    LaurentBlock,
-    _invert_x_factor,
-    block_one,
-    invert_linear_factor,
-)
+import math
+
+from .cohomology import Rat
+from .geometry import GeometrySpec, pairing
+from .laurent import LaurentBlock, _invert_x_factor, _monomials, _tzero, block_one
 from .qseries import Degree, Series
 
 
-def _affine_block(c: CohClass, alpha_coeff: int) -> LaurentBlock:
-    """x + c + alpha_coeff * alpha as a Laurent block."""
-    t0 = (0,) * len(c.dims)
-    return LaurentBlock(c.dims, {
-        (0, 1, t0): one(c.dims),
-        (0, 0, t0): c,
-        (1, 0, t0): scalar(c.dims, alpha_coeff),
-    })
+def _power(m: int, i: int, e: int) -> tuple[int, ...]:
+    """The exponents of H_i^e among m factors."""
+    return tuple(e if k == i else 0 for k in range(m))
+
+
+def _affine_block(dims: tuple[int, ...], c: tuple[int, ...], alpha_coeff: int) -> LaurentBlock:
+    """x + sum_i c_i H_i + alpha_coeff * alpha as a Laurent block."""
+    t0 = _tzero(len(dims))
+    terms = {(0, 0, t0, _power(len(dims), i, 1)): ci for i, ci in enumerate(c)}
+    terms[(0, 1, t0, t0)] = 1
+    terms[(1, 0, t0, t0)] = alpha_coeff
+    return _monomials(dims, terms)
 
 
 def chern_ratio(spec: GeometrySpec) -> LaurentBlock:
@@ -50,15 +52,24 @@ def chern_ratio(spec: GeometrySpec) -> LaurentBlock:
     """
     out = block_one(spec.factors)
     for b in spec.convex():
-        out = out * _affine_block(first_chern(spec, b), 0)
+        out = out * _affine_block(spec.factors, b.multidegree, 0)
     for b in spec.concave():
-        out = out * _invert_x_factor(first_chern(spec, b))
+        out = out * _invert_x_factor(spec.factors, b.multidegree)
     return out
 
 
 def _euler_inverse(dims: tuple[int, ...], i: int, k: int) -> LaurentBlock:
-    """(H_i - k*alpha)^{-(n_i+1)}, one factor of the inverted Euler class."""
-    return invert_linear_factor(hyperplane(dims, i), k) ** (dims[i] + 1)
+    """(H_i - k*alpha)^{-(n+1)}, n = n_i, one factor of the inverted Euler class, k != 0.
+
+    The binomial series, cut by H_i^{n+1} = 0: the sum over j <= n of
+    C(n + j, j) (-1)^{n+1} k^{-(n+1+j)} alpha^{-(n+1+j)} H_i^j.
+    """
+    n, m = dims[i], len(dims)
+    return _monomials(dims, {
+        (-(n + 1 + j), 0, _tzero(m), _power(m, i, j)):
+            Rat((-1) ** (n + 1) * math.comb(n + j, j), k ** (n + 1 + j))
+        for j in range(n + 1)
+    })
 
 
 def _raise_degree(spec: GeometrySpec, r: LaurentBlock, e: Degree, i: int) -> LaurentBlock:
@@ -70,13 +81,11 @@ def _raise_degree(spec: GeometrySpec, r: LaurentBlock, e: Degree, i: int) -> Lau
     d = e[:i] + (e[i] + 1,) + e[i + 1:]
     out = r * _euler_inverse(spec.factors, i, d[i])
     for b in spec.convex():
-        c = first_chern(spec, b)
         for k in range(pairing(b, e) + 1, pairing(b, d) + 1):
-            out = out * _affine_block(c, -k)
+            out = out * _affine_block(spec.factors, b.multidegree, -k)
     for b in spec.concave():
-        c = first_chern(spec, b)
         for k in range(-pairing(b, e), -pairing(b, d)):
-            out = out * _affine_block(c, k)
+            out = out * _affine_block(spec.factors, b.multidegree, k)
     return out
 
 

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import CohClass, Rat, linear
-
 __all__ = [
     "LineBundleSpec",
     "GeometrySpec",
@@ -27,7 +25,6 @@ __all__ = [
     "serialize_spec",
     "validate",
     "pairing",
-    "first_chern",
 ]
 
 
@@ -188,7 +185,3 @@ def pairing(bundle: LineBundleSpec, d: tuple[int, ...]) -> int:
     if len(bundle.multidegree) != len(d):
         raise ValueError("degree arity mismatch")
     return sum(a * b for a, b in zip(bundle.multidegree, d))
-
-
-def first_chern(spec: GeometrySpec, bundle: LineBundleSpec) -> CohClass:
-    return linear(spec.factors, [Rat(a) for a in bundle.multidegree])

@@ -11,9 +11,13 @@ the underlying product of projective spaces, so denominators of the form
 A block stores integers only: one flat dict ``{code: numerator}``, zero
 numerators dropped, over one positive denominator for the whole block, kept
 in lowest terms (gcd of it and every numerator is 1), so the form is
-canonical and equality compares dicts.  Blocks are immutable.  The ``terms``
-view, the same map with dense ``CohClass`` coefficients of ``Fraction``
-entries, is built on first read and cached.
+canonical and equality compares dicts.  Blocks are immutable.  One encoder,
+``_monomials``, makes every block from int or ``Fraction`` values of the
+monomials alpha^a x^j t^tau H^h: the closed forms below are such maps, and
+the constructor from ``{key: CohClass}`` is a thin adapter onto it.  The
+``terms`` view, the same map with dense ``CohClass`` coefficients of
+``Fraction`` entries, is built on first read and cached; ``entry`` reads
+one coefficient from the stored ints.
 
 A code packs a key and a slot of the ring's flat exponent box into one int.
 The fields a, j, t_1 .. t_m are 32 bits wide each and signed, a the most
@@ -35,8 +39,8 @@ Every product, and every sum of products, goes through one kernel,
 one denominator for the whole sum and skips slot pairs past the box edge
 through the ring's cached table.  A product that is integrated over the
 fibre at once goes through ``_mul_integrate`` instead, which computes only
-the top slot.  Sums, differences, rescalings and x substitutions share one
-linear-combination step, ``_lincomb``.
+the top slot.  Sums, differences and rescalings share one linear-combination
+step, ``_lincomb``.
 """
 from __future__ import annotations
 
@@ -46,9 +50,10 @@ import math
 from collections import defaultdict
 from types import MappingProxyType
 
-from .cohomology import CohClass, Rat, _slot_pairs, monomial, one, scalar, zero
+from .cohomology import CohClass, Rat, _flat_index, _slot_pairs, one, zero
 
 Key = tuple[int, int, tuple[int, ...]]
+Monomial = tuple[int, int, tuple[int, ...], tuple[int, ...]]  # (a, j, tau, h): alpha^a x^j t^tau H^h
 
 __all__ = [
     "Key",
@@ -58,7 +63,6 @@ __all__ = [
     "from_class",
     "variable_x",
     "alpha_power",
-    "invert_linear_factor",
     "kahler_factor",
 ]
 
@@ -106,33 +110,18 @@ class LaurentBlock:
 
     ``dims`` fixes the cohomology ring and, unless the keys say otherwise,
     the number of t slots.  ``LaurentBlock(dims, terms)`` converts a map of
-    keys to classes once; zero classes are dropped.  ``terms`` reads the
-    block back as that map.
+    keys to classes once, through the encoder ``_monomials``; zero classes
+    are dropped.  ``terms`` reads the block back as that map.
     """
 
     __slots__ = ("dims", "_arity", "_codes", "_den", "_reach", "_view")
 
     def __init__(self, dims: tuple[int, ...], terms: dict[Key, CohClass] | None = None) -> None:
-        # the lcm of the denominators is already in lowest terms
-        nonzero = [(key, c) for key, c in (terms or {}).items() if not c.is_zero()]
-        den = math.lcm(*{r.denominator for _, c in nonzero for r in c.coeffs})
-        arity = {len(key[2]) for key, _ in nonzero} or {len(dims)}
-        if len(arity) > 1:
-            raise ValueError(f"keys with {sorted(arity)} t exponents in one block")
-        size = len(_slot_pairs(dims))
-        codes, reach = {}, 0
-        for (a, j, tau), c in nonzero:
-            f = _pack((a, j, tau)) * size
-            reach = max(reach, abs(a), abs(j), *map(abs, tau))
-            for i, r in enumerate(c.coeffs):
-                if r:
-                    codes[f + i] = r.numerator * (den // r.denominator)
-        self.dims = dims
-        (self._arity,) = arity
-        self._codes: dict[int, int] = codes
-        self._den = den
-        self._reach = reach
-        self._view = None
+        if any(c.dims != dims for c in (terms or {}).values()):
+            raise ValueError(f"classes of another ring in a block over {dims}")
+        blk = _monomials(dims, {(*key, h): r for key, c in (terms or {}).items() for h, r in c.terms()})
+        for name in LaurentBlock.__slots__:
+            setattr(self, name, getattr(blk, name))
 
     @property
     def terms(self) -> MappingProxyType[Key, CohClass]:
@@ -166,6 +155,13 @@ class LaurentBlock:
     def coefficient(self, key: Key) -> CohClass:
         return self.terms.get(key, zero(self.dims))
 
+    def entry(self, key: Key, h: tuple[int, ...]) -> Rat:
+        """The coefficient of H^h at key, coefficient(key).coefficient(h), without the view."""
+        if len(key[2]) != self._arity or any(e < 0 or e > n for e, n in zip(h, self.dims)):
+            return Rat(0)
+        code = _pack(key) * len(_slot_pairs(self.dims)) + _flat_index(self.dims, h)
+        return Rat(self._codes.get(code, 0), self._den)
+
     def _field(self, k: int) -> list[int]:
         """Field k (0 alpha, 1 x, 1 + i the t_i exponent) of every stored code."""
         size, bias = len(_slot_pairs(self.dims)), _bias(self._arity)
@@ -181,17 +177,10 @@ class LaurentBlock:
         exps = self._field(1)
         return (min(exps), max(exps)) if exps else None
 
-    def _stratum(self, k: int, e: int) -> "LaurentBlock":
-        """The sub-block of terms whose field k is e."""
-        codes = {c: v for (c, v), f in zip(self._codes.items(), self._field(k)) if f == e}
-        return _block(self.dims, self._arity, codes, self._den, self._reach)
-
-    def alpha_stratum(self, a: int) -> "LaurentBlock":
-        """The sub-block of terms with alpha exponent exactly a."""
-        return self._stratum(0, a)
-
     def x_stratum(self, j: int) -> "LaurentBlock":
-        return self._stratum(1, j)
+        """The sub-block of terms with x exponent exactly j."""
+        codes = {c: v for (c, v), e in zip(self._codes.items(), self._field(1)) if e == j}
+        return _block(self.dims, self._arity, codes, self._den, self._reach)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -210,42 +199,12 @@ class LaurentBlock:
     def __mul__(self, other: "LaurentBlock") -> "LaurentBlock":
         return _mul_sum(self.dims, [(self, other)])
 
-    def __pow__(self, k: int) -> "LaurentBlock":
-        if k < 0:
-            raise ValueError("negative power of a Laurent block")
-        out = block_one(self.dims)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentBlock):
             return NotImplemented
         return (self.dims, self._den, self._codes) == (other.dims, other._den, other._codes) and (
             self._arity == other._arity or not self._codes
         )
-
-    # -- specializations ---------------------------------------------------
-
-    def substitute_x(self, value: Rat | int) -> "LaurentBlock":
-        """Evaluate the Chern variable at a rational value.
-
-        Requires a polynomial block (no negative x exponents).  Each term
-        moves to x exponent 0, times value**(its x exponent).
-        """
-        lo = self.x_support()
-        if lo is not None and lo[0] < 0:
-            raise ValueError("cannot substitute into a block with x poles")
-        value = Rat(value)
-        unit = len(_slot_pairs(self.dims)) << (_WIDTH * self._arity)
-        groups: dict[int, dict[int, int]] = {}
-        for (c, v), j in zip(self._codes.items(), self._field(1)):
-            groups.setdefault(j, {})[c - j * unit] = v
-        return _lincomb([self], [(value**j, codes, self._den) for j, codes in groups.items()])
 
     def integrate_fibrewise(self) -> "LaurentBlock":
         """Integrate every coefficient over the product of projective spaces.
@@ -286,6 +245,28 @@ def _common_arity(dims: tuple[int, ...], blocks: list[LaurentBlock]) -> int:
     if len(arity) > 1:
         raise ValueError(f"t arity mismatch: {sorted(arity)}")
     return arity.pop() if arity else len(dims)
+
+
+def _monomials(dims: tuple[int, ...], terms: dict[Monomial, Rat | int]) -> LaurentBlock:
+    """The block sum of r alpha^a x^j t^tau H^h over {(a, j, tau, h): r}, zero values dropped.
+
+    Every key must carry the same number of t exponents, and an exponent
+    that does not fit its field raises ValueError.
+    """
+    nonzero = [(key, r) for key, r in terms.items() if r]
+    # the lcm of the denominators is already in lowest terms
+    den = math.lcm(*{r.denominator for _, r in nonzero})
+    arity = {len(key[2]) for key, _ in nonzero} or {len(dims)}
+    if len(arity) > 1:
+        raise ValueError(f"keys with {sorted(arity)} t exponents in one block")
+    size = len(_slot_pairs(dims))
+    codes, reach = {}, 0
+    for (a, j, tau, h), r in nonzero:
+        reach = max(reach, abs(a), abs(j), *map(abs, tau))
+        code = _pack((a, j, tau)) * size + _flat_index(dims, h)
+        codes[code] = r.numerator * (den // r.denominator)
+    (m,) = arity
+    return _block(dims, m, codes, den, reach)
 
 
 def _block(dims: tuple[int, ...], m: int, codes: dict[int, int], den: int, reach: int) -> LaurentBlock:
@@ -383,11 +364,12 @@ def _mul_integrate(a: LaurentBlock, b: LaurentBlock) -> LaurentBlock:
 
 
 def block_one(dims: tuple[int, ...]) -> LaurentBlock:
-    return from_class(one(dims))
+    return block_scalar(dims, 1)
 
 
 def block_scalar(dims: tuple[int, ...], r: Rat | int) -> LaurentBlock:
-    return from_class(scalar(dims, r))
+    t0 = _tzero(len(dims))
+    return _monomials(dims, {(0, 0, t0, t0): r})
 
 
 def from_class(c: CohClass) -> LaurentBlock:
@@ -402,39 +384,19 @@ def alpha_power(dims: tuple[int, ...], power: int) -> LaurentBlock:
     return LaurentBlock(dims, {(power, 0, _tzero(len(dims))): one(dims)})
 
 
-def _geometric_inverse(c: CohClass, r: Rat | int, v: tuple[int, int]) -> LaurentBlock:
-    """Exact inverse of (c + r*v) for nilpotent c and r != 0.
+def _invert_x_factor(dims: tuple[int, ...], c: tuple[int, ...]) -> LaurentBlock:
+    """Exact inverse of x + sum_i c_i H_i: the geometric series in x^{-1}, cut by nilpotency.
 
-    v is the monomial alpha^v[0] x^v[1].  Expands the finite geometric
-    series sum_j (-c)^j (r*v)^{-1-j}, which terminates because c has no
-    scalar part.
+    By the multinomial theorem it is the sum over h in the box of
+    (-1)^{|h|} (|h|! / h!) c^h H^h x^{-1-|h|}.
     """
-    if c.coeffs[0] != 0:
-        raise ValueError("class must be nilpotent (zero scalar part)")
-    dims = c.dims
     t0 = _tzero(len(dims))
     terms = {}
-    power = one(dims)
-    weight = 1 / Rat(r)
-    for j in range(sum(dims) + 1):
-        terms[((-1 - j) * v[0], (-1 - j) * v[1], t0)] = power.scale(weight)
-        power = power * c
-        if power.is_zero():
-            break
-        weight /= -r
-    return LaurentBlock(dims, terms)
-
-
-def invert_linear_factor(c: CohClass, k: int) -> LaurentBlock:
-    """Exact inverse of (c - k*alpha) for nilpotent c and k != 0."""
-    if k == 0:
-        raise ZeroDivisionError("linear factor with k = 0 is not invertible here")
-    return _geometric_inverse(c, -k, (1, 0))
-
-
-def _invert_x_factor(c: CohClass) -> LaurentBlock:
-    """Exact inverse of (x + c) for nilpotent c."""
-    return _geometric_inverse(c, 1, (0, 1))
+    for h in itertools.product(*(range(n + 1) for n in dims)):
+        k = sum(h)
+        multinomial = math.factorial(k) // math.prod(map(math.factorial, h))
+        terms[(0, -1 - k, t0, h)] = (-1) ** k * multinomial * math.prod(map(pow, c, h))
+    return _monomials(dims, terms)
 
 
 def kahler_factor(dims: tuple[int, ...]) -> LaurentBlock:
@@ -443,9 +405,7 @@ def kahler_factor(dims: tuple[int, ...]) -> LaurentBlock:
     The closed form is sum over multi-exponents beta of
     (-1)^{|beta|} / beta! * H^beta * t^beta * alpha^{-|beta|}.
     """
-    terms = {}
-    for beta in itertools.product(*(range(n + 1) for n in dims)):
-        total = sum(beta)
-        denom = math.prod(math.factorial(e) for e in beta)
-        terms[(-total, 0, beta)] = monomial(dims, beta, Rat((-1) ** total, denom))
-    return LaurentBlock(dims, terms)
+    return _monomials(dims, {
+        (-sum(beta), 0, beta, beta): Rat((-1) ** sum(beta), math.prod(map(math.factorial, beta)))
+        for beta in itertools.product(*(range(n + 1) for n in dims))
+    })

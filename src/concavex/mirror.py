@@ -52,12 +52,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .cohomology import Rat, linear, scalar
-from .eulerdata import chern_ratio, hyper_block, reduced_block
+from .cohomology import Rat
+from .eulerdata import _power, chern_ratio, hyper_block, reduced_block
 from .geometry import GeometrySpec, validate
 from .laurent import (
     Key,
     LaurentBlock,
+    _monomials,
     _mul_integrate,
     _mul_sum,
     _tzero,
@@ -137,8 +138,8 @@ def _log_terms(
     """The q^d terms f x / alpha of F and -(sum_i g_i H_i) / alpha of log G."""
     t0 = _tzero(len(dims))
     return (
-        LaurentBlock(dims, {(-1, 1, t0): scalar(dims, f)}),
-        LaurentBlock(dims, {(-1, 0, t0): linear(dims, [-c for c in g])}),
+        _monomials(dims, {(-1, 1, t0, t0): f}),
+        _monomials(dims, {(-1, 0, t0, _power(len(dims), i, 1)): -c for i, c in enumerate(g)}),
     )
 
 
@@ -200,7 +201,6 @@ def solve_mirror_map(
     dims = spec.factors
     m = len(dims)
     t0 = _tzero(m)
-    axes = [tuple(int(k == i) for k in range(m)) for i in range(m)]
     degrees = degrees_upto(m, bound)
     reduced: Series = {d: reduced_block(spec, d, table) for d in degrees}
 
@@ -217,12 +217,10 @@ def solve_mirror_map(
         g[d] = _exp_coefficient(dims, g_log, g, d)
         lower = _residual(dims, u, reduced, d)
         acc = lower + (u[d] - g[d])
-        low = acc.alpha_stratum(-1)
-        log_norm[d] = acc.alpha_stratum(0).coefficient((0, 0, t0)).coefficient(t0)
-        prefactor[d] = -low.coefficient((-1, 1, t0)).coefficient(t0)
-        hs = low.coefficient((-1, 0, t0))
+        log_norm[d] = acc.entry((0, 0, t0), t0)
+        prefactor[d] = -acc.entry((-1, 1, t0), t0)
         for i in range(m):
-            shifts[i][d] = -hs.coefficient(axes[i])
+            shifts[i][d] = -acc.entry((-1, 0, t0), _power(m, i, 1))
 
         # complete degree d from the stored coefficients: U_0 = G_0 = 1
         fblk, g_log[d] = _log_terms(dims, prefactor[d], tuple(h[d] for h in shifts))
@@ -250,9 +248,9 @@ def _integrand_factors(
     By default X_d is the Chern ratio times the solve's residual.  With
     `euler` set, it is rebuilt from the full blocks and restricted to its
     x^0 stratum.  Full blocks polynomial in x are specialized to x = 0
-    before assembly; the correction term, and any full block with x
-    poles, are multiplied out with x symbolic and restricted only
-    afterwards, because the Chern ratio of a concave summand is an
+    (their x^0 stratum) before assembly; the correction term, and any full
+    block with x poles, are multiplied out with x symbolic and restricted
+    only afterwards, because the Chern ratio of a concave summand is an
     x-Laurent series.  A concave summand pairing to 0 with dp leaves such
     a pole in hyper_block(spec, dp, mm.blocks, omega).
     """
@@ -268,7 +266,7 @@ def _integrand_factors(
     u, g = _transform_series(dims, bound, mm.normalization, mm.prefactor, mm.shifts)
     blocks = {dp: hyper_block(spec, dp, mm.blocks, omega) for dp in degrees}
     at_x0 = {dp for dp, b in blocks.items() if b.x_support()[0] >= 0}
-    blocks.update((dp, blocks[dp].substitute_x(0)) for dp in at_x0)
+    blocks.update((dp, blocks[dp].x_stratum(0)) for dp in at_x0)
     out = {}
     for d in degrees:
         pairs = []

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from concavex import cli, localization
 from concavex.cli import main
+from concavex.cohomology import CohClass
 from concavex.geometry import parse_spec
 from concavex.localization import SamplingError, oracle_invariant_checked
 
@@ -223,6 +224,28 @@ def test_verify_quintic(spec_file, capsys):
     rc, out, _ = run(capsys, "verify", "--spec", path, "--max-degree", "2")
     assert rc == 0
     assert out.splitlines()[-1] == "all checks passed"
+
+
+@pytest.mark.parametrize("name", ["bicubic", "local-p2", "ci2222"])
+def test_compute_and_verify_build_no_cohomology_class(capsys, monkeypatch, name):
+    """Blocks are made from int monomials and read as ints: no CohClass on these paths."""
+    built = []
+    real = CohClass.__post_init__
+
+    def counted(self):
+        built.append(self.dims)
+        real(self)
+
+    monkeypatch.setattr(CohClass, "__post_init__", counted)
+    path = str(Path(__file__).parents[1] / "bench" / "specs" / f"{name}.cvx")
+    compute = ["compute", "--spec", path, "--max-degree", "3"]
+    for argv in (compute, compute + ["--format", "csv"], compute + ["--euler"],
+                 ["verify", "--spec", path, "--max-degree", "2"]):
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0 and out, argv
+    assert built == []
+    CohClass((1,), (Rat(1), Rat(0)))  # the counter does see a class being built
+    assert built == [(1,)]
 
 
 def test_chern_flag_is_rejected(spec_file, capsys):

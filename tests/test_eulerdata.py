@@ -11,7 +11,7 @@ from fractions import Fraction as Rat
 import pytest
 
 from concavex import eulerdata
-from concavex.cohomology import hyperplane, scalar
+from concavex.cohomology import hyperplane, linear, scalar
 from concavex.eulerdata import (
     _euler_inverse,
     _raise_degree,
@@ -19,14 +19,8 @@ from concavex.eulerdata import (
     hyper_block,
     reduced_block,
 )
-from concavex.geometry import first_chern, pairing, parse_spec
-from concavex.laurent import (
-    alpha_power,
-    block_one,
-    from_class,
-    invert_linear_factor,
-    variable_x,
-)
+from concavex.geometry import pairing, parse_spec
+from concavex.laurent import LaurentBlock, alpha_power, block_one, from_class, variable_x
 from concavex.qseries import degrees_upto
 
 QUINTIC = parse_spec("space 4\nbundle convex 5\n")
@@ -50,7 +44,8 @@ def _euler_factor(dims, d):
     for i, n in enumerate(dims):
         for k in range(1, d[i] + 1):
             lin = from_class(hyperplane(dims, i)) - alpha_power(dims, 1).scale(k)
-            factor = factor * lin ** (n + 1)
+            for _ in range(n + 1):
+                factor = factor * lin
     return factor
 
 
@@ -59,7 +54,7 @@ def _shifted(spec, b, k):
     dims = spec.factors
     return (
         variable_x(dims)
-        + from_class(first_chern(spec, b))
+        + from_class(linear(dims, b.multidegree))
         + alpha_power(dims, 1).scale(k)
     )
 
@@ -105,6 +100,17 @@ def test_normal_euler_inverse(spec):
             for k in range(1, di + 1):
                 inverse = inverse * _euler_inverse(dims, i, k)
         assert _euler_factor(dims, d) * inverse == block_one(dims)
+
+
+def test_euler_inverse_on_the_line():
+    # (H - alpha)^{-2} = alpha^{-2} (1 - H/alpha)^{-2} = alpha^{-2} + 2 H alpha^{-3}
+    want = LaurentBlock((1,), {
+        (-2, 0, (0,)): scalar((1,), 1),
+        (-3, 0, (0,)): hyperplane((1,), 0).scale(2),
+    })
+    assert _euler_inverse((1,), 0, 1) == want
+    with pytest.raises(ZeroDivisionError):
+        _euler_inverse((1,), 0, 0)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name or "two-factor")
@@ -185,10 +191,14 @@ def test_alpha_support_bounds(spec):
 
 
 def test_pair_block_is_inverse_square():
+    # at x = 0 the pair's block is (H - d alpha)^{-2} = 1/(d alpha)^2 + 2 H/(d alpha)^3
     h = hyperplane((1,), 0)
     for d in (1, 2, 3):
-        want = invert_linear_factor(h, d) ** 2
-        assert hyper_block(PAIR, (d,), {}, chern_ratio(PAIR)).substitute_x(0) == want
+        want = LaurentBlock((1,), {
+            (-2, 0, (0,)): scalar((1,), Rat(1, d**2)),
+            (-3, 0, (0,)): h.scale(Rat(2, d**3)),
+        })
+        assert hyper_block(PAIR, (d,), {}, chern_ratio(PAIR)).x_stratum(0) == want
 
 
 def test_quintic_degree_one_block_against_dict_convolution():
@@ -213,7 +223,7 @@ def test_quintic_degree_one_block_against_dict_convolution():
     for _ in range(5):
         expect = mul(expect, inv)
 
-    block = hyper_block(QUINTIC, (1,), {}, chern_ratio(QUINTIC)).substitute_x(0)
+    block = hyper_block(QUINTIC, (1,), {}, chern_ratio(QUINTIC)).x_stratum(0)
     got = {}
     for (a, j, _t), c in block.terms.items():
         assert j == 0

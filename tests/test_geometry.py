@@ -9,13 +9,11 @@ from concavex.geometry import (
     ParseError,
     SpecError,
     ValidationError,
-    first_chern,
     pairing,
     parse_spec,
     serialize_spec,
     validate,
 )
-from concavex.cohomology import Rat, linear
 
 QUINTIC = "name quintic\nspace 4\nbundle convex 5\n"
 PAIR = "name conifold-pair\nspace 1\nbundle concave 1\nbundle concave 1\n"
@@ -102,11 +100,6 @@ def test_pairing_is_bilinear_in_degree():
     assert pairing(b, (2, 5)) == 2 * 2 - 3 * 5
     with pytest.raises(ValueError):
         pairing(b, (1,))
-
-
-def test_chern_classes():
-    spec = parse_spec("space 2\nspace 1\nbundle convex 1 2\nbundle concave 2 0\n")
-    assert first_chern(spec, spec.bundles[1]) == linear((2, 1), [Rat(-2), Rat(0)])
 
 
 def _specs():

@@ -12,6 +12,8 @@ cache keyed by a spec or a degree: the only memoised functions are the
 tables keyed by a ring's shape.
 A Laurent block's integer storage stays private to ``laurent.py``: every
 other module reads blocks through their methods and the ``terms`` view.
+The engine past ``laurent.py`` builds its blocks from int monomials, so it
+imports none of the ring's class constructors from ``cohomology``.
 """
 
 import ast
@@ -146,6 +148,33 @@ def test_engine_imports_nothing_from_the_oracle(name):
     ] == []
 
 
+RING_CONSTRUCTORS = {"CohClass", "zero", "one", "scalar", "monomial", "hyperplane", "linear"}
+
+
+def _ring_imports(source: str) -> list[str]:
+    """The ring class constructors a source imports from cohomology, at any depth."""
+    return sorted(
+        name for module, name in _package_imports(source)
+        if module.rpartition(".")[2] == "cohomology" and name in RING_CONSTRUCTORS
+    )
+
+
+@pytest.mark.parametrize("name", ["eulerdata.py", "mirror.py", "qseries.py", "geometry.py"])
+def test_engine_past_laurent_imports_no_ring_class_constructor(name):
+    source = (Path(concavex.__file__).parent / name).read_text(encoding="utf-8")
+    assert _ring_imports(source) == []
+
+
+def test_checker_flags_a_ring_class_import():
+    source = (
+        "from .cohomology import Rat, linear\n"
+        "from concavex.cohomology import CohClass as C, _slot_pairs\n"
+        "def f():\n    from .cohomology import one\n"
+        "from .laurent import scalar\n"
+    )
+    assert _ring_imports(source) == ["CohClass", "linear", "one"]
+
+
 def test_checker_finds_every_package_import():
     source = (
         "import math\nfrom fractions import Fraction\nfrom .cohomology import Rat\n"
@@ -196,7 +225,7 @@ def test_checker_finds_every_memoised_function():
 BLOCK_STORAGE = {
     "_codes", "_den", "_arity", "_reach", "_view",
     "_WIDTH", "_HALF", "_MASK", "_bias", "_pack", "_unpack", "_field", "_slot_partners",
-    "_stratum", "_common_arity", "_product_bounds", "_block", "_lincomb",
+    "_common_arity", "_product_bounds", "_block", "_lincomb",
 }
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction as Rat
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from concavex.cohomology import CohClass, _slot_pairs, hyperplane, monomial, one, scalar
+from concavex.cohomology import CohClass, _slot_pairs, hyperplane, linear, monomial, one, scalar
 from concavex.eulerdata import chern_ratio, hyper_block, reduced_block
 from concavex.geometry import parse_spec
 from concavex.laurent import (
@@ -19,9 +19,7 @@ from concavex.laurent import (
     _unpack,
     alpha_power,
     block_one,
-    block_scalar,
     from_class,
-    invert_linear_factor,
     kahler_factor,
     variable_x,
 )
@@ -30,32 +28,24 @@ P1 = (1,)
 P2 = (2,)
 
 
-def test_invert_linear_factor_back_multiplies_to_one():
-    for dims in (P1, P2, (2, 1)):
-        for i in range(len(dims)):
-            for k in (1, 2, -3):
-                h = hyperplane(dims, i)
-                factor = from_class(h) - alpha_power(dims, 1).scale(k)
-                assert factor * invert_linear_factor(h, k) == block_one(dims)
-            x_plus_h = variable_x(dims) + from_class(h)
-            assert x_plus_h * _invert_x_factor(h) == block_one(dims)
+def test_invert_x_factor_back_multiplies_to_one():
+    cases = [(dims, tuple(int(k == i) for k in range(len(dims)))) for dims in (P1, P2, (2, 1))
+             for i in range(len(dims))]
+    # nonzero entries on two factors: local P1 x P1 and a mixed product
+    cases += [((1, 1), (-2, -2)), ((2, 1), (2, 3)), ((2, 1), (-3, 0))]
+    for dims, c in cases:
+        x_plus_c = variable_x(dims) + from_class(linear(dims, c))
+        assert x_plus_c * _invert_x_factor(dims, c) == block_one(dims), (dims, c)
 
 
-def test_invert_linear_factor_known_expansion():
-    # (H - alpha)^{-1} on the line: -1/alpha - H/alpha^2
-    inv = invert_linear_factor(hyperplane(P1, 0), 1)
-    want = LaurentBlock(P1, {
-        (-1, 0, (0,)): scalar(P1, -1),
-        (-2, 0, (0,)): hyperplane(P1, 0).scale(-1),
+def test_invert_x_factor_known_expansion():
+    # (x - 2 H1 - 2 H2)^{-1} on P1 x P1: x^-1 + 2 (H1 + H2) x^-2 + 8 H1 H2 x^-3
+    want = LaurentBlock((1, 1), {
+        (0, -1, (0, 0)): one((1, 1)),
+        (0, -2, (0, 0)): linear((1, 1), (2, 2)),
+        (0, -3, (0, 0)): monomial((1, 1), (1, 1), 8),
     })
-    assert inv == want
-
-
-def test_invert_rejects_non_nilpotent():
-    with pytest.raises(ValueError):
-        invert_linear_factor(one(P1), 1)
-    with pytest.raises(ZeroDivisionError):
-        invert_linear_factor(hyperplane(P1, 0), 0)
+    assert _invert_x_factor((1, 1), (-2, -2)) == want
 
 
 def test_kahler_factor_on_the_line():
@@ -71,21 +61,14 @@ def test_kahler_factor_two_factors_cross_term():
     assert c == monomial((1, 1), (1, 1), Rat(1))
 
 
-def test_alpha_strata_partition():
-    b = kahler_factor(P2)
+def test_x_strata_partition():
+    b = kahler_factor(P2) * _invert_x_factor(P2, (3,)) + variable_x(P2, 2)
     total = LaurentBlock(P2)
-    lo, hi = b.alpha_support()
-    for a in range(lo, hi + 1):
-        total = total + b.alpha_stratum(a)
+    lo, hi = b.x_support()
+    assert (lo, hi) == (-3, 2)
+    for j in range(lo, hi + 1):
+        total = total + b.x_stratum(j)
     assert total == b
-
-
-def test_substitute_x_and_drop_x():
-    b = variable_x(P1, 2) + block_one(P1)
-    assert b.substitute_x(3) == block_scalar(P1, 10)
-    pole = variable_x(P1, -1)
-    with pytest.raises(ValueError):
-        pole.substitute_x(0)
 
 
 def test_integrate_fibrewise_keeps_strata():
@@ -99,15 +82,6 @@ def test_integrate_fibrewise_keeps_strata():
 @given(st.integers(min_value=-4, max_value=4), st.integers(min_value=-4, max_value=4))
 def test_alpha_powers_multiply(a, b):
     assert alpha_power(P1, a) * alpha_power(P1, b) == alpha_power(P1, a + b)
-
-
-@given(st.integers(min_value=0, max_value=3))
-def test_power_matches_repeated_product(k):
-    b = variable_x(P1) + from_class(hyperplane(P1, 0)) - alpha_power(P1, 1)
-    expect = block_one(P1)
-    for _ in range(k):
-        expect = expect * b
-    assert b**k == expect
 
 
 # -- the integer sum-of-products kernel ------------------------------------
@@ -243,10 +217,11 @@ def test_codes_unpack_and_add_like_keys(case):
     top = LaurentBlock(dims, {k1: monomial(dims, dims), k2: monomial(dims, dims, 2)})
     assert set(top.integrate_fibrewise().numerators()[0]) == {k1, k2}
     for key in (k1, k2):
-        want = {k: c for k, c in blk.terms.items() if k[0] == key[0]}
-        assert blk.alpha_stratum(key[0]).terms == want
         want = {k: c for k, c in blk.terms.items() if k[1] == key[1]}
         assert blk.x_stratum(key[1]).terms == want
+    # the point reads find every coefficient at these wide fields
+    for key, c in blk.terms.items():
+        assert [blk.entry(key, e) for e in _box(dims)] == list(c.coeffs)
 
 
 def test_a_field_past_its_width_raises_instead_of_wrapping():
@@ -257,11 +232,14 @@ def test_a_field_past_its_width_raises_instead_of_wrapping():
             variable_x(P1, power)
     with pytest.raises(ValueError):
         LaurentBlock(P1, {(0, 0, (2**31,)): one(P1)})
-    big = alpha_power(P1, 2**30)
+    # a class of another ring would spill its slots into the next field
     with pytest.raises(ValueError):
-        big**2
+        LaurentBlock(P1, {(0, 0, (0,)): hyperplane(P2, 0)})
+    big, small = alpha_power(P1, 2**30), alpha_power(P1, -(2**30))
     with pytest.raises(ValueError):
-        alpha_power(P1, -(2**30)) ** 2
+        big * big
+    with pytest.raises(ValueError):
+        small * small
     with pytest.raises(ValueError):
         _mul_integrate(big, big)
     with pytest.raises(ValueError):
@@ -335,13 +313,7 @@ def test_integer_form_matches_fraction_arithmetic_on_the_view(case, r):
             }),
         }
         for n in range(-3, 3):
-            results[f"alpha {n}"] = (a.alpha_stratum(n), {k: c for k, c in da.items() if k[0] == n})
             results[f"x {n}"] = (a.x_stratum(n), {k: c for k, c in da.items() if k[1] == n})
-        if all(k[1] >= 0 for k in da):
-            results["x = 0"] = (a.substitute_x(0), {k: c for k, c in da.items() if k[1] == 0})
-        elif da:
-            with pytest.raises(ValueError):
-                a.substitute_x(0)
         for name, (got, want) in results.items():
             assert _as_dict(got) == want, name
             assert _lowest_terms(got), name
@@ -353,6 +325,24 @@ def test_integer_form_matches_fraction_arithmetic_on_the_view(case, r):
     ]:
         assert _lowest_terms(blk)
         assert LaurentBlock(blk.dims, blk.terms) == blk
+
+
+@settings(max_examples=50, deadline=None)
+@given(_pair_lists())
+def test_entry_reads_one_coefficient_without_the_view(case):
+    dims, pairs = case
+    m = len(dims)
+    for a, _ in pairs:
+        blk = -(-a)  # equal to a, its view not built yet
+        keys = list(a.terms) + [(9, 0, (0,) * m)]  # and a key a does not hold
+        got = {k: [blk.entry(k, e) for e in _box(dims)] for k in keys}
+        assert blk._view is None
+        assert got == {k: list(a.coefficient(k).coeffs) for k in keys}
+        # an exponent past the box, or another number of t fields, reads as zero
+        for key in keys:
+            if m:
+                assert blk.entry(key, tuple(n + 1 for n in dims)) == 0
+            assert blk.entry((key[0], key[1], key[2] + (0,)), (0,) * m) == 0
 
 
 TRACED_SPECS = [

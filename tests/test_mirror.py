@@ -131,6 +131,37 @@ def test_positive_excess_spec():
         assert dict(entry.raw)[1] == entry.value
 
 
+# local P1 x P1: O(-2, -2) on P1 x P1, whose two factors both carry the concave
+# summand, so the Chern ratio inverts x - 2 H1 - 2 H2.  Genus-zero instanton
+# numbers n_(d1, d2) of local F0 from the table of Chiang, Klemm, Yau and
+# Zaslow (1999), d1 >= d2; the table is symmetric, and n_(d, 0) = 0 for d >= 2.
+LOCAL_P1P1 = parse_spec("name local-p1p1\nspace 1\nspace 1\nbundle concave 2 2\n")
+CKYZ_LOCAL_F0 = {
+    (1, 0): -2, (2, 0): 0, (3, 0): 0, (4, 0): 0, (5, 0): 0, (6, 0): 0,
+    (1, 1): -4, (2, 1): -6, (3, 1): -8, (4, 1): -10, (5, 1): -12,
+    (2, 2): -32, (3, 2): -110, (4, 2): -288, (3, 3): -756,
+}
+
+
+def test_local_p1p1_gives_the_published_instanton_numbers():
+    bound = 6
+    table = extract_invariants(LOCAL_P1P1, solve_mirror_map(LOCAL_P1P1, bound), bound)
+    k = {e.degree: e.value for e in table.entries}
+    # Aspinwall-Morrison: K_d = sum of n_(d/j) / j^3 over the j dividing d,
+    # inverted degree by degree in order of total degree
+    n = {}
+    for d in sorted(k, key=sum):
+        n[d] = k[d] - sum(
+            n[tuple(c // j for c in d)] / Rat(j**3)
+            for j in range(2, max(d) + 1)
+            if all(c % j == 0 for c in d)
+        )
+    assert len(n) == 27
+    assert {(a, b) for a, b in n} == set(CKYZ_LOCAL_F0) | {(b, a) for a, b in CKYZ_LOCAL_F0}
+    for (a, b), value in CKYZ_LOCAL_F0.items():
+        assert n[(a, b)] == n[(b, a)] == value, (a, b)
+
+
 def test_two_factor_invariants():
     mm = solve_mirror_map(TWO_FACTOR, 2)
     table = extract_invariants(TWO_FACTOR, mm, 2)
