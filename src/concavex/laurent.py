@@ -23,30 +23,31 @@ A code packs a key and a slot of the ring's flat exponent box into one int.
 The fields a, j, t_1 .. t_m are 32 bits wide each and signed, a the most
 significant: they make the int f = sum of e_k * 2**(32 * (m + 1 - k)) over
 the fields e_0 = a, e_1 = j, e_{1+i} = t_i.  The slot is the last digit, in
-base the box size: code = f * size + slot.  A field reads back with a shift
-and a mask once half its range is added to every field.  In C order the slot
+base the box size: code = f * size + slot.  Once half its range is added to
+every field, a field reads back with a shift and a mask.  In C order the slot
 is linear in the exponents, so when the ring's slot-pair table keeps the
 product of two slots in the box, the product of two terms has code
 c1 + c2: a product costs one int addition per pair of terms.  A field that
 left its range would carry into its neighbour, so a block records a bound
 on its largest |field|; a key from outside, or a product, whose bound would
-reach 2**31 raises ValueError instead of wrapping.  A block also records its
-number m of t fields, because a block over the empty product
-(``integrate_fibrewise``) keeps the t exponents of its source.
+reach 2**31 raises ValueError instead of wrapping.  Every block over dims
+packs len(dims) t fields; a key with any other number raises ValueError.
 
 Every product, and every sum of products, goes through one kernel,
 ``_mul_sum``.  It accumulates all pairs of stored terms in Python ints over
 one denominator for the whole sum and skips slot pairs past the box edge
 through the ring's cached table.  A product that is integrated over the
 fibre at once goes through ``_mul_integrate`` instead, which computes only
-the top slot.  Sums, differences and rescalings share one linear-combination
-step, ``_lincomb``.
+the top slot.  A fibre integral is no block but ``({key: numerator}, den)``
+in lowest terms, read off the codes by ``_fibre_integral``.  Sums,
+differences and rescalings share one linear-combination step, ``_lincomb``.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+import struct
 from collections import defaultdict
 from types import MappingProxyType
 
@@ -99,22 +100,22 @@ def _pack(key: Key) -> int:
 
 
 def _unpack(f: int, m: int) -> Key:
-    """The key of packed fields f with m t fields."""
-    u = f + _bias(m)
-    a, j, *tau = [((u >> (_WIDTH * k)) & _MASK) - _HALF for k in range(m + 1, -1, -1)]
+    """The key of packed fields f with m t fields, read as 32-bit ints in one struct call."""
+    u = (f + _bias(m)) ^ _bias(m)  # each field with its top bit flipped: two's complement
+    a, j, *tau = struct.unpack(f">{m + 2}i", u.to_bytes(4 * (m + 2), "big"))
     return a, j, tuple(tau)
 
 
 class LaurentBlock:
     """Sparse Laurent block: packed integer terms over one block denominator.
 
-    ``dims`` fixes the cohomology ring and, unless the keys say otherwise,
-    the number of t slots.  ``LaurentBlock(dims, terms)`` converts a map of
-    keys to classes once, through the encoder ``_monomials``; zero classes
-    are dropped.  ``terms`` reads the block back as that map.
+    ``dims`` fixes the cohomology ring and the number of t slots, one per
+    factor.  ``LaurentBlock(dims, terms)`` converts a map of keys to classes
+    once, through the encoder ``_monomials``; zero classes are dropped.
+    ``terms`` reads the block back as that map.
     """
 
-    __slots__ = ("dims", "_arity", "_codes", "_den", "_reach", "_view")
+    __slots__ = ("dims", "_codes", "_den", "_reach", "_view")
 
     def __init__(self, dims: tuple[int, ...], terms: dict[Key, CohClass] | None = None) -> None:
         if any(c.dims != dims for c in (terms or {}).values()):
@@ -131,7 +132,7 @@ class LaurentBlock:
             rows: dict[Key, list[Rat]] = {}
             for code, v in self._codes.items():
                 f, slot = divmod(code, size)
-                key = _unpack(f, self._arity)
+                key = _unpack(f, len(self.dims))
                 row = rows.get(key)
                 if row is None:
                     row = rows[key] = [nil] * size
@@ -140,12 +141,6 @@ class LaurentBlock:
                 {key: CohClass(self.dims, tuple(row)) for key, row in rows.items()}
             )
         return self._view
-
-    def numerators(self) -> tuple[dict[Key, int], int]:
-        """({key: numerator}, den) of a block over the empty product: the stored ints."""
-        if self.dims != ():
-            raise ValueError(f"numerators() needs a block over the empty product, not {self.dims}")
-        return {_unpack(code, self._arity): v for code, v in self._codes.items()}, self._den
 
     # -- queries -----------------------------------------------------------
 
@@ -157,15 +152,15 @@ class LaurentBlock:
 
     def entry(self, key: Key, h: tuple[int, ...]) -> Rat:
         """The coefficient of H^h at key, coefficient(key).coefficient(h), without the view."""
-        if len(key[2]) != self._arity or any(e < 0 or e > n for e, n in zip(h, self.dims)):
+        if len(key[2]) != len(self.dims) or any(e < 0 or e > n for e, n in zip(h, self.dims)):
             return Rat(0)
         code = _pack(key) * len(_slot_pairs(self.dims)) + _flat_index(self.dims, h)
         return Rat(self._codes.get(code, 0), self._den)
 
     def _field(self, k: int) -> list[int]:
         """Field k (0 alpha, 1 x, 1 + i the t_i exponent) of every stored code."""
-        size, bias = len(_slot_pairs(self.dims)), _bias(self._arity)
-        shift = _WIDTH * (self._arity + 1 - k)
+        m = len(self.dims)
+        size, bias, shift = len(_slot_pairs(self.dims)), _bias(m), _WIDTH * (m + 1 - k)
         return [(((code // size + bias) >> shift) & _MASK) - _HALF for code in self._codes]
 
     def alpha_support(self) -> tuple[int, int] | None:
@@ -180,21 +175,21 @@ class LaurentBlock:
     def x_stratum(self, j: int) -> "LaurentBlock":
         """The sub-block of terms with x exponent exactly j."""
         codes = {c: v for (c, v), e in zip(self._codes.items(), self._field(1)) if e == j}
-        return _block(self.dims, self._arity, codes, self._den, self._reach)
+        return _block(self.dims, codes, self._den, self._reach)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "LaurentBlock") -> "LaurentBlock":
-        return _lincomb([self, other], [(1, self._codes, self._den), (1, other._codes, other._den)])
+        return _lincomb([(1, self), (1, other)])
 
     def __sub__(self, other: "LaurentBlock") -> "LaurentBlock":
-        return _lincomb([self, other], [(1, self._codes, self._den), (-1, other._codes, other._den)])
+        return _lincomb([(1, self), (-1, other)])
 
     def __neg__(self) -> "LaurentBlock":
         return self.scale(-1)
 
     def scale(self, r: Rat | int) -> "LaurentBlock":
-        return _lincomb([self], [(r, self._codes, self._den)])
+        return _lincomb([(r, self)])
 
     def __mul__(self, other: "LaurentBlock") -> "LaurentBlock":
         return _mul_sum(self.dims, [(self, other)])
@@ -202,20 +197,18 @@ class LaurentBlock:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentBlock):
             return NotImplemented
-        return (self.dims, self._den, self._codes) == (other.dims, other._den, other._codes) and (
-            self._arity == other._arity or not self._codes
-        )
+        return (self.dims, self._den, self._codes) == (other.dims, other._den, other._codes)
 
-    def integrate_fibrewise(self) -> "LaurentBlock":
+    def integrate_fibrewise(self) -> tuple[dict[Key, int], int]:
         """Integrate every coefficient over the product of projective spaces.
 
-        The result is a block over the empty product (scalar coefficients)
-        with the same alpha, x, t support pattern.
+        The scalars ({key: numerator}, den), in lowest terms, with the keys
+        of the block's top-class terms.
         """
         size = len(_slot_pairs(self.dims))
-        return _block((), self._arity, {
+        return _fibre_integral(len(self.dims), {
             code // size: v for code, v in self._codes.items() if code % size == size - 1
-        }, self._den, self._reach)
+        }, self._den)
 
     def __repr__(self) -> str:
         if not self._codes:
@@ -236,81 +229,70 @@ class LaurentBlock:
         return " + ".join(bits)
 
 
-def _common_arity(dims: tuple[int, ...], blocks: list[LaurentBlock]) -> int:
-    """The number of t fields shared by the blocks; zero blocks have any."""
+def _same_ring(dims: tuple[int, ...], blocks: list[LaurentBlock]) -> None:
     for blk in blocks:
         if blk.dims != dims:
             raise ValueError(f"dimension mismatch: {dims} vs {blk.dims}")
-    arity = {blk._arity for blk in blocks if blk._codes}
-    if len(arity) > 1:
-        raise ValueError(f"t arity mismatch: {sorted(arity)}")
-    return arity.pop() if arity else len(dims)
 
 
 def _monomials(dims: tuple[int, ...], terms: dict[Monomial, Rat | int]) -> LaurentBlock:
     """The block sum of r alpha^a x^j t^tau H^h over {(a, j, tau, h): r}, zero values dropped.
 
-    Every key must carry the same number of t exponents, and an exponent
-    that does not fit its field raises ValueError.
+    Every key must carry len(dims) t exponents, and an exponent that does
+    not fit its field raises ValueError.
     """
     nonzero = [(key, r) for key, r in terms.items() if r]
     # the lcm of the denominators is already in lowest terms
     den = math.lcm(*{r.denominator for _, r in nonzero})
-    arity = {len(key[2]) for key, _ in nonzero} or {len(dims)}
-    if len(arity) > 1:
-        raise ValueError(f"keys with {sorted(arity)} t exponents in one block")
     size = len(_slot_pairs(dims))
     codes, reach = {}, 0
     for (a, j, tau, h), r in nonzero:
+        if len(tau) != len(dims):
+            raise ValueError(f"a key with {len(tau)} t exponents in a block over {dims}")
         reach = max(reach, abs(a), abs(j), *map(abs, tau))
         code = _pack((a, j, tau)) * size + _flat_index(dims, h)
         codes[code] = r.numerator * (den // r.denominator)
-    (m,) = arity
-    return _block(dims, m, codes, den, reach)
+    return _block(dims, codes, den, reach)
 
 
-def _block(dims: tuple[int, ...], m: int, codes: dict[int, int], den: int, reach: int) -> LaurentBlock:
+def _block(dims: tuple[int, ...], codes: dict[int, int], den: int, reach: int) -> LaurentBlock:
     """The block of these nonzero numerators over den > 0, put in lowest terms."""
     g = math.gcd(den, *codes.values())
     if g > 1:
         codes = {c: v // g for c, v in codes.items()}
         den //= g
     out = LaurentBlock.__new__(LaurentBlock)
-    out.dims, out._arity, out._codes, out._den, out._reach, out._view = (
-        dims, m, codes, den, reach, None
-    )
+    out.dims, out._codes, out._den, out._reach, out._view = dims, codes, den, reach, None
     return out
 
 
-def _lincomb(
-    blocks: list[LaurentBlock], parts: list[tuple[Rat | int, dict[int, int], int]]
-) -> LaurentBlock:
-    """Sum of r * codes / den over the parts, in ints over one denominator.
+def _fibre_integral(m: int, fields: dict[int, int], den: int) -> tuple[dict[Key, int], int]:
+    """({key: numerator}, den) in lowest terms of nonzero numerators by packed fields."""
+    g = math.gcd(den, *fields.values())
+    return {_unpack(f, m): v // g for f, v in fields.items()}, den // g
 
-    The codes come from the blocks and keep their layout.
-    """
-    dims = blocks[0].dims
-    m = _common_arity(dims, blocks)
-    den = math.lcm(*{d * r.denominator for r, _, d in parts})
+
+def _lincomb(parts: list[tuple[Rat | int, LaurentBlock]]) -> LaurentBlock:
+    """Sum of r * block over the parts, in ints over one denominator."""
+    dims = parts[0][1].dims
+    _same_ring(dims, [blk for _, blk in parts])
+    den = math.lcm(*{blk._den * r.denominator for r, blk in parts})
     acc: defaultdict[int, int] = defaultdict(int)
-    for r, codes, d in parts:
-        f = r.numerator * (den // (d * r.denominator))
-        for c, v in codes.items():
+    for r, blk in parts:
+        f = r.numerator * (den // (blk._den * r.denominator))
+        for c, v in blk._codes.items():
             acc[c] += f * v
-    reach = max(blk._reach for blk in blocks)
-    return _block(dims, m, {c: v for c, v in acc.items() if v}, den, reach)
+    reach = max(blk._reach for _, blk in parts)
+    return _block(dims, {c: v for c, v in acc.items() if v}, den, reach)
 
 
-def _product_bounds(dims: tuple[int, ...], pairs: list[tuple[LaurentBlock, LaurentBlock]]) -> tuple[int, int]:
-    """The arity and the field bound of the products.
-
-    Raises ValueError if a product could carry a field past its width.
-    """
-    m = _common_arity(dims, [blk for pair in pairs for blk in pair])
+def _product_bounds(dims: tuple[int, ...], pairs: list[tuple[LaurentBlock, LaurentBlock]]) -> int:
+    """The field bound of the products; ValueError if one could carry a field past its width."""
+    _same_ring(dims, [blk for pair in pairs for blk in pair])
     reach = max((a._reach + b._reach for a, b in pairs if a._codes and b._codes), default=0)
     if reach >= _HALF:
         raise ValueError(f"a product exponent could leave its {_WIDTH}-bit field")
-    return m, reach
+    return reach
 
 
 def _mul_sum(dims: tuple[int, ...], pairs: list[tuple[LaurentBlock, LaurentBlock]]) -> LaurentBlock:
@@ -319,7 +301,7 @@ def _mul_sum(dims: tuple[int, ...], pairs: list[tuple[LaurentBlock, LaurentBlock
     Each term of a meets only the terms of b whose slots keep the product
     in the box; for those the product's code is the sum of the codes.
     """
-    m, reach = _product_bounds(dims, pairs)
+    reach = _product_bounds(dims, pairs)
     den = math.lcm(*{a._den * b._den for a, b in pairs})
     partners = _slot_partners(dims)
     size = len(partners)
@@ -338,10 +320,10 @@ def _mul_sum(dims: tuple[int, ...], pairs: list[tuple[LaurentBlock, LaurentBlock
             x *= scale
             for cb, y in ys:
                 acc[ca + cb] += x * y
-    return _block(dims, m, {c: v for c, v in acc.items() if v}, den, reach)
+    return _block(dims, {c: v for c, v in acc.items() if v}, den, reach)
 
 
-def _mul_integrate(a: LaurentBlock, b: LaurentBlock) -> LaurentBlock:
+def _mul_integrate(a: LaurentBlock, b: LaurentBlock) -> tuple[dict[Key, int], int]:
     """(a * b).integrate_fibrewise(), without forming a * b.
 
     Only the top class survives the integral.  In C order the slot index
@@ -350,7 +332,7 @@ def _mul_integrate(a: LaurentBlock, b: LaurentBlock) -> LaurentBlock:
     grouped by top - slot, and each term of a meets one group.  The sum of
     two such codes is (fields) * size + top.
     """
-    m, reach = _product_bounds(a.dims, [(a, b)])
+    _product_bounds(a.dims, [(a, b)])
     size = len(_slot_pairs(a.dims))
     top = size - 1
     by_partner: dict[int, list[tuple[int, int]]] = {}
@@ -360,7 +342,8 @@ def _mul_integrate(a: LaurentBlock, b: LaurentBlock) -> LaurentBlock:
     for ca, x in a._codes.items():
         for cb, y in by_partner.get(ca % size, ()):
             acc[ca + cb] += x * y
-    return _block((), m, {c // size: v for c, v in acc.items() if v}, a._den * b._den, reach)
+    fields = {c // size: v for c, v in acc.items() if v}
+    return _fibre_integral(len(a.dims), fields, a._den * b._den)
 
 
 def block_one(dims: tuple[int, ...]) -> LaurentBlock:

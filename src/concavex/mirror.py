@@ -313,26 +313,25 @@ def extract_invariants(
     eht = kahler_factor(spec.factors)
     degrees = list(xs)
 
-    level = 0 if euler else s
     integrated: dict[Degree, tuple[dict[Key, int], int]] = {}
-    top = level
+    top = s
     for d in degrees:
         # kahler's only key with alpha^{>= 0} is the unit, so J_d and X_d
         # share their top alpha stratum
         sup = xs[d].alpha_support()
         if sup is not None and sup[1] > -2:
             raise ExtractionError(f"degree {d}: integrand stratum at alpha^{sup[1]}")
-        integrated[d] = _mul_integrate(eht, xs[d]).numerators()
+        integrated[d] = _mul_integrate(eht, xs[d])
         for a, j, t in integrated[d][0]:
-            if j < level:
+            if j < s:
                 raise ExtractionError(f"degree {d}: x-degree {j} below the splitting excess")
             tdeg = sum(t)
             # t-constant strata are forced to alpha^{s-3-j} by grading
             if tdeg == 0 and a != s - 3 - j:
                 raise ExtractionError(f"degree {d}: stray stratum alpha^{a} x^{j}")
-            if j == level:
+            if j == s:
                 if tdeg > 1:
-                    raise ExtractionError(f"degree {d}: t-degree {tdeg} at the x^{level} stratum")
+                    raise ExtractionError(f"degree {d}: t-degree {tdeg} at the x^{s} stratum")
                 if tdeg == 1 and a != -3:
                     raise ExtractionError(f"degree {d}: t-linear stratum at alpha^{a}")
             top = max(top, j)
@@ -368,7 +367,7 @@ def extract_invariants(
     den = math.lcm(*(q for _, q in integrated.values()))
     unit = {d: (scale[sum(d)] << sum(d)) * den for d in degrees}
     solved: dict[int, dict[Degree, int]] = {}
-    for j in range(level, top + 1):
+    for j in range(s, top + 1):
         kj: dict[Degree, int] = {}
         key = (s - 3 - j, j, _tzero(m))
         for d in degrees:
@@ -381,8 +380,8 @@ def extract_invariants(
     for d in degrees:
         vals, q = integrated[d]
         for i in range(m):
-            got = vals.get((-3, level, tuple(int(a == i) for a in range(m))), 0)
-            want = -sum(solved[level][dp] * dp[i] * e for dp, e, _ in below[d])
+            got = vals.get((-3, s, tuple(int(a == i) for a in range(m))), 0)
+            want = -sum(solved[s][dp] * dp[i] * e for dp, e, _ in below[d])
             if unit[d] // q * got != want:
                 raise ExtractionError(
                     f"degree {d}: t-linear stratum mismatch on axis {i} "
@@ -391,8 +390,8 @@ def extract_invariants(
 
     entries = []
     for d in degrees:
-        raw = [(j, Rat(solved[j][d], unit[d])) for j in range(level, top + 1)]
-        raw = [(j, v) for j, v in raw if v or j == level]
+        raw = [(j, Rat(solved[j][d], unit[d])) for j in range(s, top + 1)]
+        raw = [(j, v) for j, v in raw if v or j == s]
         entries.append(InvariantEntry(degree=d, raw=tuple(raw), value=raw[0][1]))
     return InvariantTable(spec=spec, excess=s, bound=bound, entries=tuple(entries))
 

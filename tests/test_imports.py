@@ -12,6 +12,7 @@ cache keyed by a spec or a degree: the only memoised functions are the
 tables keyed by a ring's shape.
 A Laurent block's integer storage stays private to ``laurent.py``: every
 other module reads blocks through their methods and the ``terms`` view.
+That storage has one shape: a block over dims packs len(dims) t fields.
 The engine past ``laurent.py`` builds its blocks from int monomials, so it
 imports none of the ring's class constructors from ``cohomology``.
 """
@@ -23,6 +24,8 @@ from pathlib import Path
 import pytest
 
 import concavex
+from concavex.cohomology import one
+from concavex.laurent import LaurentBlock
 
 MODULES = sorted(
     p for p in Path(concavex.__file__).parent.glob("*.py") if p.name != "__init__.py"
@@ -223,9 +226,9 @@ def test_checker_finds_every_memoised_function():
 # the stored codes, denominator and bounds of a block, its cached view, the
 # code layout and the helpers that handle them
 BLOCK_STORAGE = {
-    "_codes", "_den", "_arity", "_reach", "_view",
+    "_codes", "_den", "_reach", "_view",
     "_WIDTH", "_HALF", "_MASK", "_bias", "_pack", "_unpack", "_field", "_slot_partners",
-    "_common_arity", "_product_bounds", "_block", "_lincomb",
+    "_same_ring", "_product_bounds", "_block", "_fibre_integral", "_lincomb",
 }
 
 
@@ -244,6 +247,11 @@ def _storage_reads(source: str) -> list[str]:
 )
 def test_only_laurent_reads_the_integer_storage_of_a_block(path):
     assert _storage_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_block_packs_one_t_field_per_factor():
+    with pytest.raises(ValueError, match="2 t exponents in a block over"):
+        LaurentBlock((1,), {(0, 0, (0, 0)): one((1,))})
 
 
 def test_checker_flags_a_storage_read():
