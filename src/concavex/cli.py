@@ -50,7 +50,10 @@ from .mirror import (
     solve_mirror_map,
     verify_all,
 )
-from .qseries import Degree, degrees_upto
+from .qseries import Degree
+
+
+OracleRow = tuple[Degree, Rat | None, bool | None]  # degree, oracle value, match
 
 
 def _rat(v: Rat) -> str:
@@ -74,32 +77,24 @@ def _spec_echo(spec: GeometrySpec) -> dict:
     }
 
 
-def _oracle_checks(
-    spec: GeometrySpec, table: InvariantTable, bound: int
-) -> list[tuple[Degree, Rat | None, bool | None]]:
+def _oracle_checks(table: InvariantTable) -> list[OracleRow]:
     """Per-degree oracle comparison where the graph sum is available."""
-    rows: list[tuple[Degree, Rat | None, bool | None]] = []
-    for d in degrees_upto(len(spec.factors), bound)[1:]:
-        if len(spec.factors) == 1 and sum(d) in ORACLE_DEGREES:
-            val, _ = oracle_invariant_checked(spec, sum(d))
-            rows.append((d, val, val == table.value(d)))
+    rows: list[OracleRow] = []
+    for e in table.entries:
+        if table.spec.m == 1 and sum(e.degree) in ORACLE_DEGREES:
+            val, _ = oracle_invariant_checked(table.spec, sum(e.degree))
+            rows.append((e.degree, val, val == e.value))
         else:
-            rows.append((d, None, None))
+            rows.append((e.degree, None, None))
     return rows
 
 
-def _json_report(
-    spec: GeometrySpec,
-    s: int,
-    mm: MirrorMap,
-    table: InvariantTable,
-    oracle_rows: list[tuple[Degree, Rat | None, bool | None]],
-) -> str:
-    m = len(spec.factors)
-    degrees = [d for d in degrees_upto(m, mm.bound) if any(d)]
+def _json_report(mm: MirrorMap, table: InvariantTable, oracle_rows: list[OracleRow]) -> str:
+    m = table.spec.m
+    degrees = [e.degree for e in table.entries]
     report = {
-        "spec": _spec_echo(spec),
-        "s": s,
+        "spec": _spec_echo(table.spec),
+        "s": table.excess,
         "mirror_map": {
             "f": [[list(d), _rat(mm.prefactor.get(d, Rat(0)))] for d in degrees],
             "g": [
@@ -128,12 +123,8 @@ def _json_report(
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_report(
-    spec: GeometrySpec,
-    table: InvariantTable,
-    oracle_rows: list[tuple[Degree, Rat | None, bool | None]],
-) -> str:
-    m = len(spec.factors)
+def _csv_report(table: InvariantTable, oracle_rows: list[OracleRow]) -> str:
+    m = table.spec.m
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([f"d{i + 1}" for i in range(m)] + ["K", "oracle", "match"])
@@ -159,12 +150,12 @@ def cmd_compute(args: argparse.Namespace) -> int:
             f"--euler needs splitting excess 0; this spec has excess {s}"
         )
     mm = solve_mirror_map(spec, args.max_degree)
-    table = extract_invariants(spec, mm, args.max_degree, euler=args.euler)
-    oracle_rows = _oracle_checks(spec, table, args.max_degree)
+    table = extract_invariants(mm, euler=args.euler)
+    oracle_rows = _oracle_checks(table)
     if args.format == "json":
-        out = _json_report(spec, s, mm, table, oracle_rows)
+        out = _json_report(mm, table, oracle_rows)
     else:
-        out = _csv_report(spec, table, oracle_rows)
+        out = _csv_report(table, oracle_rows)
     sys.stdout.write(out)
     print(f"compute: {time.monotonic() - t0:.3f}s", file=sys.stderr)
     return 1 if any(ok is False for _, _, ok in oracle_rows) else 0

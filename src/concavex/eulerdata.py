@@ -21,11 +21,12 @@ factor is encoded in closed form from int and rational monomials.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .cohomology import Rat
 from .geometry import GeometrySpec, pairing
-from .laurent import LaurentBlock, _invert_x_factor, _monomials, _tzero, block_one
+from .laurent import LaurentBlock, _monomials, _tzero, block_one
 from .qseries import Degree, Series
 
 
@@ -54,22 +55,29 @@ def chern_ratio(spec: GeometrySpec) -> LaurentBlock:
     for b in spec.convex():
         out = out * _affine_block(spec.factors, b.multidegree, 0)
     for b in spec.concave():
-        out = out * _invert_x_factor(spec.factors, b.multidegree)
+        out = out * _inverse_power(spec.factors, b.multidegree, 1, 1, x=True)
     return out
 
 
-def _euler_inverse(dims: tuple[int, ...], i: int, k: int) -> LaurentBlock:
-    """(H_i - k*alpha)^{-(n+1)}, n = n_i, one factor of the inverted Euler class, k != 0.
+def _inverse_power(
+    dims: tuple[int, ...], c: tuple[int, ...], w: int, p: int, x: bool = False
+) -> LaurentBlock:
+    """(w v + sum_i c_i H_i)^{-p}, v = x if `x` is set and alpha otherwise, w != 0.
 
-    The binomial series, cut by H_i^{n+1} = 0: the sum over j <= n of
-    C(n + j, j) (-1)^{n+1} k^{-(n+1+j)} alpha^{-(n+1+j)} H_i^j.
+    The concave factors of the Chern ratio and the Euler factors share it.
+    The binomial series in (sum_i c_i H_i) / (w v), cut by nilpotency: by
+    the multinomial theorem the sum over exponents h of
+    C(p - 1 + |h|, |h|) (|h|! / h!) (-c)^h H^h (w v)^{-p-|h|}, where
+    h_i = 0 on every axis with c_i = 0.
     """
-    n, m = dims[i], len(dims)
-    return _monomials(dims, {
-        (-(n + 1 + j), 0, _tzero(m), _power(m, i, j)):
-            Rat((-1) ** (n + 1) * math.comb(n + j, j), k ** (n + 1 + j))
-        for j in range(n + 1)
-    })
+    minus_c = [-a for a in c]
+    terms = {}
+    for h in itertools.product(*(range(n + 1 if a else 1) for n, a in zip(dims, c))):
+        k = sum(h)
+        r = math.comb(p - 1 + k, k) * math.factorial(k) // math.prod(map(math.factorial, h))
+        r *= math.prod(map(pow, minus_c, h))
+        terms[((0, -p - k) if x else (-p - k, 0)) + (_tzero(len(dims)), h)] = Rat(r, w ** (p + k))
+    return _monomials(dims, terms)
 
 
 def _raise_degree(spec: GeometrySpec, r: LaurentBlock, e: Degree, i: int) -> LaurentBlock:
@@ -79,7 +87,7 @@ def _raise_degree(spec: GeometrySpec, r: LaurentBlock, e: Degree, i: int) -> Lau
     linear factors whose k lies between the pairings with e and e + e_i.
     """
     d = e[:i] + (e[i] + 1,) + e[i + 1:]
-    out = r * _euler_inverse(spec.factors, i, d[i])
+    out = r * _inverse_power(spec.factors, _power(spec.m, i, 1), -d[i], spec.factors[i] + 1)
     for b in spec.convex():
         for k in range(pairing(b, e) + 1, pairing(b, d) + 1):
             out = out * _affine_block(spec.factors, b.multidegree, -k)

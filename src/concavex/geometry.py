@@ -160,12 +160,24 @@ def serialize_spec(spec: GeometrySpec) -> str:
 
 
 def validate(spec: GeometrySpec) -> int:
-    """Check the two structural hypotheses; return the splitting excess.
+    """Check the bundles and the two structural hypotheses; return the splitting excess.
 
+    Every bundle holds what parse_spec would give it: one degree per factor,
+    kind convex with degrees >= 0 or concave with degrees <= 0, not all 0.
     Hypotheses: componentwise first-Chern balance
     sum(convex deg) + sum(concave magnitude) = n_i + 1, and a non-negative
     splitting excess.
     """
+    for b in spec.bundles:
+        degs = b.multidegree
+        if len(degs) != spec.m:
+            raise ValidationError(f"bundle {degs} has {len(degs)} degrees, not {spec.m}")
+        if b.kind not in ("convex", "concave"):
+            raise ValidationError(f"unknown bundle kind {b.kind!r}")
+        if b.kind == "convex" and any(a < 0 for a in degs):
+            raise ValidationError(f"convex bundle {degs} has a negative degree")
+        if b.kind == "concave" and (any(a > 0 for a in degs) or not any(degs)):
+            raise ValidationError(f"concave bundle {degs} needs degrees <= 0, not all 0")
     for i, n in enumerate(spec.factors):
         total = sum(b.multidegree[i] for b in spec.convex()) - sum(
             b.multidegree[i] for b in spec.concave()

@@ -39,8 +39,8 @@ one denominator for the whole sum and skips slot pairs past the box edge
 through the ring's cached table.  A product that is integrated over the
 fibre at once goes through ``_mul_integrate`` instead, which computes only
 the top slot.  A fibre integral is no block but ``({key: numerator}, den)``
-in lowest terms, read off the codes by ``_fibre_integral``.  Sums,
-differences and rescalings share one linear-combination step, ``_lincomb``.
+in lowest terms.  Sums, differences and rescalings share one
+linear-combination step, ``_lincomb``.
 """
 from __future__ import annotations
 
@@ -51,7 +51,7 @@ import struct
 from collections import defaultdict
 from types import MappingProxyType
 
-from .cohomology import CohClass, Rat, _flat_index, _slot_pairs, one, zero
+from .cohomology import CohClass, Rat, _flat_index, _slot_pairs, one
 
 Key = tuple[int, int, tuple[int, ...]]
 Monomial = tuple[int, int, tuple[int, ...], tuple[int, ...]]  # (a, j, tau, h): alpha^a x^j t^tau H^h
@@ -147,11 +147,8 @@ class LaurentBlock:
     def is_zero(self) -> bool:
         return not self._codes
 
-    def coefficient(self, key: Key) -> CohClass:
-        return self.terms.get(key, zero(self.dims))
-
     def entry(self, key: Key, h: tuple[int, ...]) -> Rat:
-        """The coefficient of H^h at key, coefficient(key).coefficient(h), without the view."""
+        """The coefficient of H^h at key, terms[key].coefficient(h), without the view."""
         if len(key[2]) != len(self.dims) or any(e < 0 or e > n for e, n in zip(h, self.dims)):
             return Rat(0)
         code = _pack(key) * len(_slot_pairs(self.dims)) + _flat_index(self.dims, h)
@@ -198,17 +195,6 @@ class LaurentBlock:
         if not isinstance(other, LaurentBlock):
             return NotImplemented
         return (self.dims, self._den, self._codes) == (other.dims, other._den, other._codes)
-
-    def integrate_fibrewise(self) -> tuple[dict[Key, int], int]:
-        """Integrate every coefficient over the product of projective spaces.
-
-        The scalars ({key: numerator}, den), in lowest terms, with the keys
-        of the block's top-class terms.
-        """
-        size = len(_slot_pairs(self.dims))
-        return _fibre_integral(len(self.dims), {
-            code // size: v for code, v in self._codes.items() if code % size == size - 1
-        }, self._den)
 
     def __repr__(self) -> str:
         if not self._codes:
@@ -266,12 +252,6 @@ def _block(dims: tuple[int, ...], codes: dict[int, int], den: int, reach: int) -
     return out
 
 
-def _fibre_integral(m: int, fields: dict[int, int], den: int) -> tuple[dict[Key, int], int]:
-    """({key: numerator}, den) in lowest terms of nonzero numerators by packed fields."""
-    g = math.gcd(den, *fields.values())
-    return {_unpack(f, m): v // g for f, v in fields.items()}, den // g
-
-
 def _lincomb(parts: list[tuple[Rat | int, LaurentBlock]]) -> LaurentBlock:
     """Sum of r * block over the parts, in ints over one denominator."""
     dims = parts[0][1].dims
@@ -324,13 +304,14 @@ def _mul_sum(dims: tuple[int, ...], pairs: list[tuple[LaurentBlock, LaurentBlock
 
 
 def _mul_integrate(a: LaurentBlock, b: LaurentBlock) -> tuple[dict[Key, int], int]:
-    """(a * b).integrate_fibrewise(), without forming a * b.
+    """Fibre integral of a * b without forming a * b: ({key: numerator}, den) in lowest terms.
 
-    Only the top class survives the integral.  In C order the slot index
-    is linear in the exponents, so the one slot that completes slot i to
-    the top (the partner _slot_pairs maps to it) is top - i: b's terms are
-    grouped by top - slot, and each term of a meets one group.  The sum of
-    two such codes is (fields) * size + top.
+    Integrating over the product of projective spaces keeps, per key, the
+    coefficient of the top class.  In C order the slot index is linear in
+    the exponents, so the one slot that completes slot i to the top (the
+    partner _slot_pairs maps to it) is top - i: b's terms are grouped by
+    top - slot, and each term of a meets one group.  The sum of two such
+    codes is (fields) * size + top.
     """
     _product_bounds(a.dims, [(a, b)])
     size = len(_slot_pairs(a.dims))
@@ -342,8 +323,9 @@ def _mul_integrate(a: LaurentBlock, b: LaurentBlock) -> tuple[dict[Key, int], in
     for ca, x in a._codes.items():
         for cb, y in by_partner.get(ca % size, ()):
             acc[ca + cb] += x * y
-    fields = {c // size: v for c, v in acc.items() if v}
-    return _fibre_integral(len(a.dims), fields, a._den * b._den)
+    den = a._den * b._den
+    g = math.gcd(den, *acc.values())
+    return {_unpack(c // size, len(a.dims)): v // g for c, v in acc.items() if v}, den // g
 
 
 def block_one(dims: tuple[int, ...]) -> LaurentBlock:
@@ -365,21 +347,6 @@ def variable_x(dims: tuple[int, ...], power: int = 1) -> LaurentBlock:
 
 def alpha_power(dims: tuple[int, ...], power: int) -> LaurentBlock:
     return LaurentBlock(dims, {(power, 0, _tzero(len(dims))): one(dims)})
-
-
-def _invert_x_factor(dims: tuple[int, ...], c: tuple[int, ...]) -> LaurentBlock:
-    """Exact inverse of x + sum_i c_i H_i: the geometric series in x^{-1}, cut by nilpotency.
-
-    By the multinomial theorem it is the sum over h in the box of
-    (-1)^{|h|} (|h|! / h!) c^h H^h x^{-1-|h|}.
-    """
-    t0 = _tzero(len(dims))
-    terms = {}
-    for h in itertools.product(*(range(n + 1) for n in dims)):
-        k = sum(h)
-        multinomial = math.factorial(k) // math.prod(map(math.factorial, h))
-        terms[(0, -1 - k, t0, h)] = (-1) ** k * multinomial * math.prod(map(pow, c, h))
-    return _monomials(dims, terms)
 
 
 def kahler_factor(dims: tuple[int, ...]) -> LaurentBlock:

@@ -143,22 +143,15 @@ def _log_terms(
     )
 
 
-def _transform_series(
-    dims: tuple[int, ...],
-    bound: int,
-    normalization: dict[Degree, Rat],
-    prefactor: dict[Degree, Rat],
-    shifts: tuple[dict[Degree, Rat], ...],
-) -> tuple[Series, Series]:
-    """The pair (U, G) built from scratch, the Euler route's reference."""
+def _transform_series(mm: MirrorMap) -> tuple[Series, Series]:
+    """The pair (U, G) of `mm` built from scratch, the Euler route's reference."""
+    dims, bound = mm.spec.factors, mm.bound
     f_log: Series = {}
     g_log: Series = {}
     n = {_tzero(len(dims)): block_one(dims)}
     for d in degrees_upto(len(dims), bound)[1:]:
-        f_log[d], g_log[d] = _log_terms(
-            dims, prefactor.get(d, Rat(0)), tuple(g.get(d, Rat(0)) for g in shifts)
-        )
-        n[d] = block_scalar(dims, normalization.get(d, Rat(0)))
+        f_log[d], g_log[d] = _log_terms(dims, mm.prefactor.get(d, Rat(0)), mm.shift_vector(d))
+        n[d] = block_scalar(dims, mm.normalization.get(d, Rat(0)))
     u = series_mul(
         dims, series_exp(dims, f_log, bound), series_inverse(dims, n, bound), bound
     )
@@ -240,10 +233,8 @@ def solve_mirror_map(
     return MirrorMap(spec, bound, normalization, prefactor, shifts, residuals, table)
 
 
-def _integrand_factors(
-    spec: GeometrySpec, mm: MirrorMap, bound: int, euler: bool
-) -> Series:
-    """X_d per nonzero degree d, such that J_d = kahler * X_d.
+def _integrand_factors(mm: MirrorMap, euler: bool) -> Series:
+    """X_d per nonzero degree d of `mm`, such that J_d = kahler * X_d.
 
     By default X_d is the Chern ratio times the solve's residual.  With
     `euler` set, it is rebuilt from the full blocks and restricted to its
@@ -254,16 +245,13 @@ def _integrand_factors(
     x-Laurent series.  A concave summand pairing to 0 with dp leaves such
     a pole in hyper_block(spec, dp, mm.blocks, omega).
     """
-    if spec != mm.spec or bound > mm.bound:
-        raise ValueError(
-            f"the mirror map was solved for another spec or below bound {bound}"
-        )
+    spec = mm.spec
     dims = spec.factors
     omega = chern_ratio(spec)
-    degrees = [d for d in degrees_upto(spec.m, bound) if any(d)]
     if not euler:
-        return {d: omega * mm.residuals[d] for d in degrees}
-    u, g = _transform_series(dims, bound, mm.normalization, mm.prefactor, mm.shifts)
+        return {d: omega * r for d, r in mm.residuals.items()}
+    degrees = list(mm.residuals)
+    u, g = _transform_series(mm)
     blocks = {dp: hyper_block(spec, dp, mm.blocks, omega) for dp in degrees}
     at_x0 = {dp for dp, b in blocks.items() if b.x_support()[0] >= 0}
     blocks.update((dp, blocks[dp].x_stratum(0)) for dp in at_x0)
@@ -283,25 +271,22 @@ def _integrand_factors(
     return out
 
 
-def integrand_series(
-    spec: GeometrySpec, mm: MirrorMap, bound: int, euler: bool = False
-) -> Series:
+def integrand_series(mm: MirrorMap, euler: bool = False) -> Series:
     """The Kahler factor times the Chern ratio times the solve's residuals.
 
-    One block per nonzero degree.  `mm` must be solved for `spec` at a
-    bound of at least `bound`.  With `euler` set, the series is rebuilt
-    from the full blocks and every degree-d block is restricted to its x^0
-    stratum (see `_integrand_factors`).  Extraction integrates the same
-    products without forming them; this series is their reference.
+    One block per nonzero degree up to the bound of `mm`.  With `euler`
+    set, the series is rebuilt from the full blocks and every degree-d
+    block is restricted to its x^0 stratum (see `_integrand_factors`).
+    Extraction integrates the same products without forming them; this
+    series is their reference.
     """
-    eht = kahler_factor(spec.factors)
-    return {d: eht * x for d, x in _integrand_factors(spec, mm, bound, euler).items()}
+    eht = kahler_factor(mm.spec.factors)
+    return {d: eht * x for d, x in _integrand_factors(mm, euler).items()}
 
 
-def extract_invariants(
-    spec: GeometrySpec, mm: MirrorMap, bound: int, euler: bool = False
-) -> InvariantTable:
-    """Integrate the normalized series and solve for the invariants."""
+def extract_invariants(mm: MirrorMap, euler: bool = False) -> InvariantTable:
+    """Integrate the normalized series of `mm` and solve for the invariants to its bound."""
+    spec, bound = mm.spec, mm.bound
     s = validate(spec)
     if euler and s != 0:
         raise ValueError(
@@ -309,7 +294,7 @@ def extract_invariants(
             f"this spec has excess {s}"
         )
     m = spec.m
-    xs = _integrand_factors(spec, mm, bound, euler)
+    xs = _integrand_factors(mm, euler)
     eht = kahler_factor(spec.factors)
     degrees = list(xs)
 
@@ -440,7 +425,7 @@ def verify_all(spec: GeometrySpec, bound: int) -> list[CheckResult]:
     m = len(spec.factors)
     try:
         mm = solve_mirror_map(spec, bound)
-        table = extract_invariants(spec, mm, bound)
+        table = extract_invariants(mm)
     except MirrorError as err:
         checks.append(CheckResult("solve_and_extract", False, str(err)))
         return checks
@@ -448,7 +433,7 @@ def verify_all(spec: GeometrySpec, bound: int) -> list[CheckResult]:
 
     if s == 0:
         try:
-            et = extract_invariants(spec, mm, bound, euler=True)
+            et = extract_invariants(mm, euler=True)
             same = all(
                 et.value(e.degree) == e.value for e in table.entries
             )
@@ -461,7 +446,7 @@ def verify_all(spec: GeometrySpec, bound: int) -> list[CheckResult]:
 
     try:
         mm2 = solve_mirror_map(spec, bound + 2, reuse=mm)
-        table2 = extract_invariants(spec, mm2, bound + 2)
+        table2 = extract_invariants(mm2)
         stable = all(
             mm2.normalization.get(d, Rat(0)) == mm.normalization.get(d, Rat(0))
             and mm2.prefactor.get(d, Rat(0)) == mm.prefactor.get(d, Rat(0))

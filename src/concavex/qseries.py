@@ -122,12 +122,11 @@ def egf_numerators(
 ) -> tuple[list[dict[Degree, int]], list[int]]:
     """The EGF numerators of series with no constant term, and scale[n] = delta^n n!.
 
-    delta is the lcm of their denominators at |d| <= bound; degrees past
-    the bound are dropped and their denominators do not count.
+    delta is the lcm of their denominators; every degree has |d| <= bound.
     """
     if any(c for s in series for d, c in s.items() if not any(d)):
         raise ValueError("EGF numerators need series with zero constant term")
-    kept = [{d: c for d, c in s.items() if c and sum(d) <= bound} for s in series]
+    kept = [{d: c for d, c in s.items() if c} for s in series]
     delta = math.lcm(*(c.denominator for s in kept for c in s.values()))
     scale = list(itertools.accumulate(range(1, bound + 1), lambda x, n: x * delta * n, initial=1))
     egf = [{d: c.numerator * (scale[sum(d)] // c.denominator) for d, c in s.items()} for s in kept]

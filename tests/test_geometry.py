@@ -87,6 +87,31 @@ def test_negative_excess_rejected():
     assert "excess" in str(e.value)
 
 
+def test_validate_rejects_the_bundles_parse_spec_rejects(monkeypatch):
+    """A spec built in code gets the checks of the text format, before any block is built."""
+    from concavex import mirror
+
+    def engine(*args):
+        raise AssertionError("the engine ran on an invalid spec")
+
+    monkeypatch.setattr(mirror, "reduced_block", engine)
+    cases = [
+        # (3, 0) balances P^2 with a degree too many, (2,) is one short on P^1 x P^1
+        ((2,), [((3, 0), "convex")], r"bundle \(3, 0\) has 2 degrees, not 1"),
+        ((1, 1), [((2,), "convex")], r"bundle \(2,\) has 1 degrees, not 2"),
+        ((4,), [((5,), "flat")], "unknown bundle kind 'flat'"),
+        # each balanced, with a positive splitting excess
+        ((1,), [((-1,), "convex"), ((3,), "convex")], r"convex bundle \(-1,\) has a negative"),
+        ((1,), [((3,), "convex"), ((1,), "concave")], r"concave bundle \(1,\) needs degrees <= 0"),
+        ((1,), [((2,), "convex"), ((0,), "concave")], r"concave bundle \(0,\) needs degrees <= 0"),
+    ]
+    for factors, bundles, message in cases:
+        spec = GeometrySpec(factors, tuple(LineBundleSpec(d, k) for d, k in bundles))
+        for call in (validate, lambda s: mirror.solve_mirror_map(s, 2)):
+            with pytest.raises(ValidationError, match=message):
+                call(spec)
+
+
 def test_error_hierarchy():
     assert issubclass(ParseError, SpecError)
     assert issubclass(ValidationError, SpecError)

@@ -228,7 +228,7 @@ def test_checker_finds_every_memoised_function():
 BLOCK_STORAGE = {
     "_codes", "_den", "_reach", "_view",
     "_WIDTH", "_HALF", "_MASK", "_bias", "_pack", "_unpack", "_field", "_slot_partners",
-    "_same_ring", "_product_bounds", "_block", "_fibre_integral", "_lincomb",
+    "_same_ring", "_product_bounds", "_block", "_lincomb",
 }
 
 

@@ -24,7 +24,7 @@ from concavex.mirror import extract_invariants, solve_mirror_map
 def _solved(text, bound):
     spec = parse_spec(text)
     mm = solve_mirror_map(spec, bound)
-    return mm, extract_invariants(spec, mm, bound)
+    return mm, extract_invariants(mm)
 
 
 def _mobius(n):
