@@ -162,12 +162,15 @@ def serialize_spec(spec: GeometrySpec) -> str:
 def validate(spec: GeometrySpec) -> int:
     """Check the bundles and the two structural hypotheses; return the splitting excess.
 
-    Every bundle holds what parse_spec would give it: one degree per factor,
-    kind convex with degrees >= 0 or concave with degrees <= 0, not all 0.
+    The spec holds what parse_spec would give it: at least one factor, each
+    of dimension >= 1, and every bundle with one degree per factor, kind
+    convex with degrees >= 0 or concave with degrees <= 0, not all 0.
     Hypotheses: componentwise first-Chern balance
     sum(convex deg) + sum(concave magnitude) = n_i + 1, and a non-negative
     splitting excess.
     """
+    if not spec.factors:
+        raise ValidationError("spec declares no projective factors")
     for b in spec.bundles:
         degs = b.multidegree
         if len(degs) != spec.m:
@@ -179,6 +182,8 @@ def validate(spec: GeometrySpec) -> int:
         if b.kind == "concave" and (any(a > 0 for a in degs) or not any(degs)):
             raise ValidationError(f"concave bundle {degs} needs degrees <= 0, not all 0")
     for i, n in enumerate(spec.factors):
+        if n < 1:
+            raise ValidationError(f"factor {i}: projective dimension must be >= 1, got {n}")
         total = sum(b.multidegree[i] for b in spec.convex()) - sum(
             b.multidegree[i] for b in spec.concave()
         )

@@ -22,9 +22,10 @@ coefficients still zero for the read-off, then completed from the
 coefficients read off.  Anything outside span{1, x/alpha, H_i/alpha} is
 left in the residual, and the one check after solving, that no stratum at
 alpha^{-1} or above remains, reports it.  N is the exp of the log N read
-off.  Every series here is a qseries.Series, a plain dict
-{degree: block}; the Euler route's reference (U, G) is rebuilt from
-scratch as exp(F) N^{-1} with series_exp and series_inverse.
+off.  Every series here is a qseries.Series, a plain dict {degree: block},
+and every sum over the splits (d', d - d') of a degree reads them from the
+solve's one qseries.degree_pairs table, kept on the map; the Euler route's
+reference (U, G) is rebuilt as exp(F) N^{-1} with series_exp and series_inverse.
 
 The invariants then come out of the integrated series: multiplying back
 by the Chern ratio and the Kahler prefactor gives per degree d the block
@@ -69,9 +70,9 @@ from .laurent import (
 from .qseries import (
     Degree,
     Series,
+    Splits,
     _exp_coefficient,
-    _sub,
-    degrees_upto,
+    degree_pairs,
     egf_exp,
     egf_mul,
     egf_numerators,
@@ -106,6 +107,8 @@ class MirrorMap:
     residuals: Series = field(compare=False, repr=False)
     # the reduced blocks R_d the solve read, by degree
     blocks: Series = field(compare=False, repr=False)
+    # qseries.degree_pairs to the bound: each degree's splits (d', d - d')
+    pairs: dict[Degree, Splits] = field(compare=False, repr=False)
 
     def shift_vector(self, d: Degree) -> tuple[Rat, ...]:
         return tuple(g.get(d, Rat(0)) for g in self.shifts)
@@ -149,7 +152,7 @@ def _transform_series(mm: MirrorMap) -> tuple[Series, Series]:
     f_log: Series = {}
     g_log: Series = {}
     n = {_tzero(len(dims)): block_one(dims)}
-    for d in degrees_upto(len(dims), bound)[1:]:
+    for d in list(mm.pairs)[1:]:
         f_log[d], g_log[d] = _log_terms(dims, mm.prefactor.get(d, Rat(0)), mm.shift_vector(d))
         n[d] = block_scalar(dims, mm.normalization.get(d, Rat(0)))
     u = series_mul(
@@ -158,17 +161,12 @@ def _transform_series(mm: MirrorMap) -> tuple[Series, Series]:
     return u, series_exp(dims, g_log, bound)
 
 
-def _residual(dims: tuple[int, ...], u: Series, reduced: Series, d: Degree) -> LaurentBlock:
-    """Degree-d coefficient of U * sum_{d' != 0} R_d' q^d', free of U_d and G_d.
+def _residual(dims: tuple[int, ...], u: Series, reduced: Series, splits: Splits) -> LaurentBlock:
+    """Coefficient of U * sum_{d' != 0} R_d' q^d' at the degree d that `splits` splits.
 
-    Adding U_d - G_d (R_0 = 1) gives that of U * sum_d' R_d' q^d' - G.
+    It is free of U_d and G_d; adding U_d - G_d (R_0 = 1) gives that of U * sum R q^d - G.
     """
-    pairs = [
-        (u[diff], r)
-        for dp, r in reduced.items()
-        if any(dp) and (diff := _sub(d, dp)) is not None
-    ]
-    return _mul_sum(dims, pairs)
+    return _mul_sum(dims, [(u[e], reduced[dp]) for dp, e in splits[1:]])
 
 
 def solve_mirror_map(
@@ -194,7 +192,8 @@ def solve_mirror_map(
     dims = spec.factors
     m = len(dims)
     t0 = _tzero(m)
-    degrees = degrees_upto(m, bound)
+    pairs = degree_pairs(m, bound)
+    degrees = list(pairs)
     reduced: Series = {d: reduced_block(spec, d, table) for d in degrees}
 
     log_norm: dict[Degree, Rat] = {}
@@ -206,9 +205,9 @@ def solve_mirror_map(
     g = {t0: block_one(dims)}
     residuals: Series = {}
     for d in degrees[1:]:
-        u[d] = _exp_coefficient(dims, u_log, u, d)
-        g[d] = _exp_coefficient(dims, g_log, g, d)
-        lower = _residual(dims, u, reduced, d)
+        u[d] = _exp_coefficient(dims, u_log, u, pairs[d])
+        g[d] = _exp_coefficient(dims, g_log, g, pairs[d])
+        lower = _residual(dims, u, reduced, pairs[d])
         acc = lower + (u[d] - g[d])
         log_norm[d] = acc.entry((0, 0, t0), t0)
         prefactor[d] = -acc.entry((-1, 1, t0), t0)
@@ -230,7 +229,7 @@ def solve_mirror_map(
     (log_egf,), scale = egf_numerators((log_norm,), bound)
     norm = egf_exp(log_egf, m, bound)
     normalization = {d: Rat(norm.get(d, 0), scale[sum(d)]) for d in degrees[1:]}
-    return MirrorMap(spec, bound, normalization, prefactor, shifts, residuals, table)
+    return MirrorMap(spec, bound, normalization, prefactor, shifts, residuals, table, pairs)
 
 
 def _integrand_factors(mm: MirrorMap, euler: bool) -> Series:
@@ -255,17 +254,10 @@ def _integrand_factors(mm: MirrorMap, euler: bool) -> Series:
     blocks = {dp: hyper_block(spec, dp, mm.blocks, omega) for dp in degrees}
     at_x0 = {dp for dp, b in blocks.items() if b.x_support()[0] >= 0}
     blocks.update((dp, blocks[dp].x_stratum(0)) for dp in at_x0)
+    u0 = {e: b.x_stratum(0) for e, b in u.items()}
     out = {}
     for d in degrees:
-        pairs = []
-        for dp in degrees:
-            diff = _sub(d, dp)
-            if diff is None:
-                continue
-            uc = u[diff]
-            if dp in at_x0:
-                uc = uc.x_stratum(0)
-            pairs.append((uc, blocks[dp]))
+        pairs = [(u0[e] if dp in at_x0 else u[e], blocks[dp]) for dp, e in mm.pairs[d][1:]]
         pairs.append((u[d] - g[d], omega))
         out[d] = _mul_sum(dims, pairs).x_stratum(0)
     return out
@@ -325,25 +317,27 @@ def extract_invariants(mm: MirrorMap, euler: bool = False) -> InvariantTable:
     # the matching series (2 - <d', g>) exp(<d', g>), both to total degree
     # D - |d'|, as EGF numerators over the shifts' scale[n] = delta^n n!;
     # below[d] holds (d', exp weight, matching weight) at q^{d - d'} for each
-    # d' <= d, d' = d included: the numerators times 2^k C(|d|, k), k = |d - d'|,
-    # the matching one halved (0 at k = 0, where it is not read)
+    # d' <= d, d' = d included, each formed before d: the numerators times
+    # 2^k C(|d|, k), k = |d - d'|, the matching one halved (0 at k = 0, unread)
     gs, scale = egf_numerators(mm.shifts, bound)
     axis_exp = [egf_exp(g, m, bound) for g in gs]
     expg: dict[Degree, dict[Degree, int]] = {_tzero(m): {_tzero(m): 1}}
-    below: dict[Degree, list[tuple[Degree, int, int]]] = {d: [] for d in degrees}
-    for dp in degrees:
-        i = next(k for k, c in enumerate(dp) if c)
-        prev = tuple(c - (k == i) for k, c in enumerate(dp))
-        expg[dp] = egf_mul(expg[prev], axis_exp[i], bound - sum(dp))
+    match: dict[Degree, dict[Degree, int]] = {}
+    below: dict[Degree, list[tuple[Degree, int, int]]] = {}
+    for d in degrees:
+        i = next(k for k, c in enumerate(d) if c)
+        prev = tuple(c - (k == i) for k, c in enumerate(d))
+        expg[d] = egf_mul(expg[prev], axis_exp[i], bound - sum(d))
         two_minus = {_tzero(m): 2}
         for k, g in enumerate(gs):
             for dd, c in g.items():
-                two_minus[dd] = two_minus.get(dd, 0) - dp[k] * c
-        match = egf_mul(two_minus, expg[dp], bound - sum(dp))
-        for diff in expg[dp].keys() | match.keys():
-            w = math.comb(sum(dp) + sum(diff), sum(diff)) << sum(diff)
-            row = (dp, w * expg[dp].get(diff, 0), (w >> 1) * match.get(diff, 0))
-            below[tuple(a + b for a, b in zip(dp, diff))].append(row)
+                two_minus[dd] = two_minus.get(dd, 0) - d[k] * c
+        match[d] = egf_mul(two_minus, expg[d], bound - sum(d))
+        w = [math.comb(sum(d), k) << k for k in range(sum(d) + 1)]
+        below[d] = [
+            (dp, w[sum(e)] * expg[dp].get(e, 0), (w[sum(e)] >> 1) * match[dp].get(e, 0))
+            for dp, e in mm.pairs[d][1:]
+        ]
 
     # the system in ints: solved[j][d] holds K_d unit[d], unit[d] being
     # 2^|d| scale[|d|] times the lcm of the integrated denominators; with the
@@ -451,8 +445,7 @@ def verify_all(spec: GeometrySpec, bound: int) -> list[CheckResult]:
             mm2.normalization.get(d, Rat(0)) == mm.normalization.get(d, Rat(0))
             and mm2.prefactor.get(d, Rat(0)) == mm.prefactor.get(d, Rat(0))
             and mm2.shift_vector(d) == mm.shift_vector(d)
-            for d in degrees_upto(m, bound)
-            if any(d)
+            for d in list(mm.pairs)[1:]
         ) and all(table2.value(e.degree) == e.value for e in table.entries)
         checks.append(
             CheckResult("truncation_stability", stable,

@@ -9,10 +9,13 @@ no cohomology is involved, is held as the int numerators s_d of a truncated
 exponential generating function, S_d = s_d / (delta^|d| |d|!) with delta a
 common denominator: products are binomial convolutions, exp needs no division.
 
-Both exponentials, block and scalar, come from one recurrence, one degree
-at a time: the Euler operator sum_i q_i d/dq_i turns exp(L)' = L' exp(L)
-into |d| E_d = sum_{0 < d' <= d} |d'| L_{d'} E_{d-d'}.  The mirror solve
-extends its series with the same per-degree step, `_exp_coefficient`.
+Every block convolution sum_{d' <= d} X_{d'} Y_{d-d'} reads its splits
+(d', d - d') from one table, `degree_pairs`, the one place that enumerates
+them.  Both exponentials, block and scalar, come from one recurrence, one
+degree at a time: the Euler operator sum_i q_i d/dq_i turns
+exp(L)' = L' exp(L) into |d| E_d = sum_{0 < d' <= d} |d'| L_{d'} E_{d-d'}.
+The mirror solve extends its series with the same per-degree step,
+`_exp_coefficient`.
 """
 from __future__ import annotations
 
@@ -26,11 +29,13 @@ from .laurent import LaurentBlock, _mul_sum, _tzero, block_one
 
 Degree = tuple[int, ...]
 Series = dict[Degree, LaurentBlock]
+Splits = list[tuple[Degree, Degree]]
 
 __all__ = [
     "Degree",
     "Series",
     "degrees_upto",
+    "degree_pairs",
     "series_mul",
     "series_exp",
     "series_inverse",
@@ -48,10 +53,19 @@ def degrees_upto(m: int, bound: int) -> list[Degree]:
     )
 
 
-def _sub(d: Degree, e: Degree) -> Degree | None:
-    """d - e, or None if that is not an effective degree."""
-    out = tuple(a - b for a, b in zip(d, e))
-    return None if any(c < 0 for c in out) else out
+def degree_pairs(m: int, bound: int) -> dict[Degree, Splits]:
+    """Each degree d with |d| <= bound mapped to its splits (d', d - d'), 0 <= d' <= d.
+
+    Both d and d' run in `degrees_upto` order: (0, d) comes first, (d, 0) last.
+    """
+    degrees = degrees_upto(m, bound)
+    out: dict[Degree, Splits] = {d: [] for d in degrees}
+    for dp in degrees:
+        for e in degrees:
+            if sum(dp) + sum(e) > bound:
+                break
+            out[tuple(map(add, dp, e))].append((dp, e))
+    return out
 
 
 def series_mul(dims: tuple[int, ...], a: Series, b: Series, bound: int) -> Series:
@@ -59,31 +73,23 @@ def series_mul(dims: tuple[int, ...], a: Series, b: Series, bound: int) -> Serie
 
     Each output degree is one kernel call over all its pairs.
     """
-    pairs: dict[Degree, list[tuple[LaurentBlock, LaurentBlock]]] = {}
-    for d1, b1 in a.items():
-        for d2, b2 in b.items():
-            d = tuple(u + v for u, v in zip(d1, d2))
-            if sum(d) <= bound:
-                pairs.setdefault(d, []).append((b1, b2))
-    return {d: _mul_sum(dims, ps) for d, ps in pairs.items()}
+    table = degree_pairs(len(dims), bound)
+    pairs = {d: [(a[d1], b[d2]) for d1, d2 in ps if d1 in a and d2 in b] for d, ps in table.items()}
+    return {d: _mul_sum(dims, ps) for d, ps in pairs.items() if ps}
 
 
 def _exp_coefficient(
-    dims: tuple[int, ...], log: Series, exp: Series, d: Degree
+    dims: tuple[int, ...], log: Series, exp: Series, splits: Splits
 ) -> LaurentBlock:
-    """Degree-d coefficient of E = exp(L), from the coefficients of E below d.
+    """Coefficient of E = exp(L) at the degree d split by `splits`, from those of E below d.
 
     The Euler operator sum_i q_i d/dq_i turns E' = L' E into
     |d| E_d = sum_{0 < d' <= d} |d'| L_{d'} E_{d-d'}; a degree missing
     from `log` or `exp` is a zero coefficient, and L_d, if present,
     enters as L_d E_0.
     """
-    n = sum(d)
-    pairs = [
-        (blk.scale(Rat(sum(dp), n)), exp[diff])
-        for dp, blk in log.items()
-        if (diff := _sub(d, dp)) is not None and diff in exp
-    ]
+    n = sum(splits[-1][0])
+    pairs = [(log[dp].scale(Rat(sum(dp), n)), exp[e]) for dp, e in splits if dp in log and e in exp]
     return _mul_sum(dims, pairs)
 
 
@@ -93,8 +99,8 @@ def series_exp(dims: tuple[int, ...], s: Series, bound: int) -> Series:
     if z in s and not s[z].is_zero():
         raise ValueError("exp needs a series with zero constant term")
     out = {z: block_one(dims)}
-    for d in degrees_upto(len(dims), bound)[1:]:
-        out[d] = _exp_coefficient(dims, s, out, d)
+    for d, splits in list(degree_pairs(len(dims), bound).items())[1:]:
+        out[d] = _exp_coefficient(dims, s, out, splits)
     return out
 
 
@@ -104,13 +110,9 @@ def series_inverse(dims: tuple[int, ...], s: Series, bound: int) -> Series:
     if s.get(z) != block_one(dims):
         raise ValueError("inverse needs constant term equal to one")
     out = {z: block_one(dims)}
-    for d in degrees_upto(len(dims), bound)[1:]:
+    for d, splits in list(degree_pairs(len(dims), bound).items())[1:]:
         # coefficient of q^d in s * out must vanish
-        out[d] = -_mul_sum(dims, [
-            (b, out[diff])
-            for dp, b in s.items()
-            if dp != z and (diff := _sub(d, dp)) is not None
-        ])
+        out[d] = -_mul_sum(dims, [(s[dp], out[e]) for dp, e in splits[1:] if dp in s])
     return out
 
 

@@ -104,6 +104,10 @@ def test_validate_rejects_the_bundles_parse_spec_rejects(monkeypatch):
         ((1,), [((-1,), "convex"), ((3,), "convex")], r"convex bundle \(-1,\) has a negative"),
         ((1,), [((3,), "convex"), ((1,), "concave")], r"concave bundle \(1,\) needs degrees <= 0"),
         ((1,), [((2,), "convex"), ((0,), "concave")], r"concave bundle \(0,\) needs degrees <= 0"),
+        # no factor, or a factor of dimension below 1, each balanced
+        ((), [], "spec declares no projective factors"),
+        ((0,), [((1,), "convex")], "factor 0: projective dimension must be >= 1, got 0"),
+        ((-1,), [((0,), "convex")], "factor 0: projective dimension must be >= 1, got -1"),
     ]
     for factors, bundles, message in cases:
         spec = GeometrySpec(factors, tuple(LineBundleSpec(d, k) for d, k in bundles))

@@ -326,7 +326,7 @@ def test_blocks_and_transform_series_are_built_once(monkeypatch):
     for name in (
         "reduced_block", "hyper_block", "series_exp", "series_inverse",
         "_transform_series", "_residual", "integrand_series", "egf_exp",
-        "series_mul",
+        "series_mul", "degree_pairs",
     ):
         def counted(*args, _real=getattr(mirror, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -336,8 +336,12 @@ def test_blocks_and_transform_series_are_built_once(monkeypatch):
             return out
 
         monkeypatch.setattr(mirror, name, counted)
+    # the series helpers reach the table builder through qseries itself
+    monkeypatch.setattr(qseries, "degree_pairs", mirror.degree_pairs)
     bound = 3
     mm = solve_mirror_map(TWO_FACTOR, bound)
+    # one degree table per solve, kept on the map
+    assert calls["degree_pairs"] == 1
     # one pass: U and G grow by recurrence, never rebuilt from scratch
     for name in ("_transform_series", "series_exp", "series_inverse", "series_mul"):
         assert calls[name] == 0, name
@@ -357,12 +361,16 @@ def test_blocks_and_transform_series_are_built_once(monkeypatch):
     # one exp(g_i) per axis; exp(<d', g>) comes from a product per degree
     assert calls["egf_exp"] == 1 + TWO_FACTOR.m == 3
     assert calls["hyper_block"] == 0
+    # and reads its splits from the map's table
+    assert calls["degree_pairs"] == 1
     # the Euler route's reference (U, G): one product exp(F) * N^-1 of two
     # series full to the bound, one kernel call per output degree
     mirror._transform_series(mm)
     assert calls["series_exp"] == 2 and calls["series_inverse"] == 1
     assert calls["series_mul"] == 1
     assert kernel_in["series_mul"] == len(degrees_upto(2, bound)) == 10
+    # each of those four series helpers builds its own table
+    assert calls["degree_pairs"] == 1 + 4
 
 
 def test_verify_and_the_euler_route_build_no_block_twice(monkeypatch):
@@ -469,9 +477,10 @@ def test_check_after_solving_reports_a_term_outside_the_solvable_span(
     stray = LaurentBlock(TWO_FACTOR.factors, {key: monomial(TWO_FACTOR.factors, exps, 3)})
     real = mirror._residual
 
-    def with_stray(dims, u, reduced, d):
-        out = real(dims, u, reduced, d)
-        return out + stray if d == degree else out
+    def with_stray(dims, u, reduced, splits):
+        out = real(dims, u, reduced, splits)
+        # the splits of d end with (d, 0)
+        return out + stray if splits[-1][0] == degree else out
 
     monkeypatch.setattr(mirror, "_residual", with_stray)
     message = rf"degree {re.escape(str(degree))}: residual stratum at alpha\^{alpha} after solving$"

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from concavex.cohomology import monomial
 from concavex.laurent import alpha_power, block_one, block_scalar, from_class
 from concavex.qseries import (
+    degree_pairs,
     degrees_upto,
     egf_exp,
     egf_mul,
@@ -41,6 +42,22 @@ def test_degree_enumeration_matches_the_compositions_by_total(m):
     for bound in range(6):
         want = [d for total in range(bound + 1) for d in _compositions(m, total)]
         assert degrees_upto(m, bound) == want
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_degree_pairs_lists_every_split_of_every_degree(m):
+    for bound in range(7):
+        degrees = degrees_upto(m, bound)
+        table = degree_pairs(m, bound)
+        assert list(table) == degrees
+        for d, splits in table.items():
+            # every d' <= d componentwise, by brute force over all degrees
+            want = [
+                (dp, tuple(a - b for a, b in zip(d, dp)))
+                for dp in degrees
+                if all(b <= a for a, b in zip(d, dp))
+            ]
+            assert splits == want
 
 
 def test_the_empty_product_has_only_the_zero_degree():
