@@ -7,7 +7,10 @@ Torus weights are evaluated at random distinct rationals instead of being
 carried symbolically; agreement across independent samples certifies that
 the weight dependence cancels.  Each sample is scaled once to integer
 weights, every graph gives one (numerator, denominator) pair of ints, and
-the pairs are summed over their lcm, one division per sample.  Everything
+the pairs are summed over their lcm, one division per sample.  A graph
+reads T^top of the Chern polynomial prod(1 + w T) of its N weights, which
+is U^(N - top) of prod(w + U); N - top is the splitting excess s, so at
+s = 0 a numerator is the product of its weights.  Everything
 downstream treats these numbers as ground truth, so this module
 deliberately shares no code with the series pipeline.
 """
@@ -88,46 +91,44 @@ def _integral(lam: tuple[Rat, ...]) -> tuple[int, ...]:
     return tuple(int(w * scale) for w in lam)
 
 
-def _chern_series(numer: Sequence[int], top: int, denom: Sequence[int] = ()) -> list[int]:
-    """prod(1 + w T) / prod(1 + u T) up to T^top, for integer weights.
+def _top_window(weights: Sequence[int], depth: int) -> list[int]:
+    """prod(1 + w T) at T^N, ..., T^(N - depth), for N int weights.
 
-    A denominator weight that occurs among the numerator weights cancels
-    exactly; only the leftover ones need the truncated long division.
+    prod(1 + w T) = T^N prod(w + 1/T), so these are U^0, ..., U^depth of
+    prod(w + U): the product of the weights at depth 0, O(N (depth + 1))
+    steps beyond.  At depth < 0, [0]: T^(N - depth) lies past the top.
     """
-    numer = list(numer)
-    rest = []
-    for u in denom:
-        if u in numer:
-            numer.remove(u)
-        else:
-            rest.append(u)
-    series = [1] + [0] * top
-    for count, w in enumerate(numer, 1):
-        for k in range(min(count, top), 0, -1):
-            series[k] += w * series[k - 1]
-    for u in rest:
-        for k in range(1, top + 1):
-            series[k] -= u * series[k - 1]
-    return series
+    if depth <= 0:
+        return [math.prod(weights) if depth == 0 else 0]
+    window = [1] + [0] * depth
+    for w in weights:
+        for t in range(depth, 0, -1):
+            window[t] = w * window[t] + window[t - 1]
+        window[0] *= w
+    return window
 
 
 def _edge_section_weights(
-    spec: GeometrySpec, li: int, lj: int, delta: int
+    spec: GeometrySpec, li: int, lj: int, delta: int, head: bool = False
 ) -> list[int]:
     """Bundle cohomology weights along a degree-delta cover of the line ij.
 
     Convex summand of degree l: sections, weights (a li + b lj)/delta with
     a+b = l*delta, a,b >= 0.  Concave summand of magnitude l: first
     cohomology, weights -(a li + b lj)/delta with a+b = l*delta, a,b >= 1.
-    Returns these weights times delta, so integer weights give ints.
+    Returns these weights times delta, so integer weights give ints: the
+    steps a = 0, 1, ... of l delta lj + a (li - lj), for distinct li, lj.  A
+    node graph's head at p_j moves the a = 0 weight l lj of each convex
+    summand to the concave ones, as the obstruction -l lj.
     """
     numer: list[int] = []
+    step = li - lj
     for b in spec.bundles:
-        l = abs(b.multidegree[0])
+        ld = abs(b.multidegree[0]) * delta
         if b.kind == "convex":
-            numer.extend(a * li + (l * delta - a) * lj for a in range(l * delta + 1))
+            numer.extend(range(ld * lj + head * step, ld * lj + (ld + 1) * step, step))
         else:
-            numer.extend(-(a * li + (l * delta - a) * lj) for a in range(1, l * delta))
+            numer.extend(range(-ld * lj - (1 - head) * step, -ld * lj - ld * step, -step))
     return numer
 
 
@@ -141,69 +142,66 @@ def _cover_graphs(
     taken times delta as in `_edge_section_weights`, leaves the integer
     normal (-1)^(delta+1) delta (delta!)^2 (lam_i - lam_j)^(2 delta - 2)
     prod_{m != i,j} prod_{a=0..delta} (a lam_i + (delta - a) lam_j - delta lam_m).
+    The numerator, T^top of the N edge weights, ends their `_top_window`
+    at depth N - top = s: at s = 0 it is their product.
     """
     n = spec.factors[0]
     top = _moduli_dim(n, delta)
     factor = (-1) ** (delta + 1) * delta * math.factorial(delta) ** 2
     graphs = []
     for i, j in itertools.combinations(range(n + 1), 2):
-        normal = factor * (lam[i] - lam[j]) ** (2 * delta - 2)
-        for m in range(n + 1):
-            if m in (i, j):
-                continue
-            for a in range(delta + 1):
-                w = a * lam[i] + (delta - a) * lam[j] - delta * lam[m]
-                if w == 0:
-                    raise SamplingError("degenerate cover normal weight")
-                normal *= w
+        normal = [
+            a * lam[i] + (delta - a) * lam[j] - delta * lam[m]
+            for m in range(n + 1) if m not in (i, j) for a in range(delta + 1)
+        ]
+        if 0 in normal:
+            raise SamplingError("degenerate cover normal weight")
         numer = _edge_section_weights(spec, lam[i], lam[j], delta)
-        graphs.append((_chern_series(numer, top)[top], normal))
+        start = factor * (lam[i] - lam[j]) ** (2 * delta - 2)
+        graphs.append((_top_window(numer, len(numer) - top)[-1], math.prod(normal, start=start)))
     return graphs
 
 
 def _node_graphs(spec: GeometrySpec, lam: tuple[int, ...]) -> list[tuple[int, int]]:
     """Two lines glued at a node over p_j; branch swap gives the 1/2.
 
-    Each edge's Chern series is expanded to T^top once per sample: outgoing
-    (j, k) over its sections, head (i, j) also over the concave obstructions
-    at p_j, node weights divided out.  Graph i -> j -> k dots the two.
-    Returns (numerator, denominator) per graph.
+    Graph i -> j -> k weighs its head (i, j), with the node weights at p_j
+    traded for the concave obstructions there, and its outgoing edge
+    (j, k).  Each edge's `_top_window` is taken once per sample, at depth
+    len(head) + len(outgoing) - top = s, and a graph dots the two: at
+    s = 0 the product of all its weights.  Graph k -> j -> i weighs the
+    same weights over the same normal, so i < k counts both, and i = k
+    itself.  Returns (numerator, denominator) per graph.
     """
     n = spec.factors[0]
-    top = _moduli_dim(n, 2)
+    edges = list(itertools.permutations(range(n + 1), 2))
     evals = [
         math.prod(lam[v] - lam[m] for m in range(n + 1) if m != v) for v in range(n + 1)
     ]
-    edges = {
-        (i, j): _edge_section_weights(spec, lam[i], lam[j], 1)
-        for i, j in itertools.permutations(range(n + 1), 2)
-    }
-    # reversed, so that head[t] meets outgoing[top - t]
-    outgoing = {e: _chern_series(w, top)[::-1] for e, w in edges.items()}
+    branch = {(i, j): evals[i] // (lam[i] - lam[j]) for i, j in edges}
+    heads = {(i, j): _edge_section_weights(spec, lam[i], lam[j], 1, head=True) for i, j in edges}
+    depth = len(heads[0, 1]) + len(_edge_section_weights(spec, 0, 1, 1)) - _moduli_dim(n, 2)
+    heads = {e: _top_window(w, depth) for e, w in heads.items()}
+    # line jk either way round, reversed so that head[t] meets outgoing[depth - t]
+    outgoing = {}
+    for j, k in itertools.combinations(range(n + 1), 2):
+        window = _top_window(_edge_section_weights(spec, lam[j], lam[k], 1), depth)[::-1]
+        outgoing[j, k] = outgoing[k, j] = window
     graphs = []  # (numerator, denominator) per graph
     for j in range(n + 1):
-        # the weight l lam[j] at the node: one section of a convex summand
-        # too many, one more obstruction of a concave one
-        node = [abs(b.multidegree[0]) * lam[j] for b in spec.bundles if b.kind == "convex"]
-        extra = [-abs(b.multidegree[0]) * lam[j] for b in spec.bundles if b.kind != "convex"]
-        for i in range(n + 1):
-            if i == j:
-                continue
-            head = _chern_series(edges[i, j] + extra, top, node)
-            for k in range(n + 1):
-                if k == j:
-                    continue
-                # tangent weights at p_j are lam[j] - lam[m], so smoothing
-                # the node weighs 2 lam[j] - lam[i] - lam[k]
-                smoothing = 2 * lam[j] - lam[i] - lam[k]
-                if smoothing == 0:
-                    raise SamplingError("degenerate node smoothing weight")
-                # moving sections of the two branches, divided by the
-                # evaluation at the shared point, times the node smoothing,
-                # over the surviving reparametrization weights
-                normal = evals[i] // (lam[i] - lam[j]) * evals[j] * smoothing
-                normal *= evals[k] // (lam[k] - lam[j])
-                graphs.append((sum(map(operator.mul, head, outgoing[j, k])), 2 * normal))
+        others = [m for m in range(n + 1) if m != j]
+        for i, k in itertools.combinations_with_replacement(others, 2):
+            # tangent weights at p_j are lam[j] - lam[m], so smoothing
+            # the node weighs 2 lam[j] - lam[i] - lam[k]
+            smoothing = 2 * lam[j] - lam[i] - lam[k]
+            if smoothing == 0:
+                raise SamplingError("degenerate node smoothing weight")
+            # moving sections of the two branches, divided by the
+            # evaluation at the shared point, times the node smoothing,
+            # over the surviving reparametrization weights
+            normal = branch[i, j] * evals[j] * smoothing * branch[k, j]
+            value = sum(map(operator.mul, heads[i, j], outgoing[j, k]))
+            graphs.append((value, normal if i < k else 2 * normal))
     return graphs
 
 

@@ -11,16 +11,17 @@ from fractions import Fraction as Rat
 
 import pytest
 
-from concavex.geometry import parse_spec
+from concavex.geometry import parse_spec, validate
 from concavex.localization import (
     OracleInconsistencyError,
     SamplingError,
     WeightSample,
-    _chern_series,
     _cover_graphs,
     _edge_section_weights,
     _integral,
+    _moduli_dim,
     _node_graphs,
+    _top_window,
     oracle_invariant,
     oracle_invariant_checked,
     quintic_lines_schubert,
@@ -134,33 +135,42 @@ def _chern_series_by_fractions(numer, top, denom):
 
 
 @pytest.mark.parametrize(
-    "numer,top,denom",
+    "numer,depth",
     [
-        ([1, 2, 3], 2, []),
-        ([3, -5, 7, 2], 4, [2]),
+        ([1, 2, 3], 1),
+        ([3, -5, 7, 2], 0),
         # halves and thirds, each row taken times the lcm 6 of its denominators
-        ([3, -4, 24, 5], 2, [3]),
-        ([9, 9, -2], 3, [9]),
-        ([0, 3, 0, -1], 2, [0]),
-        ([0, 0], 3, []),
-        ([1, 2], 4, [5]),
-        ([3, 42, -18], 3, [-8, 42]),
+        ([3, -4, 24, 5], 2),
+        ([9, 9, -2], 1),
+        ([0, 3, 0, -1], 2),
+        ([0, 0], 2),
+        ([1, 2], 1),
+        ([3, 42, -18], 3),
+        ([5, -1], 4),
     ],
-    ids=["ints", "ints-cancel", "halves-thirds", "repeated", "zeros",
-         "short", "leftover", "leftover-fractions"],
+    ids=["ints", "product", "halves-thirds", "repeated", "zeros",
+         "short", "pair", "full-depth", "deeper-than-n"],
 )
-def test_chern_top_matches_fraction_long_division(numer, top, denom):
-    want = _chern_series_by_fractions(numer, top, denom)
-    got = _chern_series(numer, top, denom)
+def test_chern_top_matches_fraction_long_division(numer, depth):
+    # the window is the top depth + 1 coefficients of the full series, from
+    # T^N down, with zeros past T^0
+    series = _chern_series_by_fractions(numer, len(numer), [])
+    want = (series[::-1] + [0] * depth)[: depth + 1]
+    got = _top_window(numer, depth)
     assert all(isinstance(c, int) for c in got)
     assert got == want
 
 
-def _node_graph_sum_per_graph(spec, lam):
-    """The node-graph sum with one Chern product per graph, as a reference.
+def test_window_past_the_top_reads_zero():
+    assert _top_window([2, 3], -1) == [0]
+
+
+def _node_graphs_per_graph(spec, lam):
+    """Each node graph's value with one Chern product per graph, as a reference.
 
     Graph i -> j -> k weighs the sections of both lines plus the concave
-    obstructions at p_j, with the node weights at p_j removed.
+    obstructions at p_j, with the node weights at p_j divided out by a
+    `Fraction` long division.  Returns {(i, j, k): value}.
     """
     lam = _integral(lam)
     n = spec.factors[0]
@@ -168,7 +178,7 @@ def _node_graph_sum_per_graph(spec, lam):
     evals = [
         math.prod(lam[v] - lam[m] for m in range(n + 1) if m != v) for v in range(n + 1)
     ]
-    total = Rat(0)
+    values = {}
     for j in range(n + 1):
         node = [abs(b.multidegree[0]) * lam[j] for b in spec.bundles if b.kind == "convex"]
         extra = [-abs(b.multidegree[0]) * lam[j] for b in spec.bundles if b.kind != "convex"]
@@ -183,8 +193,8 @@ def _node_graph_sum_per_graph(spec, lam):
                 normal *= evals[k] // (lam[k] - lam[j])
                 numer = (_edge_section_weights(spec, lam[i], lam[j], 1)
                          + _edge_section_weights(spec, lam[j], lam[k], 1) + extra)
-                total += Rat(_chern_series(numer, top, node)[top], 2 * normal)
-    return total
+                values[i, j, k] = _chern_series_by_fractions(numer, top, node)[top] / (2 * normal)
+    return values
 
 
 def _value_or_degenerate(f, spec, lam):
@@ -210,9 +220,35 @@ def test_node_graph_sum_matches_the_per_graph_formula(spec):
     samples.append(NON_INTEGRAL[: n + 1])
     got = [_value_or_degenerate(lambda s, l: _total(_node_graphs(s, _integral(l))), spec, lam)
            for lam in samples]
-    want = [_value_or_degenerate(_node_graph_sum_per_graph, spec, lam) for lam in samples]
+    per_graph = [_value_or_degenerate(_node_graphs_per_graph, spec, lam) for lam in samples]
+    want = [v if v == "degenerate" else sum(v.values()) for v in per_graph]
     assert got == want
     assert sum(v != "degenerate" for v in got) >= 3
+    # `_node_graphs` counts i -> j -> k once with k -> j -> i
+    for values in per_graph:
+        if values != "degenerate":
+            assert all(v == values[k, j, i] for (i, j, k), v in values.items())
+
+
+# every spec above, with its splitting excess s
+EXCESS_SPECS = [(PAIR, 0), (QUINTIC, 0), (LOCAL_P2, 0), (P3_QUARTIC, 1), (CI2222, 0),
+                (P5_33, 0), (P3_MIXED, 0)]
+
+
+@pytest.mark.parametrize(
+    "spec,s", EXCESS_SPECS,
+    ids=["pair", "quintic", "local-p2", "p3-quartic", "ci2222", "p5-33", "p3-mixed"],
+)
+def test_window_depth_is_the_splitting_excess(spec, s):
+    # a graph reads T^top of its N weights, the last of `_top_window` at
+    # depth N - top: that depth is s, so at s = 0 each graph is a product
+    n = spec.factors[0]
+    assert validate(spec) == s
+    for delta in (1, 2):
+        assert len(_edge_section_weights(spec, 1, 2, delta)) - _moduli_dim(n, delta) == s
+    head = _edge_section_weights(spec, 1, 2, 1, head=True)
+    outgoing = _edge_section_weights(spec, 2, 3, 1)
+    assert len(head) + len(outgoing) - _moduli_dim(n, 2) == s
 
 
 def _cover_graphs_by_hand(spec, lam, delta):
