@@ -23,9 +23,9 @@ coefficients read off.  Anything outside span{1, x/alpha, H_i/alpha} is
 left in the residual, and the one check after solving, that no stratum at
 alpha^{-1} or above remains, reports it.  N is the exp of the log N read
 off.  Every series here is a qseries.Series, a plain dict {degree: block},
-and every sum over the splits (d', d - d') of a degree reads them from the
-solve's one qseries.degree_pairs table, kept on the map; the Euler route's
-reference (U, G) is rebuilt as exp(F) N^{-1} with series_exp and series_inverse.
+and every sum over the splits (d', d - d') of a degree, block or scalar,
+reads them from the solve's one qseries.degree_pairs table, kept on the map:
+so do the Euler route's reference exp(F) N^{-1} and the int exps of N and g.
 
 The invariants then come out of the integrated series: multiplying back
 by the Chern ratio and the Kahler prefactor gives per degree d the block
@@ -125,7 +125,6 @@ class InvariantEntry:
 class InvariantTable:
     spec: GeometrySpec
     excess: int
-    bound: int
     entries: tuple[InvariantEntry, ...]
 
     def value(self, d: Degree) -> Rat:
@@ -148,17 +147,15 @@ def _log_terms(
 
 def _transform_series(mm: MirrorMap) -> tuple[Series, Series]:
     """The pair (U, G) of `mm` built from scratch, the Euler route's reference."""
-    dims, bound = mm.spec.factors, mm.bound
+    dims, pairs = mm.spec.factors, mm.pairs
     f_log: Series = {}
     g_log: Series = {}
     n = {_tzero(len(dims)): block_one(dims)}
-    for d in list(mm.pairs)[1:]:
+    for d in list(pairs)[1:]:
         f_log[d], g_log[d] = _log_terms(dims, mm.prefactor.get(d, Rat(0)), mm.shift_vector(d))
         n[d] = block_scalar(dims, mm.normalization.get(d, Rat(0)))
-    u = series_mul(
-        dims, series_exp(dims, f_log, bound), series_inverse(dims, n, bound), bound
-    )
-    return u, series_exp(dims, g_log, bound)
+    u = series_mul(dims, series_exp(dims, f_log, pairs), series_inverse(dims, n, pairs), pairs)
+    return u, series_exp(dims, g_log, pairs)
 
 
 def _residual(dims: tuple[int, ...], u: Series, reduced: Series, splits: Splits) -> LaurentBlock:
@@ -185,6 +182,8 @@ def solve_mirror_map(
     later solves: with `reuse`, a map solved earlier for the same spec, the
     solve starts from a copy of its blocks and builds only those it lacks.
     """
+    if bound < 0:
+        raise ValueError(f"degree bound must be at least 0, got {bound}")
     validate(spec)
     if reuse is not None and reuse.spec != spec:
         raise ValueError("the mirror map to reuse was solved for another spec")
@@ -227,7 +226,7 @@ def solve_mirror_map(
             )
         residuals[d] = acc
     (log_egf,), scale = egf_numerators((log_norm,), bound)
-    norm = egf_exp(log_egf, m, bound)
+    norm = egf_exp(log_egf, pairs)
     normalization = {d: Rat(norm.get(d, 0), scale[sum(d)]) for d in degrees[1:]}
     return MirrorMap(spec, bound, normalization, prefactor, shifts, residuals, table, pairs)
 
@@ -320,19 +319,19 @@ def extract_invariants(mm: MirrorMap, euler: bool = False) -> InvariantTable:
     # d' <= d, d' = d included, each formed before d: the numerators times
     # 2^k C(|d|, k), k = |d - d'|, the matching one halved (0 at k = 0, unread)
     gs, scale = egf_numerators(mm.shifts, bound)
-    axis_exp = [egf_exp(g, m, bound) for g in gs]
+    axis_exp = [egf_exp(g, mm.pairs) for g in gs]
     expg: dict[Degree, dict[Degree, int]] = {_tzero(m): {_tzero(m): 1}}
     match: dict[Degree, dict[Degree, int]] = {}
     below: dict[Degree, list[tuple[Degree, int, int]]] = {}
     for d in degrees:
         i = next(k for k, c in enumerate(d) if c)
         prev = tuple(c - (k == i) for k, c in enumerate(d))
-        expg[d] = egf_mul(expg[prev], axis_exp[i], bound - sum(d))
+        expg[d] = egf_mul(expg[prev], axis_exp[i], mm.pairs, bound - sum(d))
         two_minus = {_tzero(m): 2}
         for k, g in enumerate(gs):
             for dd, c in g.items():
                 two_minus[dd] = two_minus.get(dd, 0) - d[k] * c
-        match[d] = egf_mul(two_minus, expg[d], bound - sum(d))
+        match[d] = egf_mul(two_minus, expg[d], mm.pairs, bound - sum(d))
         w = [math.comb(sum(d), k) << k for k in range(sum(d) + 1)]
         below[d] = [
             (dp, w[sum(e)] * expg[dp].get(e, 0), (w[sum(e)] >> 1) * match[dp].get(e, 0))
@@ -372,7 +371,7 @@ def extract_invariants(mm: MirrorMap, euler: bool = False) -> InvariantTable:
         raw = [(j, Rat(solved[j][d], unit[d])) for j in range(s, top + 1)]
         raw = [(j, v) for j, v in raw if v or j == s]
         entries.append(InvariantEntry(degree=d, raw=tuple(raw), value=raw[0][1]))
-    return InvariantTable(spec=spec, excess=s, bound=bound, entries=tuple(entries))
+    return InvariantTable(spec=spec, excess=s, entries=tuple(entries))
 
 
 def _is_concave_line_pair(spec: GeometrySpec) -> bool:

@@ -9,10 +9,11 @@ no cohomology is involved, is held as the int numerators s_d of a truncated
 exponential generating function, S_d = s_d / (delta^|d| |d|!) with delta a
 common denominator: products are binomial convolutions, exp needs no division.
 
-Every block convolution sum_{d' <= d} X_{d'} Y_{d-d'} reads its splits
-(d', d - d') from one table, `degree_pairs`, the one place that enumerates
-them.  Both exponentials, block and scalar, come from one recurrence, one
-degree at a time: the Euler operator sum_i q_i d/dq_i turns
+Every convolution sum_{d' <= d} X_{d'} Y_{d-d'}, block or scalar, and both
+exps read their splits (d', d - d') from one table that the caller passes:
+`degree_pairs`, the one place that enumerates them, built once per solve.
+The table's degrees are the truncation.  Both exponentials come from one
+recurrence, one degree at a time: the Euler operator sum_i q_i d/dq_i turns
 exp(L)' = L' exp(L) into |d| E_d = sum_{0 < d' <= d} |d'| L_{d'} E_{d-d'}.
 The mirror solve extends its series with the same per-degree step,
 `_exp_coefficient`.
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 from operator import add
 
 from .cohomology import Rat
@@ -30,6 +30,7 @@ from .laurent import LaurentBlock, _mul_sum, _tzero, block_one
 Degree = tuple[int, ...]
 Series = dict[Degree, LaurentBlock]
 Splits = list[tuple[Degree, Degree]]
+Table = dict[Degree, Splits]
 
 __all__ = [
     "Degree",
@@ -53,13 +54,13 @@ def degrees_upto(m: int, bound: int) -> list[Degree]:
     )
 
 
-def degree_pairs(m: int, bound: int) -> dict[Degree, Splits]:
+def degree_pairs(m: int, bound: int) -> Table:
     """Each degree d with |d| <= bound mapped to its splits (d', d - d'), 0 <= d' <= d.
 
     Both d and d' run in `degrees_upto` order: (0, d) comes first, (d, 0) last.
     """
     degrees = degrees_upto(m, bound)
-    out: dict[Degree, Splits] = {d: [] for d in degrees}
+    out: Table = {d: [] for d in degrees}
     for dp in degrees:
         for e in degrees:
             if sum(dp) + sum(e) > bound:
@@ -68,14 +69,10 @@ def degree_pairs(m: int, bound: int) -> dict[Degree, Splits]:
     return out
 
 
-def series_mul(dims: tuple[int, ...], a: Series, b: Series, bound: int) -> Series:
-    """Graded convolution truncated at total degree `bound`.
-
-    Each output degree is one kernel call over all its pairs.
-    """
-    table = degree_pairs(len(dims), bound)
-    pairs = {d: [(a[d1], b[d2]) for d1, d2 in ps if d1 in a and d2 in b] for d, ps in table.items()}
-    return {d: _mul_sum(dims, ps) for d, ps in pairs.items() if ps}
+def series_mul(dims: tuple[int, ...], a: Series, b: Series, pairs: Table) -> Series:
+    """Graded convolution over the degrees of `pairs`, one kernel call per output degree."""
+    sums = {d: [(a[d1], b[d2]) for d1, d2 in ps if d1 in a and d2 in b] for d, ps in pairs.items()}
+    return {d: _mul_sum(dims, ps) for d, ps in sums.items() if ps}
 
 
 def _exp_coefficient(
@@ -93,24 +90,24 @@ def _exp_coefficient(
     return _mul_sum(dims, pairs)
 
 
-def series_exp(dims: tuple[int, ...], s: Series, bound: int) -> Series:
-    """exp of a series with no constant term, every degree up to `bound`."""
+def series_exp(dims: tuple[int, ...], s: Series, pairs: Table) -> Series:
+    """exp of a series with no constant term, every degree of `pairs`."""
     z = _tzero(len(dims))
     if z in s and not s[z].is_zero():
         raise ValueError("exp needs a series with zero constant term")
     out = {z: block_one(dims)}
-    for d, splits in list(degree_pairs(len(dims), bound).items())[1:]:
+    for d, splits in list(pairs.items())[1:]:
         out[d] = _exp_coefficient(dims, s, out, splits)
     return out
 
 
-def series_inverse(dims: tuple[int, ...], s: Series, bound: int) -> Series:
-    """Inverse of a series whose constant term is the unit block, every degree up to `bound`."""
+def series_inverse(dims: tuple[int, ...], s: Series, pairs: Table) -> Series:
+    """Inverse of a series whose constant term is the unit block, every degree of `pairs`."""
     z = _tzero(len(dims))
     if s.get(z) != block_one(dims):
         raise ValueError("inverse needs constant term equal to one")
     out = {z: block_one(dims)}
-    for d, splits in list(degree_pairs(len(dims), bound).items())[1:]:
+    for d, splits in list(pairs.items())[1:]:
         # coefficient of q^d in s * out must vanish
         out[d] = -_mul_sum(dims, [(s[dp], out[e]) for dp, e in splits[1:] if dp in s])
     return out
@@ -135,33 +132,36 @@ def egf_numerators(
     return egf, scale
 
 
-def egf_mul(a: dict[Degree, int], b: dict[Degree, int], cut: int) -> dict[Degree, int]:
-    """Product of two EGF series over one delta, every degree with |d| <= cut."""
-    by_total = sorted((sum(d), d, v) for d, v in b.items())
-    out: defaultdict[Degree, int] = defaultdict(int)
-    for d1, x in a.items():
-        n1 = sum(d1)
-        for n2, d2, y in by_total:
-            if n1 + n2 > cut:
-                break
-            out[tuple(map(add, d1, d2))] += math.comb(n1 + n2, n1) * x * y
-    return {d: v for d, v in out.items() if v}
+def egf_mul(
+    a: dict[Degree, int], b: dict[Degree, int], pairs: Table, cut: int
+) -> dict[Degree, int]:
+    """Product of two EGF series over one delta, every degree of `pairs` with |d| <= cut."""
+    out: dict[Degree, int] = {}
+    for d, splits in pairs.items():
+        n = sum(d)
+        if n > cut:
+            break
+        terms = [math.comb(n, sum(d1)) * a[d1] * b[d2] for d1, d2 in splits if d1 in a and d2 in b]
+        if v := sum(terms):
+            out[d] = v
+    return out
 
 
-def egf_exp(s: dict[Degree, int], m: int, bound: int) -> dict[Degree, int]:
-    """exp of an EGF series with no constant term, each e_d pushed on to every d + d' <= bound."""
-    z = (0,) * m
+def egf_exp(s: dict[Degree, int], pairs: Table) -> dict[Degree, int]:
+    """exp of an EGF series with no constant term, every degree of `pairs`.
+
+    The block exp's recurrence in EGF numerators: e_d = sum C(|d|-1, |d'|-1) s_{d'} e_{d-d'}.
+    """
+    (z, _), *rows = pairs.items()
     if s.get(z):
         raise ValueError("exp needs zero constant term")
-    by_total = sorted((sum(d), d, v) for d, v in s.items() if any(d))
-    acc: defaultdict[Degree, int] = defaultdict(int, {z: 1})
-    out: dict[Degree, int] = {}
-    for d in degrees_upto(m, bound):
-        if e := acc.pop(d, 0):
-            out[d] = e
-            n = sum(d)
-            for k, dp, v in by_total:
-                if n + k > bound:
-                    break
-                acc[tuple(map(add, d, dp))] += math.comb(n + k - 1, k - 1) * v * e
+    out: dict[Degree, int] = {z: 1}
+    for d, splits in rows:
+        n = sum(d)
+        if v := sum(
+            math.comb(n - 1, sum(dp) - 1) * s[dp] * out[e]
+            for dp, e in splits[1:]
+            if dp in s and e in out
+        ):
+            out[d] = v
     return out

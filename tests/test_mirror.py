@@ -369,8 +369,13 @@ def test_blocks_and_transform_series_are_built_once(monkeypatch):
     assert calls["series_exp"] == 2 and calls["series_inverse"] == 1
     assert calls["series_mul"] == 1
     assert kernel_in["series_mul"] == len(degrees_upto(2, bound)) == 10
-    # each of those four series helpers builds its own table
-    assert calls["degree_pairs"] == 1 + 4
+    # and all four read the map's table
+    assert calls["degree_pairs"] == 1
+    # verify solves twice, at D and at D + 2; its three extractions, the Euler
+    # route's reference and the re-solve's reused blocks build no table
+    calls.clear()
+    assert all(c.passed for c in verify_all(BICUBIC, 3))
+    assert calls["degree_pairs"] == 2
 
 
 def test_verify_and_the_euler_route_build_no_block_twice(monkeypatch):
@@ -412,6 +417,16 @@ def test_solves_without_reuse_share_no_blocks(monkeypatch):
     assert sorted(first.blocks) == [(0,), (1,), (2,), (3,)]
     assert third.blocks[(3,)] is first.blocks[(3,)]
     assert third == solve_mirror_map(QUINTIC, 5)
+
+
+def test_a_negative_bound_is_refused_and_bound_zero_gives_an_empty_table(monkeypatch):
+    built = []
+    monkeypatch.setattr(mirror, "reduced_block", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match="degree bound must be at least 0, got -1"):
+        solve_mirror_map(QUINTIC, -1)
+    assert built == []
+    monkeypatch.undo()
+    assert extract_invariants(solve_mirror_map(QUINTIC, 0)).entries == ()
 
 
 def test_reuse_needs_a_map_of_the_same_spec():
