@@ -34,10 +34,10 @@ import time
 from .cohomology import Rat
 from .geometry import GeometrySpec, SpecError, parse_spec, validate
 from .localization import (
-    ORACLE_DEGREES,
     ORACLE_SAMPLES,
     OracleInconsistencyError,
     SamplingError,
+    oracle_degrees,
     oracle_draws,
     oracle_invariant_checked,
     spell_degrees,
@@ -80,8 +80,9 @@ def _spec_echo(spec: GeometrySpec) -> dict:
 def _oracle_checks(table: InvariantTable) -> list[OracleRow]:
     """Per-degree oracle comparison where the graph sum is available."""
     rows: list[OracleRow] = []
+    degrees = oracle_degrees(table.spec)
     for e in table.entries:
-        if table.spec.m == 1 and sum(e.degree) in ORACLE_DEGREES:
+        if sum(e.degree) in degrees:
             val, _ = oracle_invariant_checked(table.spec, sum(e.degree))
             rows.append((e.degree, val, val == e.value))
         else:
@@ -164,10 +165,11 @@ def cmd_compute(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     spec, _ = _load_spec(args.spec)
-    if len(spec.factors) != 1:
+    degrees = oracle_degrees(spec)
+    if not degrees:
         raise SpecError("the graph sum covers single-factor specs only")
-    if args.degree not in ORACLE_DEGREES:
-        raise SpecError(f"the graph sum covers degrees {spell_degrees(ORACLE_DEGREES)} only")
+    if args.degree not in degrees:
+        raise SpecError(f"the graph sum covers degrees {spell_degrees(degrees)} only")
     draws = oracle_draws(spec, args.degree, args.samples, args.seed)
     lines = [f"sample seed={sample.seed}: {_rat(v)}" for sample, v in draws]
     agree = len({v for _, v in draws}) == 1

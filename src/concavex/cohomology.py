@@ -78,10 +78,9 @@ class CohClass:
         return not any(self.coeffs)
 
     def coefficient(self, exps: tuple[int, ...]) -> Rat:
-        """Coefficient of the monomial ``prod H_i ** exps[i]``."""
-        for e, n in zip(exps, self.dims):
-            if e < 0 or e > n:
-                return Rat(0)
+        """Coefficient of ``prod H_i ** exps[i]``; 0 past the box or at another length."""
+        if len(exps) != len(self.dims) or any(e < 0 or e > n for e, n in zip(exps, self.dims)):
+            return Rat(0)
         return self.coeffs[_flat_index(self.dims, exps)]
 
     def terms(self) -> Iterator[tuple[tuple[int, ...], Rat]]:

@@ -26,7 +26,7 @@ import math
 
 from .cohomology import Rat
 from .geometry import GeometrySpec, pairing
-from .laurent import LaurentBlock, _monomials, _tzero, block_one
+from .laurent import LaurentBlock, _tzero, block_one
 from .qseries import Degree, Series
 
 
@@ -41,7 +41,7 @@ def _affine_block(dims: tuple[int, ...], c: tuple[int, ...], alpha_coeff: int) -
     terms = {(0, 0, t0, _power(len(dims), i, 1)): ci for i, ci in enumerate(c)}
     terms[(0, 1, t0, t0)] = 1
     terms[(1, 0, t0, t0)] = alpha_coeff
-    return _monomials(dims, terms)
+    return LaurentBlock(dims, terms)
 
 
 def chern_ratio(spec: GeometrySpec) -> LaurentBlock:
@@ -77,7 +77,7 @@ def _inverse_power(
         r = math.comb(p - 1 + k, k) * math.factorial(k) // math.prod(map(math.factorial, h))
         r *= math.prod(map(pow, minus_c, h))
         terms[((0, -p - k) if x else (-p - k, 0)) + (_tzero(len(dims)), h)] = Rat(r, w ** (p + k))
-    return _monomials(dims, terms)
+    return LaurentBlock(dims, terms)
 
 
 def _raise_degree(spec: GeometrySpec, r: LaurentBlock, e: Degree, i: int) -> LaurentBlock:

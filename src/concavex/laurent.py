@@ -11,10 +11,11 @@ the underlying product of projective spaces, so denominators of the form
 A block stores integers only: one flat dict ``{code: numerator}``, zero
 numerators dropped, over one positive denominator for the whole block, kept
 in lowest terms (gcd of it and every numerator is 1), so the form is
-canonical and equality compares dicts.  Blocks are immutable.  One encoder,
-``_monomials``, makes every block from int or ``Fraction`` values of the
-monomials alpha^a x^j t^tau H^h: the closed forms below are such maps, and
-the constructor from ``{key: CohClass}`` is a thin adapter onto it.  The
+canonical and equality compares dicts.  Blocks are immutable.  The one
+encoder is the constructor, which takes int or ``Fraction`` values of the
+monomials alpha^a x^j t^tau H^h, ``{(a, j, tau, h): r}``: the closed forms
+below are such maps.  An h past the box drops its monomial (H_i^(n_i + 1)
+is 0), and an h of another length than dims raises ValueError.  The
 ``terms`` view, the same map with dense ``CohClass`` coefficients of
 ``Fraction`` entries, is built on first read and cached; ``entry`` reads
 one coefficient from the stored ints.
@@ -51,7 +52,7 @@ import struct
 from collections import defaultdict
 from types import MappingProxyType
 
-from .cohomology import CohClass, Rat, _flat_index, _slot_pairs, one
+from .cohomology import CohClass, Rat, _flat_index, _slot_pairs
 
 Key = tuple[int, int, tuple[int, ...]]
 Monomial = tuple[int, int, tuple[int, ...], tuple[int, ...]]  # (a, j, tau, h): alpha^a x^j t^tau H^h
@@ -61,9 +62,6 @@ __all__ = [
     "LaurentBlock",
     "block_one",
     "block_scalar",
-    "from_class",
-    "variable_x",
-    "alpha_power",
     "kahler_factor",
 ]
 
@@ -110,19 +108,31 @@ class LaurentBlock:
     """Sparse Laurent block: packed integer terms over one block denominator.
 
     ``dims`` fixes the cohomology ring and the number of t slots, one per
-    factor.  ``LaurentBlock(dims, terms)`` converts a map of keys to classes
-    once, through the encoder ``_monomials``; zero classes are dropped.
-    ``terms`` reads the block back as that map.
+    factor.  ``LaurentBlock(dims, terms)`` encodes the sum of r alpha^a x^j
+    t^tau H^h over ``{(a, j, tau, h): r}``; zero values are dropped.
+    ``terms`` reads the block back with the H exponents gathered into classes.
     """
 
     __slots__ = ("dims", "_codes", "_den", "_reach", "_view")
 
-    def __init__(self, dims: tuple[int, ...], terms: dict[Key, CohClass] | None = None) -> None:
-        if any(c.dims != dims for c in (terms or {}).values()):
-            raise ValueError(f"classes of another ring in a block over {dims}")
-        blk = _monomials(dims, {(*key, h): r for key, c in (terms or {}).items() for h, r in c.terms()})
-        for name in LaurentBlock.__slots__:
-            setattr(self, name, getattr(blk, name))
+    def __init__(self, dims: tuple[int, ...], terms: dict[Monomial, Rat | int]) -> None:
+        m, size = len(dims), len(_slot_pairs(dims))
+        kept = []
+        for (a, j, tau, h), r in terms.items():
+            if len(tau) != m:
+                raise ValueError(f"a key with {len(tau)} t exponents in a block over {dims}")
+            if len(h) != m:
+                raise ValueError(f"H^{h} has {len(h)} exponents in a block over {dims}")
+            if r and all(0 <= e <= n for e, n in zip(h, dims)):  # H_i^(n_i + 1) = 0
+                kept.append(((a, j, tau), h, r))
+        # the lcm of the denominators is already in lowest terms
+        den = math.lcm(*{r.denominator for _, _, r in kept})
+        self.dims, self._den, self._view = dims, den, None
+        self._codes = {
+            _pack(key) * size + _flat_index(dims, h): r.numerator * (den // r.denominator)
+            for key, h, r in kept
+        }
+        self._reach = max((abs(e) for (a, j, tau), _, _ in kept for e in (a, j, *tau)), default=0)
 
     @property
     def terms(self) -> MappingProxyType[Key, CohClass]:
@@ -149,7 +159,8 @@ class LaurentBlock:
 
     def entry(self, key: Key, h: tuple[int, ...]) -> Rat:
         """The coefficient of H^h at key, terms[key].coefficient(h), without the view."""
-        if len(key[2]) != len(self.dims) or any(e < 0 or e > n for e, n in zip(h, self.dims)):
+        m = len(self.dims)
+        if len(key[2]) != m or len(h) != m or any(e < 0 or e > n for e, n in zip(h, self.dims)):
             return Rat(0)
         code = _pack(key) * len(_slot_pairs(self.dims)) + _flat_index(self.dims, h)
         return Rat(self._codes.get(code, 0), self._den)
@@ -219,26 +230,6 @@ def _same_ring(dims: tuple[int, ...], blocks: list[LaurentBlock]) -> None:
     for blk in blocks:
         if blk.dims != dims:
             raise ValueError(f"dimension mismatch: {dims} vs {blk.dims}")
-
-
-def _monomials(dims: tuple[int, ...], terms: dict[Monomial, Rat | int]) -> LaurentBlock:
-    """The block sum of r alpha^a x^j t^tau H^h over {(a, j, tau, h): r}, zero values dropped.
-
-    Every key must carry len(dims) t exponents, and an exponent that does
-    not fit its field raises ValueError.
-    """
-    nonzero = [(key, r) for key, r in terms.items() if r]
-    # the lcm of the denominators is already in lowest terms
-    den = math.lcm(*{r.denominator for _, r in nonzero})
-    size = len(_slot_pairs(dims))
-    codes, reach = {}, 0
-    for (a, j, tau, h), r in nonzero:
-        if len(tau) != len(dims):
-            raise ValueError(f"a key with {len(tau)} t exponents in a block over {dims}")
-        reach = max(reach, abs(a), abs(j), *map(abs, tau))
-        code = _pack((a, j, tau)) * size + _flat_index(dims, h)
-        codes[code] = r.numerator * (den // r.denominator)
-    return _block(dims, codes, den, reach)
 
 
 def _block(dims: tuple[int, ...], codes: dict[int, int], den: int, reach: int) -> LaurentBlock:
@@ -334,19 +325,7 @@ def block_one(dims: tuple[int, ...]) -> LaurentBlock:
 
 def block_scalar(dims: tuple[int, ...], r: Rat | int) -> LaurentBlock:
     t0 = _tzero(len(dims))
-    return _monomials(dims, {(0, 0, t0, t0): r})
-
-
-def from_class(c: CohClass) -> LaurentBlock:
-    return LaurentBlock(c.dims, {(0, 0, _tzero(len(c.dims))): c})
-
-
-def variable_x(dims: tuple[int, ...], power: int = 1) -> LaurentBlock:
-    return LaurentBlock(dims, {(0, power, _tzero(len(dims))): one(dims)})
-
-
-def alpha_power(dims: tuple[int, ...], power: int) -> LaurentBlock:
-    return LaurentBlock(dims, {(power, 0, _tzero(len(dims))): one(dims)})
+    return LaurentBlock(dims, {(0, 0, t0, t0): r})
 
 
 def kahler_factor(dims: tuple[int, ...]) -> LaurentBlock:
@@ -355,7 +334,7 @@ def kahler_factor(dims: tuple[int, ...]) -> LaurentBlock:
     The closed form is sum over multi-exponents beta of
     (-1)^{|beta|} / beta! * H^beta * t^beta * alpha^{-|beta|}.
     """
-    return _monomials(dims, {
+    return LaurentBlock(dims, {
         (-sum(beta), 0, beta, beta): Rat((-1) ** sum(beta), math.prod(map(math.factorial, beta)))
         for beta in itertools.product(*(range(n + 1) for n in dims))
     })

@@ -29,6 +29,7 @@ from .geometry import GeometrySpec
 __all__ = [
     "ORACLE_DEGREES",
     "ORACLE_SAMPLES",
+    "oracle_degrees",
     "WeightSample",
     "SamplingError",
     "OracleInconsistencyError",
@@ -44,6 +45,11 @@ __all__ = [
 # for `compute`, `verify` and `oracle`
 ORACLE_DEGREES = (1, 2)
 ORACLE_SAMPLES = 3
+
+
+def oracle_degrees(spec: GeometrySpec) -> tuple[int, ...]:
+    """The degrees the graph sums cover on `spec`: ORACLE_DEGREES on one factor, none otherwise."""
+    return ORACLE_DEGREES if spec.m == 1 else ()
 
 
 def spell_degrees(degrees: Sequence[int]) -> str:

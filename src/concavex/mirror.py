@@ -59,7 +59,6 @@ from .geometry import GeometrySpec, validate
 from .laurent import (
     Key,
     LaurentBlock,
-    _monomials,
     _mul_integrate,
     _mul_sum,
     _tzero,
@@ -140,8 +139,8 @@ def _log_terms(
     """The q^d terms f x / alpha of F and -(sum_i g_i H_i) / alpha of log G."""
     t0 = _tzero(len(dims))
     return (
-        _monomials(dims, {(-1, 1, t0, t0): f}),
-        _monomials(dims, {(-1, 0, t0, _power(len(dims), i, 1)): -c for i, c in enumerate(g)}),
+        LaurentBlock(dims, {(-1, 1, t0, t0): f}),
+        LaurentBlock(dims, {(-1, 0, t0, _power(len(dims), i, 1)): -c for i, c in enumerate(g)}),
     )
 
 
@@ -410,12 +409,13 @@ class CheckResult:
 def verify_all(spec: GeometrySpec, bound: int) -> list[CheckResult]:
     """Engine run plus every consistency gate, reported check by check."""
     from .localization import (
-        ORACLE_DEGREES, OracleInconsistencyError, SamplingError, oracle_invariant_checked,
+        OracleInconsistencyError, SamplingError, oracle_degrees, oracle_invariant_checked,
     )
 
+    if bound < 1:
+        raise ValueError(f"verify needs a degree bound of at least 1, got {bound}")
     checks: list[CheckResult] = []
     s = validate(spec)
-    m = len(spec.factors)
     try:
         mm = solve_mirror_map(spec, bound)
         table = extract_invariants(mm)
@@ -453,15 +453,14 @@ def verify_all(spec: GeometrySpec, bound: int) -> list[CheckResult]:
     except MirrorError as err:
         checks.append(CheckResult("truncation_stability", False, str(err)))
 
-    if m == 1:
-        for d in [k for k in ORACLE_DEGREES if k <= bound]:
-            try:
-                val, _ = oracle_invariant_checked(spec, d)
-                ok = val == table.value((d,))
-                checks.append(
-                    CheckResult(f"oracle_degree_{d}", ok,
-                                "" if ok else f"{val} != {table.value((d,))}")
-                )
-            except (SamplingError, OracleInconsistencyError) as err:
-                checks.append(CheckResult(f"oracle_degree_{d}", False, str(err)))
+    for d in [k for k in oracle_degrees(spec) if k <= bound]:
+        try:
+            val, _ = oracle_invariant_checked(spec, d)
+            ok = val == table.value((d,))
+            checks.append(
+                CheckResult(f"oracle_degree_{d}", ok,
+                            "" if ok else f"{val} != {table.value((d,))}")
+            )
+        except (SamplingError, OracleInconsistencyError) as err:
+            checks.append(CheckResult(f"oracle_degree_{d}", False, str(err)))
     return checks

@@ -192,7 +192,6 @@ def test_oracle_degree_three_exits_2(spec_file, capsys):
 def test_oracle_range_messages_name_every_oracle_degree(
     spec_file, capsys, monkeypatch, degrees, words
 ):
-    monkeypatch.setattr(cli, "ORACLE_DEGREES", degrees)
     monkeypatch.setattr(localization, "ORACLE_DEGREES", degrees)
     beyond = max(degrees) + 1
     rc, out, err = run(capsys, "oracle", "--spec", spec_file(PAIR), "--degree", str(beyond))

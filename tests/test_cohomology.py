@@ -55,6 +55,16 @@ def test_linear_combination():
     assert c.coefficient((0, 0)) == 0
 
 
+def test_an_exponent_tuple_of_another_length_reads_zero():
+    # zipped against dims, a short tuple would read another slot, a long one its head's
+    c = monomial((1, 1), (1, 1), 3)
+    assert c.coefficient((1, 1)) == 3
+    assert c.coefficient((1, 1, 7)) == 0
+    assert c.coefficient((1,)) == 0
+    assert monomial((1, 1), (1, 0), 3).coefficient((1,)) == 0
+    assert scalar((), 2).coefficient((0,)) == 0
+
+
 @given(classes(), classes(), classes())
 def test_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)

@@ -11,7 +11,7 @@ from fractions import Fraction as Rat
 import pytest
 
 from concavex import eulerdata
-from concavex.cohomology import hyperplane, linear, scalar
+from concavex.cohomology import hyperplane, scalar
 from concavex.eulerdata import (
     _inverse_power,
     _power,
@@ -21,7 +21,7 @@ from concavex.eulerdata import (
     reduced_block,
 )
 from concavex.geometry import pairing, parse_spec
-from concavex.laurent import LaurentBlock, alpha_power, block_one, from_class, variable_x
+from concavex.laurent import LaurentBlock, block_one
 from concavex.qseries import degrees_upto
 
 QUINTIC = parse_spec("space 4\nbundle convex 5\n")
@@ -40,11 +40,12 @@ SPECS = [QUINTIC, PAIR, LOCAL_P2, P3_QUARTIC, TWO_FACTOR, ZERO_ENTRY]
 
 
 def _euler_factor(dims, d):
-    """prod_i prod_{k=1}^{d_i} (H_i - k*alpha)^{n_i+1}, built from generators."""
+    """prod_i prod_{k=1}^{d_i} (H_i - k*alpha)^{n_i+1}, built from monomials."""
+    t0 = (0,) * len(dims)
     factor = block_one(dims)
     for i, n in enumerate(dims):
         for k in range(1, d[i] + 1):
-            lin = from_class(hyperplane(dims, i)) - alpha_power(dims, 1).scale(k)
+            lin = LaurentBlock(dims, {(0, 0, t0, _power(len(dims), i, 1)): 1, (1, 0, t0, t0): -k})
             for _ in range(n + 1):
                 factor = factor * lin
     return factor
@@ -56,19 +57,16 @@ def _euler_inverse(dims, i, k):
 
 
 def _shifted(spec, b, k):
-    """x + c1(b) + k*alpha, built from generators."""
+    """x + c1(b) + k*alpha, built from monomials."""
     dims = spec.factors
-    return (
-        variable_x(dims)
-        + from_class(linear(dims, b.multidegree))
-        + alpha_power(dims, 1).scale(k)
-    )
+    t0 = (0,) * len(dims)
+    c1 = {(0, 0, t0, _power(len(dims), i, 1)): c for i, c in enumerate(b.multidegree)}
+    return LaurentBlock(dims, {(0, 1, t0, t0): 1, (1, 0, t0, t0): k} | c1)
 
 
 def test_chern_ratio_quintic_is_linear():
-    x = variable_x((4,))
-    h = from_class(hyperplane((4,), 0))
-    assert chern_ratio(QUINTIC) == x + h.scale(5)
+    x_plus_5h = LaurentBlock((4,), {(0, 1, (0,), (0,)): 1, (0, 0, (0,), (1,)): 5})
+    assert chern_ratio(QUINTIC) == x_plus_5h
 
 
 def test_chern_ratio_pair_expansion():
@@ -78,7 +76,7 @@ def test_chern_ratio_pair_expansion():
     assert b.terms[(0, -3, (0,))] == h.scale(2)
     assert (0, -1, (0,)) not in b.terms
     # multiplying back by (x - H)^2 recovers 1
-    lin = variable_x((1,)) - from_class(h)
+    lin = LaurentBlock((1,), {(0, 1, (0,), (0,)): 1, (0, 0, (0,), (1,)): -1})
     assert b * lin * lin == block_one((1,))
 
 
@@ -110,10 +108,7 @@ def test_normal_euler_inverse(spec):
 
 def test_euler_inverse_on_the_line():
     # (H - alpha)^{-2} = alpha^{-2} (1 - H/alpha)^{-2} = alpha^{-2} + 2 H alpha^{-3}
-    want = LaurentBlock((1,), {
-        (-2, 0, (0,)): scalar((1,), 1),
-        (-3, 0, (0,)): hyperplane((1,), 0).scale(2),
-    })
+    want = LaurentBlock((1,), {(-2, 0, (0,), (0,)): 1, (-3, 0, (0,), (1,)): 2})
     assert _euler_inverse((1,), 0, 1) == want
     with pytest.raises(ZeroDivisionError):
         _euler_inverse((1,), 0, 0)
@@ -198,11 +193,10 @@ def test_alpha_support_bounds(spec):
 
 def test_pair_block_is_inverse_square():
     # at x = 0 the pair's block is (H - d alpha)^{-2} = 1/(d alpha)^2 + 2 H/(d alpha)^3
-    h = hyperplane((1,), 0)
     for d in (1, 2, 3):
         want = LaurentBlock((1,), {
-            (-2, 0, (0,)): scalar((1,), Rat(1, d**2)),
-            (-3, 0, (0,)): h.scale(Rat(2, d**3)),
+            (-2, 0, (0,), (0,)): Rat(1, d**2),
+            (-3, 0, (0,), (1,)): Rat(2, d**3),
         })
         assert hyper_block(PAIR, (d,), {}, chern_ratio(PAIR)).x_stratum(0) == want
 

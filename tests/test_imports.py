@@ -14,17 +14,18 @@ A Laurent block's integer storage stays private to ``laurent.py``: every
 other module reads blocks through their methods and the ``terms`` view.
 That storage has one shape: a block over dims packs len(dims) t fields.
 The engine past ``laurent.py`` builds its blocks from int monomials, so it
-imports none of the ring's class constructors from ``cohomology``.
+imports none of the ring's class constructors from ``cohomology``.  The
+package imports nothing but itself and the standard library.
 """
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import concavex
-from concavex.cohomology import one
 from concavex.laurent import LaurentBlock
 
 MODULES = sorted(
@@ -132,6 +133,33 @@ def _package_imports(source: str) -> set[tuple[str, str]]:
                 if alias.name.split(".")[0] == "concavex"
             }
     return found
+
+
+def _foreign_imports(source: str) -> list[str]:
+    """Top-level modules a source imports at any depth that are neither stdlib nor the package."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return sorted(found - sys.stdlib_module_names - {"concavex"})
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(concavex.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_the_package_imports_only_the_standard_library(path):
+    assert _foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_an_import_outside_the_standard_library():
+    source = (
+        "from __future__ import annotations\nimport json, numpy.linalg\n"
+        "from . import qseries\nfrom .laurent import LaurentBlock\nimport concavex.mirror\n"
+        "def f():\n    import sympy as sp\n    from hypothesis import given\n"
+    )
+    assert _foreign_imports(source) == ["hypothesis", "numpy", "sympy"]
 
 
 def test_oracle_shares_only_the_rational_type_and_the_spec():
@@ -251,7 +279,7 @@ def test_only_laurent_reads_the_integer_storage_of_a_block(path):
 
 def test_a_block_packs_one_t_field_per_factor():
     with pytest.raises(ValueError, match="2 t exponents in a block over"):
-        LaurentBlock((1,), {(0, 0, (0, 0)): one((1,))})
+        LaurentBlock((1,), {(0, 0, (0, 0), (0,)): 1})
 
 
 def test_checker_flags_a_storage_read():

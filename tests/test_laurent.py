@@ -2,13 +2,14 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction as Rat
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from concavex.cohomology import CohClass, _slot_pairs, hyperplane, linear, monomial, one, scalar
-from concavex.eulerdata import _inverse_power, chern_ratio, hyper_block, reduced_block
+from concavex.cohomology import CohClass, _slot_pairs, hyperplane, monomial, one
+from concavex.eulerdata import _inverse_power, _power, chern_ratio, hyper_block, reduced_block
 from concavex.geometry import parse_spec
 from concavex.laurent import (
     LaurentBlock,
@@ -16,15 +17,18 @@ from concavex.laurent import (
     _mul_sum,
     _pack,
     _unpack,
-    alpha_power,
     block_one,
-    from_class,
     kahler_factor,
-    variable_x,
 )
 
 P1 = (1,)
 P2 = (2,)
+
+
+def _alpha_x(dims, a=0, j=0):
+    """alpha^a x^j."""
+    t0 = (0,) * len(dims)
+    return LaurentBlock(dims, {(a, j, t0, t0): 1})
 
 
 def _invert_x_factor(dims, c):
@@ -49,16 +53,20 @@ def test_invert_x_factor_back_multiplies_to_one():
     # nonzero entries on two factors: local P1 x P1 and a mixed product
     cases += [((1, 1), (-2, -2)), ((2, 1), (2, 3)), ((2, 1), (-3, 0))]
     for dims, c in cases:
-        x_plus_c = variable_x(dims) + from_class(linear(dims, c))
+        t0 = (0,) * len(dims)
+        x_plus_c = LaurentBlock(dims, {(0, 1, t0, t0): 1} | {
+            (0, 0, t0, _power(len(dims), i, 1)): a for i, a in enumerate(c)
+        })
         assert x_plus_c * _invert_x_factor(dims, c) == block_one(dims), (dims, c)
 
 
 def test_invert_x_factor_known_expansion():
     # (x - 2 H1 - 2 H2)^{-1} on P1 x P1: x^-1 + 2 (H1 + H2) x^-2 + 8 H1 H2 x^-3
     want = LaurentBlock((1, 1), {
-        (0, -1, (0, 0)): one((1, 1)),
-        (0, -2, (0, 0)): linear((1, 1), (2, 2)),
-        (0, -3, (0, 0)): monomial((1, 1), (1, 1), 8),
+        (0, -1, (0, 0), (0, 0)): 1,
+        (0, -2, (0, 0), (1, 0)): 2,
+        (0, -2, (0, 0), (0, 1)): 2,
+        (0, -3, (0, 0), (1, 1)): 8,
     })
     assert _invert_x_factor((1, 1), (-2, -2)) == want
 
@@ -77,8 +85,8 @@ def test_kahler_factor_two_factors_cross_term():
 
 
 def test_x_strata_partition():
-    b = kahler_factor(P2) * _invert_x_factor(P2, (3,)) + variable_x(P2, 2)
-    total = LaurentBlock(P2)
+    b = kahler_factor(P2) * _invert_x_factor(P2, (3,)) + _alpha_x(P2, j=2)
+    total = LaurentBlock(P2, {})
     lo, hi = b.x_support()
     assert (lo, hi) == (-3, 2)
     for j in range(lo, hi + 1):
@@ -87,14 +95,14 @@ def test_x_strata_partition():
 
 
 def test_integrate_fibrewise_keeps_strata():
-    b = from_class(monomial(P2, (2,), Rat(5)))
+    b = LaurentBlock(P2, {(0, 0, (0,), (2,)): Rat(5)})
     # the t-tuple keeps the arity of the original factor count
-    assert _mul_integrate(b, alpha_power(P2, -3)) == ({(-3, 0, (0,)): 5}, 1)
+    assert _mul_integrate(b, _alpha_x(P2, a=-3)) == ({(-3, 0, (0,)): 5}, 1)
 
 
 @given(st.integers(min_value=-4, max_value=4), st.integers(min_value=-4, max_value=4))
 def test_alpha_powers_multiply(a, b):
-    assert alpha_power(P1, a) * alpha_power(P1, b) == alpha_power(P1, a + b)
+    assert _alpha_x(P1, a=a) * _alpha_x(P1, a=b) == _alpha_x(P1, a=a + b)
 
 
 # -- the integer sum-of-products kernel ------------------------------------
@@ -133,7 +141,7 @@ def _blocks(draw, dims):
         st.integers(-3, 2), st.integers(-2, 2), st.tuples(*[st.integers(0, 2)] * len(dims))
     )
     terms = draw(st.dictionaries(key, st.lists(coeff, min_size=size, max_size=size), max_size=3))
-    return LaurentBlock(dims, {k: CohClass(dims, tuple(c)) for k, c in terms.items() if any(c)})
+    return LaurentBlock(dims, {(*k, h): r for k, c in terms.items() for h, r in zip(_box(dims), c)})
 
 
 @st.composite
@@ -178,8 +186,9 @@ def test_mul_integrate_matches_integrating_the_product(case):
 def test_mul_integrate_with_the_kahler_factor():
     dims = (2, 1)
     x = LaurentBlock(dims, {
-        (-2, 1, (0, 0)): monomial(dims, (1, 1), Rat(3, 4)) + scalar(dims, 5),
-        (-3, 0, (0, 0)): monomial(dims, (2, 1), Rat(-1, 6)),
+        (-2, 1, (0, 0), (1, 1)): Rat(3, 4),
+        (-2, 1, (0, 0), (0, 0)): 5,
+        (-3, 0, (0, 0), (2, 1)): Rat(-1, 6),
     })
     eht = kahler_factor(dims)
     nums, den = got = _mul_integrate(eht, x)
@@ -190,7 +199,7 @@ def test_mul_integrate_with_the_kahler_factor():
 
 
 def test_mul_sum_of_nothing_is_zero():
-    assert _mul_sum((2, 2), []) == LaurentBlock((2, 2))
+    assert _mul_sum((2, 2), []) == LaurentBlock((2, 2), {})
 
 
 # -- the code layout: one int per (key, slot) --------------------------------
@@ -227,11 +236,11 @@ def test_codes_unpack_and_add_like_keys(case):
             if table[i][j] >= 0:
                 assert c1 + _pack(k2) * size + j == _pack(total) * size + table[i][j]
     # the strata filters read alpha and x back from the codes
-    blk = LaurentBlock(dims, {k1: one(dims), k2: monomial(dims, (1,) * m)})
+    blk = LaurentBlock(dims, {(*k1, (0,) * m): 1, (*k2, (1,) * m): 1})
     assert blk.alpha_support() == (min(k1[0], k2[0]), max(k1[0], k2[0]))
     assert blk.x_support() == (min(k1[1], k2[1]), max(k1[1], k2[1]))
     # the fibre integral reads every key back, t exponents included
-    top = LaurentBlock(dims, {k1: monomial(dims, dims), k2: monomial(dims, dims, 2)})
+    top = LaurentBlock(dims, {(*k1, dims): 1, (*k2, dims): 2})
     assert set(_mul_integrate(top, block_one(dims))[0]) == {k1, k2}
     for key in (k1, k2):
         want = {k: c for k, c in blk.terms.items() if k[1] == key[1]}
@@ -244,27 +253,55 @@ def test_codes_unpack_and_add_like_keys(case):
 def test_a_field_past_its_width_raises_instead_of_wrapping():
     for power in (2**31, -(2**31)):
         with pytest.raises(ValueError):
-            alpha_power(P1, power)
+            _alpha_x(P1, a=power)
         with pytest.raises(ValueError):
-            variable_x(P1, power)
+            _alpha_x(P1, j=power)
     with pytest.raises(ValueError):
-        LaurentBlock(P1, {(0, 0, (2**31,)): one(P1)})
-    # a class of another ring would spill its slots into the next field
+        LaurentBlock(P1, {(0, 0, (2**31,), (0,)): 1})
+    # an h of another ring's length would read at a shifted slot; one past the
+    # box would spill its slot into the t field, and is zero instead
     with pytest.raises(ValueError):
-        LaurentBlock(P1, {(0, 0, (0,)): hyperplane(P2, 0)})
-    big, small = alpha_power(P1, 2**30), alpha_power(P1, -(2**30))
+        LaurentBlock(P1, {(0, 0, (0,), (1, 0)): 1})
+    assert LaurentBlock(P1, {(0, 0, (0,), (2,)): 7}) == LaurentBlock(P1, {})
+    big, small = _alpha_x(P1, a=2**30), _alpha_x(P1, a=-(2**30))
     with pytest.raises(ValueError):
         big * big
     with pytest.raises(ValueError):
         small * small
     with pytest.raises(ValueError):
         _mul_integrate(big, big)
+    wide = _alpha_x(P1, j=2**30)
     with pytest.raises(ValueError):
-        _mul_sum(P1, [(block_one(P1), block_one(P1)), (variable_x(P1, 2**30), variable_x(P1, 2**30))])
+        _mul_sum(P1, [(block_one(P1), block_one(P1)), (wide, wide)])
     # one step short of the width, the product is still exact
-    near = alpha_power(P1, 2**30 - 1)
-    assert near * near == alpha_power(P1, 2**31 - 2)
+    near = _alpha_x(P1, a=2**30 - 1)
+    assert near * near == _alpha_x(P1, a=2**31 - 2)
     assert (near * near).alpha_support() == (2**31 - 2, 2**31 - 2)
+
+
+def test_the_constructor_encodes_monomials_and_checks_their_shape():
+    dims, t0 = (1, 2), (0, 0)
+    # int and Fraction values mix, zero values drop, and the block is in lowest terms
+    blk = LaurentBlock(dims, {
+        (0, 0, t0, (1, 2)): 3, (-1, 2, (1, 0), (0, 1)): Rat(3, 2), (1, 0, t0, t0): Rat(0),
+    })
+    assert blk.terms == {
+        (0, 0, t0): monomial(dims, (1, 2), 3), (-1, 2, (1, 0)): monomial(dims, (0, 1), Rat(3, 2)),
+    }
+    assert blk._den == 2 and _lowest_terms(blk)
+    assert _lowest_terms(LaurentBlock(dims, {(0, 0, t0, t0): 2, (0, 1, t0, t0): Rat(4, 3)}))
+    # an H exponent past the box or below 0 drops its monomial: H_i^(n_i + 1) = 0
+    for h in [(2, 0), (0, 3), (-1, 0), (0, -1)]:
+        assert LaurentBlock(dims, {(0, 0, t0, h): 5, (0, 0, t0, t0): 1}) == block_one(dims)
+    # a tau or an h of another length raises
+    for tau, h in [((0,), t0), ((0, 0, 0), t0), (t0, (0,)), (t0, (0, 0, 0))]:
+        with pytest.raises(ValueError, match=re.escape(f"in a block over {dims}")):
+            LaurentBlock(dims, {(0, 0, tau, h): 1})
+    # so does a field of +-2**31
+    for big in (2**31, -(2**31)):
+        for key in [(big, 0, t0), (0, big, t0), (0, 0, (big, 0)), (0, 0, (0, big))]:
+            with pytest.raises(ValueError, match="32-bit field"):
+                LaurentBlock(dims, {(*key, t0): 1})
 
 
 @settings(max_examples=50, deadline=None)
@@ -310,6 +347,11 @@ def _lowest_terms(blk):
     return math.gcd(blk._den, *blk._codes.values()) == 1
 
 
+def _rebuilt(blk):
+    """The block encoded again from its view's monomials."""
+    return LaurentBlock(blk.dims, {(*k, h): r for k, c in blk.terms.items() for h, r in c.terms()})
+
+
 @settings(max_examples=100, deadline=None)
 @given(_pair_lists(), st.builds(Rat, st.integers(-4, 4), st.integers(1, 6)))
 def test_integer_form_matches_fraction_arithmetic_on_the_view(case, r):
@@ -328,7 +370,7 @@ def test_integer_form_matches_fraction_arithmetic_on_the_view(case, r):
         for name, (got, want) in results.items():
             assert _as_dict(got) == want, name
             assert _lowest_terms(got), name
-            assert LaurentBlock(got.dims, got.terms) == got, name
+            assert _rebuilt(got) == got, name
         nums, den = _mul_integrate(a, block_one(dims))
         want = {k: c[top] for k, c in da.items() if top in c}
         assert {k: Rat(v, den) for k, v in nums.items()} == want
@@ -337,7 +379,7 @@ def test_integer_form_matches_fraction_arithmetic_on_the_view(case, r):
         assert a + b - b == a and (a - a).is_zero()
     for blk in [x for pair in pairs for x in pair] + [_mul_sum(dims, pairs)]:
         assert _lowest_terms(blk)
-        assert LaurentBlock(blk.dims, blk.terms) == blk
+        assert _rebuilt(blk) == blk
     for nums, den in [_mul_integrate(a, b) for a, b in pairs]:
         assert math.gcd(den, *nums.values()) == 1
 
@@ -354,10 +396,15 @@ def test_entry_reads_one_coefficient_without_the_view(case):
         assert blk._view is None
         zero = [0] * len(_box(dims))
         assert got == {k: list(a.terms[k].coeffs) if k in a.terms else zero for k in keys}
-        # an exponent past the box, or another number of t fields, reads as zero
+        # an exponent past the box, an h one exponent short or long, or
+        # another number of t fields, reads as zero
         for key in keys:
             if m:
                 assert blk.entry(key, tuple(n + 1 for n in dims)) == 0
+            for e in _box(dims):
+                assert blk.entry(key, e + (0,)) == 0
+                if m:
+                    assert blk.entry(key, e[:-1]) == 0
             assert blk.entry((key[0], key[1], key[2] + (0,)), (0,) * m) == 0
 
 

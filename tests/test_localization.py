@@ -13,6 +13,7 @@ import pytest
 
 from concavex.geometry import parse_spec, validate
 from concavex.localization import (
+    ORACLE_DEGREES,
     OracleInconsistencyError,
     SamplingError,
     WeightSample,
@@ -22,6 +23,7 @@ from concavex.localization import (
     _moduli_dim,
     _node_graphs,
     _top_window,
+    oracle_degrees,
     oracle_invariant,
     oracle_invariant_checked,
     quintic_lines_schubert,
@@ -311,6 +313,12 @@ def test_schubert_count_matches_oracle():
 def test_degree_three_unsupported():
     with pytest.raises(ValueError):
         oracle_invariant(QUINTIC, 3, sample_weights(4, 0))
+
+
+def test_the_graph_sums_cover_their_degrees_on_one_factor_only():
+    two = parse_spec("space 1\nspace 1\nbundle concave 1 1\nbundle concave 1 1\n")
+    assert oracle_degrees(QUINTIC) == ORACLE_DEGREES == (1, 2)
+    assert oracle_degrees(two) == ()
 
 
 def test_multi_factor_unsupported():

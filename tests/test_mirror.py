@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 from concavex import eulerdata, laurent, mirror, qseries
-from concavex.cohomology import monomial
 from concavex.eulerdata import chern_ratio, hyper_block
 from concavex.geometry import parse_spec, validate
 from concavex.laurent import LaurentBlock, kahler_factor
@@ -306,7 +305,7 @@ def test_extraction_rejects_an_integrand_stratum_above_alpha_minus_two(spec, eul
         mm = dataclasses.replace(mm, normalization=normalization)
     else:
         a, h = added
-        stray = LaurentBlock(spec.factors, {(a, 0, (0,)): monomial(spec.factors, (h,))})
+        stray = LaurentBlock(spec.factors, {(a, 0, (0,), (h,)): 1})
         mm = dataclasses.replace(mm, residuals={**mm.residuals, (1,): mm.residuals[(1,)] + stray})
     with pytest.raises(ExtractionError, match=rf"degree \(1,\): {re.escape(message)}$"):
         extract_invariants(mm, euler=euler)
@@ -429,6 +428,16 @@ def test_a_negative_bound_is_refused_and_bound_zero_gives_an_empty_table(monkeyp
     assert extract_invariants(solve_mirror_map(QUINTIC, 0)).entries == ()
 
 
+@pytest.mark.parametrize("bound", [0, -1])
+def test_verify_refuses_a_bound_below_one_before_building_a_block(monkeypatch, bound):
+    """At bound 0 every check would compare an empty table."""
+    built = []
+    monkeypatch.setattr(mirror, "reduced_block", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match=f"verify needs a degree bound of at least 1, got {bound}$"):
+        verify_all(QUINTIC, bound)
+    assert built == []
+
+
 def test_reuse_needs_a_map_of_the_same_spec():
     mm = solve_mirror_map(PAIR, 2)
     with pytest.raises(ValueError, match="another spec"):
@@ -489,7 +498,7 @@ def test_check_after_solving_reports_a_term_outside_the_solvable_span(
     monkeypatch, key, exps, alpha, degree
 ):
     """Only 1, x/alpha and H_i/alpha are read off; any other low term is left over."""
-    stray = LaurentBlock(TWO_FACTOR.factors, {key: monomial(TWO_FACTOR.factors, exps, 3)})
+    stray = LaurentBlock(TWO_FACTOR.factors, {(*key, exps): 3})
     real = mirror._residual
 
     def with_stray(dims, u, reduced, splits):

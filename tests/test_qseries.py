@@ -6,8 +6,7 @@ from fractions import Fraction as Rat
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from concavex.cohomology import monomial
-from concavex.laurent import alpha_power, block_one, block_scalar, from_class
+from concavex.laurent import LaurentBlock, block_one, block_scalar
 from concavex.qseries import (
     degree_pairs,
     degrees_upto,
@@ -21,6 +20,12 @@ from concavex.qseries import (
 from fraction_series import fraction_exp, fraction_mul
 
 DIMS = (1,)
+
+
+def _alpha(dims, k):
+    """alpha^k."""
+    t0 = (0,) * len(dims)
+    return LaurentBlock(dims, {(k, 0, t0, t0): 1})
 
 
 def test_degree_enumeration_order():
@@ -97,21 +102,21 @@ def test_exp_requires_no_constant_term():
 
 
 def test_block_coefficients_flow_through_products():
-    s = {(1,): alpha_power(DIMS, -1)}
+    s = {(1,): _alpha(DIMS, -1)}
     sq = series_mul(DIMS, s, s, degree_pairs(1, 2))
-    assert sq == {(2,): alpha_power(DIMS, -2)}
+    assert sq == {(2,): _alpha(DIMS, -2)}
 
 
 def test_series_mul_truncates_at_the_bound():
     dims = (1, 1)
-    a = {(0, 0): block_one(dims), (1, 0): alpha_power(dims, -1), (0, 2): block_scalar(dims, 3)}
-    b = {(0, 1): block_scalar(dims, 2), (2, 0): alpha_power(dims, -2)}
+    a = {(0, 0): block_one(dims), (1, 0): _alpha(dims, -1), (0, 2): block_scalar(dims, 3)}
+    b = {(0, 1): block_scalar(dims, 2), (2, 0): _alpha(dims, -2)}
     got = series_mul(dims, a, b, degree_pairs(2, 2))
     # (1, 0) + (2, 0), (0, 2) + (0, 1) and (0, 2) + (2, 0) exceed the bound
     assert got == {
         (0, 1): block_scalar(dims, 2),
-        (2, 0): alpha_power(dims, -2),
-        (1, 1): alpha_power(dims, -1) * block_scalar(dims, 2),
+        (2, 0): _alpha(dims, -2),
+        (1, 1): _alpha(dims, -1) * block_scalar(dims, 2),
     }
     assert series_mul(dims, a, b, degree_pairs(2, 0)) == {}
     assert set(series_mul(dims, a, b, degree_pairs(2, 4))) == {
@@ -174,9 +179,9 @@ def test_series_exp_matches_the_power_chain(shape, numerators, den):
     degrees = degrees_upto(m, bound)[1:]
     for k, (d, c) in enumerate(zip(degrees, numerators)):
         # alternate x/alpha-like scalars with hyperplane classes over alpha
-        blk = alpha_power(dims, -1) * block_scalar(dims, Rat(c, den))
+        blk = _alpha(dims, -1) * block_scalar(dims, Rat(c, den))
         if k % 2:
-            blk = blk * from_class(monomial(dims, h))
+            blk = blk * LaurentBlock(dims, {(0, 0, (0,) * m, h): 1})
         s[d] = blk
     got = series_exp(dims, s, degree_pairs(m, bound))
     assert _nonzero(got) == _nonzero(_power_chain_exp(dims, s, bound))
