@@ -19,7 +19,7 @@ file that is not UTF-8 text, a degree bound or sample count below 1,
 unsupported oracle degrees and the Euler-class flag on a spec with
 positive splitting excess); 3 a solver inconsistency or any other
 internal error.  Exits 2 and 3 are reported as one line on stderr with
-stdout left empty.
+stdout left empty.  A spec file may begin with a UTF-8 byte-order mark.
 """
 
 from __future__ import annotations
@@ -53,15 +53,12 @@ from .mirror import (
 from .qseries import Degree
 
 
-OracleRow = tuple[Degree, Rat | None, bool | None]  # degree, oracle value, match
-
-
 def _rat(v: Rat) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
 def _load_spec(path: str) -> tuple[GeometrySpec, int]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         spec = parse_spec(fh.read())
     return spec, validate(spec)
 
@@ -77,20 +74,20 @@ def _spec_echo(spec: GeometrySpec) -> dict:
     }
 
 
-def _oracle_checks(table: InvariantTable) -> list[OracleRow]:
-    """Per-degree oracle comparison where the graph sum is available."""
-    rows: list[OracleRow] = []
+def _oracle_checks(table: InvariantTable) -> dict[Degree, tuple[Rat, bool]]:
+    """{degree: (oracle value, match)} for the degrees the graph sum covers."""
     degrees = oracle_degrees(table.spec)
+    checks = {}
     for e in table.entries:
         if sum(e.degree) in degrees:
             val, _ = oracle_invariant_checked(table.spec, sum(e.degree))
-            rows.append((e.degree, val, val == e.value))
-        else:
-            rows.append((e.degree, None, None))
-    return rows
+            checks[e.degree] = (val, val == e.value)
+    return checks
 
 
-def _json_report(mm: MirrorMap, table: InvariantTable, oracle_rows: list[OracleRow]) -> str:
+def _json_report(
+    mm: MirrorMap, table: InvariantTable, oracle: dict[Degree, tuple[Rat, bool]]
+) -> str:
     m = table.spec.m
     degrees = [e.degree for e in table.entries]
     report = {
@@ -116,22 +113,20 @@ def _json_report(mm: MirrorMap, table: InvariantTable, oracle_rows: list[OracleR
             for e in table.entries
         ],
         "checks": [
-            {"name": f"oracle_degree_{'_'.join(map(str, d))}", "pass": bool(ok)}
-            for d, val, ok in oracle_rows
-            if val is not None
+            {"name": f"oracle_degree_{'_'.join(map(str, d))}", "pass": ok}
+            for d, (_, ok) in oracle.items()
         ],
     }
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_report(table: InvariantTable, oracle_rows: list[OracleRow]) -> str:
+def _csv_report(table: InvariantTable, oracle: dict[Degree, tuple[Rat, bool]]) -> str:
     m = table.spec.m
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([f"d{i + 1}" for i in range(m)] + ["K", "oracle", "match"])
-    byd = {d: (val, ok) for d, val, ok in oracle_rows}
     for e in table.entries:
-        val, ok = byd.get(e.degree, (None, None))
+        val, ok = oracle.get(e.degree, (None, None))
         writer.writerow(
             list(e.degree)
             + [
@@ -152,14 +147,14 @@ def cmd_compute(args: argparse.Namespace) -> int:
         )
     mm = solve_mirror_map(spec, args.max_degree)
     table = extract_invariants(mm, euler=args.euler)
-    oracle_rows = _oracle_checks(table)
+    oracle = _oracle_checks(table)
     if args.format == "json":
-        out = _json_report(mm, table, oracle_rows)
+        out = _json_report(mm, table, oracle)
     else:
-        out = _csv_report(table, oracle_rows)
+        out = _csv_report(table, oracle)
     sys.stdout.write(out)
     print(f"compute: {time.monotonic() - t0:.3f}s", file=sys.stderr)
-    return 1 if any(ok is False for _, _, ok in oracle_rows) else 0
+    return 0 if all(ok for _, ok in oracle.values()) else 1
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:

@@ -163,6 +163,9 @@ def one(dims: tuple[int, ...]) -> CohClass:
 
 
 def monomial(dims: tuple[int, ...], exps: tuple[int, ...], c: Rat | int = 1) -> CohClass:
+    """c * H^exps, zero past the box; ValueError for exponents of another length."""
+    if len(exps) != len(dims):
+        raise ValueError(f"H^{exps} has {len(exps)} exponents in the ring of {dims}")
     for e, n in zip(exps, dims):
         if e < 0 or e > n:
             return zero(dims)
@@ -172,7 +175,9 @@ def monomial(dims: tuple[int, ...], exps: tuple[int, ...], c: Rat | int = 1) -> 
 
 
 def hyperplane(dims: tuple[int, ...], i: int) -> CohClass:
-    """The hyperplane class of the i-th factor (0-based)."""
+    """The hyperplane class of the i-th factor (0-based); ValueError past the last."""
+    if not 0 <= i < len(dims):
+        raise ValueError(f"no factor {i} in the ring of {dims}")
     exps = tuple(1 if j == i else 0 for j in range(len(dims)))
     return monomial(dims, exps)
 

@@ -34,14 +34,14 @@ on its largest |field|; a key from outside, or a product, whose bound would
 reach 2**31 raises ValueError instead of wrapping.  Every block over dims
 packs len(dims) t fields; a key with any other number raises ValueError.
 
-Every product, and every sum of products, goes through one kernel,
-``_mul_sum``.  It accumulates all pairs of stored terms in Python ints over
-one denominator for the whole sum and skips slot pairs past the box edge
-through the ring's cached table.  A product that is integrated over the
-fibre at once goes through ``_mul_integrate`` instead, which computes only
-the top slot.  A fibre integral is no block but ``({key: numerator}, den)``
-in lowest terms.  Sums, differences and rescalings share one
-linear-combination step, ``_lincomb``.
+Every product, every sum of products and every fibre integral goes through
+one kernel, ``_mul_sum``.  It accumulates all pairs of stored terms in
+Python ints over one denominator for the whole sum and meets each slot only
+with the partners the ring's cached table lists: those that keep the
+product in the box, or with ``top`` only those that land on the top class.
+``_mul_integrate`` reads that top-slot block back as a fibre integral,
+which is no block but ``({key: numerator}, den)`` in lowest terms.  Sums,
+differences and rescalings share one linear-combination step, ``_lincomb``.
 """
 from __future__ import annotations
 
@@ -81,9 +81,11 @@ def _bias(m: int) -> int:
 
 
 @functools.cache
-def _slot_partners(dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Per slot i, the slots j whose product with i stays in the box."""
-    return tuple(tuple(j for j, k in enumerate(row) if k >= 0) for row in _slot_pairs(dims))
+def _slot_partners(dims: tuple[int, ...], top: bool = False) -> tuple[tuple[int, ...], ...]:
+    """Per slot i, the slots j whose product with i stays in the box; with top, is the top class."""
+    rows = _slot_pairs(dims)
+    least = len(rows) - 1 if top else 0  # the top class has the last slot
+    return tuple(tuple(j for j, k in enumerate(row) if k >= least) for row in rows)
 
 
 def _pack(key: Key) -> int:
@@ -266,15 +268,18 @@ def _product_bounds(dims: tuple[int, ...], pairs: list[tuple[LaurentBlock, Laure
     return reach
 
 
-def _mul_sum(dims: tuple[int, ...], pairs: list[tuple[LaurentBlock, LaurentBlock]]) -> LaurentBlock:
+def _mul_sum(
+    dims: tuple[int, ...], pairs: list[tuple[LaurentBlock, LaurentBlock]], top: bool = False
+) -> LaurentBlock:
     """Sum of a * b over the pairs, accumulated in ints over one denominator.
 
     Each term of a meets only the terms of b whose slots keep the product
-    in the box; for those the product's code is the sum of the codes.
+    in the box, or with top only those that complete it to the top class;
+    for those the product's code is the sum of the codes.
     """
     reach = _product_bounds(dims, pairs)
     den = math.lcm(*{a._den * b._den for a, b in pairs})
-    partners = _slot_partners(dims)
+    partners = _slot_partners(dims, top)
     size = len(partners)
     acc: defaultdict[int, int] = defaultdict(int)
     for a, b in pairs:
@@ -298,25 +303,11 @@ def _mul_integrate(a: LaurentBlock, b: LaurentBlock) -> tuple[dict[Key, int], in
     """Fibre integral of a * b without forming a * b: ({key: numerator}, den) in lowest terms.
 
     Integrating over the product of projective spaces keeps, per key, the
-    coefficient of the top class.  In C order the slot index is linear in
-    the exponents, so the one slot that completes slot i to the top (the
-    partner _slot_pairs maps to it) is top - i: b's terms are grouped by
-    top - slot, and each term of a meets one group.  The sum of two such
-    codes is (fields) * size + top.
+    coefficient of the top class: the kernel's block kept to the top slot.
     """
-    _product_bounds(a.dims, [(a, b)])
+    blk = _mul_sum(a.dims, [(a, b)], True)  # kept to the top slot
     size = len(_slot_pairs(a.dims))
-    top = size - 1
-    by_partner: dict[int, list[tuple[int, int]]] = {}
-    for cb, y in b._codes.items():
-        by_partner.setdefault(top - cb % size, []).append((cb, y))
-    acc: defaultdict[int, int] = defaultdict(int)
-    for ca, x in a._codes.items():
-        for cb, y in by_partner.get(ca % size, ()):
-            acc[ca + cb] += x * y
-    den = a._den * b._den
-    g = math.gcd(den, *acc.values())
-    return {_unpack(c // size, len(a.dims)): v // g for c, v in acc.items() if v}, den // g
+    return {_unpack(c // size, len(a.dims)): v for c, v in blk._codes.items()}, blk._den
 
 
 def block_one(dims: tuple[int, ...]) -> LaurentBlock:

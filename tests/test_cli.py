@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction as Rat
 from pathlib import Path
@@ -16,6 +19,7 @@ from concavex.cohomology import CohClass
 from concavex.geometry import parse_spec
 from concavex.localization import SamplingError, oracle_invariant_checked
 
+ROOT = Path(__file__).parents[1]
 PAIR = "name pair\nspace 1\nbundle concave 1\nbundle concave 1\n"
 QUINTIC = "name quintic\nspace 4\nbundle convex 5\n"
 P3_QUARTIC = "space 3\nbundle convex 4\n"
@@ -165,10 +169,44 @@ def test_non_utf8_spec_exits_2(capsys, tmp_path):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_a_spec_with_a_utf8_byte_order_mark_loads(capsys, tmp_path):
+    text = (ROOT / "bench" / "specs" / "quintic.cvx").read_text(encoding="utf-8")
+    plain, bom, utf16 = (tmp_path / name for name in ("plain.cvx", "bom.cvx", "utf16.cvx"))
+    plain.write_bytes(text.encode("utf-8"))
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    utf16.write_bytes(text.encode("utf-16"))  # UTF-16 with its own mark: not UTF-8 text
+    csv = ["compute", "--max-degree", "2", "--format", "csv", "--spec"]
+    rc, expected, _ = run(capsys, *csv, str(plain))
+    assert rc == 0
+    assert run(capsys, *csv, str(bom))[:2] == (0, expected)
+    rc, out, err = run(capsys, *csv, str(utf16))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_missing_file_exits_2(capsys, tmp_path):
     rc, out, err = run(capsys, "compute", "--spec", str(tmp_path / "nope.cvx"), "--max-degree", "1")
     assert rc == 2
     assert out == ""
+
+
+def _module_entry_point(*argv):
+    """python -m concavex.cli in a child interpreter, a warning the package triggers an error."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONWARNINGS": "error"}
+    return subprocess.run(
+        [sys.executable, "-m", "concavex.cli", *argv],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_the_module_entry_point_runs_and_exits_with_main(tmp_path):
+    done = _module_entry_point("verify", "--spec", "bench/specs/local-p2.cvx", "--max-degree", "2")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "all checks passed"
+    done = _module_entry_point("compute", "--spec", str(tmp_path / "nope.cvx"), "--max-degree", "1")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
 
 
 def test_oracle_pair_degree_two(spec_file, capsys):
@@ -236,7 +274,7 @@ def test_compute_and_verify_build_no_cohomology_class(capsys, monkeypatch, name)
         real(self)
 
     monkeypatch.setattr(CohClass, "__post_init__", counted)
-    path = str(Path(__file__).parents[1] / "bench" / "specs" / f"{name}.cvx")
+    path = str(ROOT / "bench" / "specs" / f"{name}.cvx")
     compute = ["compute", "--spec", path, "--max-degree", "3"]
     for argv in (compute, compute + ["--format", "csv"], compute + ["--euler"],
                  ["verify", "--spec", path, "--max-degree", "2"]):

@@ -65,6 +65,22 @@ def test_an_exponent_tuple_of_another_length_reads_zero():
     assert scalar((), 2).coefficient((0,)) == 0
 
 
+def test_the_constructors_refuse_a_shape_the_ring_does_not_have():
+    # zipped against dims, a short tuple built H1 alone and a long one dropped its tail
+    for exps in [(1,), (1, 1, 7), ()]:
+        with pytest.raises(ValueError, match="exponents in the ring of"):
+            monomial((1, 1), exps, 3)
+    for i in [2, 5, -1]:
+        with pytest.raises(ValueError, match=f"no factor {i} in the ring of"):
+            hyperplane((1, 1), i)
+    with pytest.raises(ValueError, match="no factor 2"):
+        linear((1, 1), [1, 2, 3])
+    # an exponent outside 0 .. n_i is still the zero class, not an error
+    assert monomial((1, 1), (2, 0), 3) == zero((1, 1))
+    assert monomial((1, 1), (0, -1), 3) == zero((1, 1))
+    assert linear((1, 1), [1, 2]) == monomial((1, 1), (1, 0)) + monomial((1, 1), (0, 1), 2)
+
+
 @given(classes(), classes(), classes())
 def test_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)

@@ -160,11 +160,19 @@ def _pair_lists(draw):
 @given(_pair_lists())
 def test_mul_sum_matches_fraction_double_loop(case):
     dims, pairs = case
+    reference = _reference_mul_sum(dims, pairs)
     got = _mul_sum(dims, pairs)
     assert got.dims == dims
     assert {
         k: {e: r for e, r in zip(_box(dims), c.coeffs) if r} for k, c in got.terms.items()
-    } == _reference_mul_sum(dims, pairs)
+    } == reference
+    # kept to the top slot: the reference's top exponents, every other slot empty
+    top = tuple(dims)
+    got = _mul_sum(dims, pairs, top=True)
+    assert {k: c.coefficient(top) for k, c in got.terms.items()} == {
+        k: acc[top] for k, acc in reference.items() if top in acc
+    }
+    assert all(c.coeffs[:-1] == (0,) * (len(c.coeffs) - 1) for c in got.terms.values())
 
 
 @settings(max_examples=100, deadline=None)
