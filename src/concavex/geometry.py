@@ -148,9 +148,11 @@ def parse_spec(text: str) -> GeometrySpec:
 
 
 def serialize_spec(spec: GeometrySpec) -> str:
-    lines = []
-    if spec.name:
-        lines.append(f"name {spec.name}")
+    """The line format of spec; ValueError for a name with ``#``, a line break or end space."""
+    name = spec.name
+    if "#" in name or name != name.strip() or len(name.splitlines()) > 1:
+        raise ValueError(f"spec name {name!r} cannot be written in the line format")
+    lines = [f"name {name}"] if name else []
     for n in spec.factors:
         lines.append(f"space {n}")
     for b in spec.bundles:

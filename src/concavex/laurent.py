@@ -13,12 +13,12 @@ numerators dropped, over one positive denominator for the whole block, kept
 in lowest terms (gcd of it and every numerator is 1), so the form is
 canonical and equality compares dicts.  Blocks are immutable.  The one
 encoder is the constructor, which takes int or ``Fraction`` values of the
-monomials alpha^a x^j t^tau H^h, ``{(a, j, tau, h): r}``: the closed forms
-below are such maps.  An h past the box drops its monomial (H_i^(n_i + 1)
-is 0), and an h of another length than dims raises ValueError.  The
-``terms`` view, the same map with dense ``CohClass`` coefficients of
-``Fraction`` entries, is built on first read and cached; ``entry`` reads
-one coefficient from the stored ints.
+monomials alpha^a x^j t^tau H^h, ``{(a, j, tau, h): r}``: the unit and the
+scalars below are such maps.  An h past the box drops its monomial
+(H_i^(n_i + 1) is 0), and an h of another length than dims raises
+ValueError.  The ``terms`` view, the same map with dense ``CohClass``
+coefficients of ``Fraction`` entries, is built on first read and cached;
+``entry`` reads one coefficient from the stored ints, ``monomials`` all.
 
 A code packs a key and a slot of the ring's flat exponent box into one int.
 The fields a, j, t_1 .. t_m are 32 bits wide each and signed, a the most
@@ -34,14 +34,13 @@ on its largest |field|; a key from outside, or a product, whose bound would
 reach 2**31 raises ValueError instead of wrapping.  Every block over dims
 packs len(dims) t fields; a key with any other number raises ValueError.
 
-Every product, every sum of products and every fibre integral goes through
-one kernel, ``_mul_sum``.  It accumulates all pairs of stored terms in
-Python ints over one denominator for the whole sum and meets each slot only
-with the partners the ring's cached table lists: those that keep the
-product in the box, or with ``top`` only those that land on the top class.
-``_mul_integrate`` reads that top-slot block back as a fibre integral,
-which is no block but ``({key: numerator}, den)`` in lowest terms.  Sums,
-differences and rescalings share one linear-combination step, ``_lincomb``.
+Every product and every sum of products goes through one kernel,
+``_mul_sum``.  It accumulates all pairs of stored terms in Python ints over
+one denominator for the whole sum and meets each slot only with the
+partners the ring's cached table lists: those that keep the product in the
+box.  Sums, differences and rescalings share one linear-combination step,
+``_lincomb``.  ``monomials`` is the constructor's inverse: it reads the
+stored ints back as ``({(a, j, tau, h): numerator}, den)``, without the view.
 """
 from __future__ import annotations
 
@@ -62,7 +61,6 @@ __all__ = [
     "LaurentBlock",
     "block_one",
     "block_scalar",
-    "kahler_factor",
 ]
 
 _WIDTH = 32  # bits per field of a code
@@ -81,11 +79,9 @@ def _bias(m: int) -> int:
 
 
 @functools.cache
-def _slot_partners(dims: tuple[int, ...], top: bool = False) -> tuple[tuple[int, ...], ...]:
-    """Per slot i, the slots j whose product with i stays in the box; with top, is the top class."""
-    rows = _slot_pairs(dims)
-    least = len(rows) - 1 if top else 0  # the top class has the last slot
-    return tuple(tuple(j for j, k in enumerate(row) if k >= least) for row in rows)
+def _slot_partners(dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Per slot i, the slots j whose product with i stays in the box."""
+    return tuple(tuple(j for j, k in enumerate(row) if k >= 0) for row in _slot_pairs(dims))
 
 
 def _pack(key: Key) -> int:
@@ -166,6 +162,13 @@ class LaurentBlock:
             return Rat(0)
         code = _pack(key) * len(_slot_pairs(self.dims)) + _flat_index(self.dims, h)
         return Rat(self._codes.get(code, 0), self._den)
+
+    def monomials(self) -> tuple[dict[Monomial, int], int]:
+        """The constructor's map back, ({(a, j, tau, h): numerator}, den), without the view."""
+        m, hs = len(self.dims), list(itertools.product(*(range(n + 1) for n in self.dims)))
+        size = len(hs)  # the slots in C order, as _flat_index numbers them
+        terms = {(*_unpack(c // size, m), hs[c % size]): v for c, v in self._codes.items()}
+        return terms, self._den
 
     def _field(self, k: int) -> list[int]:
         """Field k (0 alpha, 1 x, 1 + i the t_i exponent) of every stored code."""
@@ -268,18 +271,15 @@ def _product_bounds(dims: tuple[int, ...], pairs: list[tuple[LaurentBlock, Laure
     return reach
 
 
-def _mul_sum(
-    dims: tuple[int, ...], pairs: list[tuple[LaurentBlock, LaurentBlock]], top: bool = False
-) -> LaurentBlock:
+def _mul_sum(dims: tuple[int, ...], pairs: list[tuple[LaurentBlock, LaurentBlock]]) -> LaurentBlock:
     """Sum of a * b over the pairs, accumulated in ints over one denominator.
 
     Each term of a meets only the terms of b whose slots keep the product
-    in the box, or with top only those that complete it to the top class;
-    for those the product's code is the sum of the codes.
+    in the box; for those the product's code is the sum of the codes.
     """
     reach = _product_bounds(dims, pairs)
     den = math.lcm(*{a._den * b._den for a, b in pairs})
-    partners = _slot_partners(dims, top)
+    partners = _slot_partners(dims)
     size = len(partners)
     acc: defaultdict[int, int] = defaultdict(int)
     for a, b in pairs:
@@ -299,17 +299,6 @@ def _mul_sum(
     return _block(dims, {c: v for c, v in acc.items() if v}, den, reach)
 
 
-def _mul_integrate(a: LaurentBlock, b: LaurentBlock) -> tuple[dict[Key, int], int]:
-    """Fibre integral of a * b without forming a * b: ({key: numerator}, den) in lowest terms.
-
-    Integrating over the product of projective spaces keeps, per key, the
-    coefficient of the top class: the kernel's block kept to the top slot.
-    """
-    blk = _mul_sum(a.dims, [(a, b)], True)  # kept to the top slot
-    size = len(_slot_pairs(a.dims))
-    return {_unpack(c // size, len(a.dims)): v for c, v in blk._codes.items()}, blk._den
-
-
 def block_one(dims: tuple[int, ...]) -> LaurentBlock:
     return block_scalar(dims, 1)
 
@@ -318,14 +307,3 @@ def block_scalar(dims: tuple[int, ...], r: Rat | int) -> LaurentBlock:
     t0 = _tzero(len(dims))
     return LaurentBlock(dims, {(0, 0, t0, t0): r})
 
-
-def kahler_factor(dims: tuple[int, ...]) -> LaurentBlock:
-    """exp(-(sum_i H_i t_i) / alpha), a finite sum by nilpotency.
-
-    The closed form is sum over multi-exponents beta of
-    (-1)^{|beta|} / beta! * H^beta * t^beta * alpha^{-|beta|}.
-    """
-    return LaurentBlock(dims, {
-        (-sum(beta), 0, beta, beta): Rat((-1) ** sum(beta), math.prod(map(math.factorial, beta)))
-        for beta in itertools.product(*(range(n + 1) for n in dims))
-    })

@@ -35,16 +35,21 @@ by the Chern ratio and the Kahler prefactor gives per degree d the block
 the Kahler factor times the Chern ratio times the residual the solve
 checked, whose fibrewise integral concentrates, at the x^s stratum (s the
 splitting excess), in alpha^{-3} with t-degree at most one.  Only the top
-class survives the integral, so extraction integrates kahler * X_d pair
-by pair of slots (laurent._mul_integrate) without forming J_d, and reads
-each integral as int numerators over one denominator.  Writing
+class survives the integral, and with kahler = sum_beta (-1)^|beta| / beta!
+alpha^{-|beta|} t^beta H^beta each term alpha^a x^j H^h of X_d meets just
+the one Kahler term beta = top - h there: the integral is X_d's own terms
+relabelled, nothing adds up or cancels.  So extraction forms neither J_d
+nor the Kahler factor and reads the two kinds of coefficient it needs
+straight from X_d's stored ints (LaurentBlock.monomials), over X_d's
+denominator: V_d^(j) = X_d[x^j H^top] and T_{d,i} = -X_d[alpha^-2 x^s
+H^(top - e_i)].  Writing
 Phi(t) = sum K_d exp(d.t) for the sought table, matching the t-constant
 part of the integrals against 2*Phi - sum_i t_i dPhi/dt_i expressed in
 the shifted variables yields a triangular system for the K_d; the
 t-linear part is then an overdetermined consistency check.  The series
 exp(<d', g>) and (2 - <d', g>) exp(<d', g>) it reads are int EGF
 numerators (qseries.egf_mul), and the system and the check run in ints,
-K_d times 2^|d| delta^|d| |d|! and the lcm of the integral denominators:
+K_d times 2^|d| delta^|d| |d|! and the lcm of the X_d denominators:
 one Fraction per K_d and x-level comes out at the end.
 """
 
@@ -56,16 +61,7 @@ from dataclasses import dataclass, field
 from .cohomology import Rat
 from .eulerdata import _power, chern_ratio, hyper_block, reduced_block
 from .geometry import GeometrySpec, validate
-from .laurent import (
-    Key,
-    LaurentBlock,
-    _mul_integrate,
-    _mul_sum,
-    _tzero,
-    block_one,
-    block_scalar,
-    kahler_factor,
-)
+from .laurent import LaurentBlock, _mul_sum, _tzero, block_one, block_scalar
 from .qseries import (
     Degree,
     Series,
@@ -230,7 +226,7 @@ def solve_mirror_map(
     return MirrorMap(spec, bound, normalization, prefactor, shifts, residuals, table, pairs)
 
 
-def _integrand_factors(mm: MirrorMap, euler: bool) -> Series:
+def integrand_series(mm: MirrorMap, euler: bool = False) -> Series:
     """X_d per nonzero degree d of `mm`, such that J_d = kahler * X_d.
 
     By default X_d is the Chern ratio times the solve's residual.  With
@@ -261,19 +257,6 @@ def _integrand_factors(mm: MirrorMap, euler: bool) -> Series:
     return out
 
 
-def integrand_series(mm: MirrorMap, euler: bool = False) -> Series:
-    """The Kahler factor times the Chern ratio times the solve's residuals.
-
-    One block per nonzero degree up to the bound of `mm`.  With `euler`
-    set, the series is rebuilt from the full blocks and every degree-d
-    block is restricted to its x^0 stratum (see `_integrand_factors`).
-    Extraction integrates the same products without forming them; this
-    series is their reference.
-    """
-    eht = kahler_factor(mm.spec.factors)
-    return {d: eht * x for d, x in _integrand_factors(mm, euler).items()}
-
-
 def extract_invariants(mm: MirrorMap, euler: bool = False) -> InvariantTable:
     """Integrate the normalized series of `mm` and solve for the invariants to its bound."""
     spec, bound = mm.spec, mm.bound
@@ -283,12 +266,17 @@ def extract_invariants(mm: MirrorMap, euler: bool = False) -> InvariantTable:
             "Euler-class specialization needs splitting excess 0; "
             f"this spec has excess {s}"
         )
-    m = spec.m
-    xs = _integrand_factors(mm, euler)
-    eht = kahler_factor(spec.factors)
+    m, dims = spec.m, spec.factors
+    xs = integrand_series(mm, euler)
     degrees = list(xs)
 
-    integrated: dict[Degree, tuple[dict[Key, int], int]] = {}
+    # the integral of kahler * X_d, read off X_d: a term alpha^a x^j H^h meets
+    # only kahler's t^beta H^beta / alpha^|beta|, beta = dims - h (H^dims the
+    # top class), weighted (-1)^|beta| / beta!; V_d[j] is the t-constant
+    # integral at x^j, T_d[i] the one linear in t_i at x^s, over X_d's q_d
+    dim = sum(dims)
+    axis = {tuple(n - (k == i) for k, n in enumerate(dims)): i for i in range(m)}
+    integrated: dict[Degree, tuple[dict[int, int], list[int], int]] = {}
     top = s
     for d in degrees:
         # kahler's only key with alpha^{>= 0} is the unit, so J_d and X_d
@@ -296,20 +284,27 @@ def extract_invariants(mm: MirrorMap, euler: bool = False) -> InvariantTable:
         sup = xs[d].alpha_support()
         if sup is not None and sup[1] > -2:
             raise ExtractionError(f"degree {d}: integrand stratum at alpha^{sup[1]}")
-        integrated[d] = _mul_integrate(eht, xs[d])
-        for a, j, t in integrated[d][0]:
-            if j < s:
-                raise ExtractionError(f"degree {d}: x-degree {j} below the splitting excess")
-            tdeg = sum(t)
+        low, high = xs[d].x_support() or (s, s)
+        if low < s:
+            raise ExtractionError(f"degree {d}: x-degree {low} below the splitting excess")
+        top = max(top, high)
+        terms, q = xs[d].monomials()
+        v: dict[int, int] = {}
+        t = [0] * m
+        for (a, j, _, h), c in terms.items():
+            tdeg = dim - sum(h)  # |beta|
             # t-constant strata are forced to alpha^{s-3-j} by grading
-            if tdeg == 0 and a != s - 3 - j:
-                raise ExtractionError(f"degree {d}: stray stratum alpha^{a} x^{j}")
-            if j == s:
+            if tdeg == 0:
+                if a != s - 3 - j:
+                    raise ExtractionError(f"degree {d}: stray stratum alpha^{a} x^{j}")
+                v[j] = c
+            elif j == s:
                 if tdeg > 1:
                     raise ExtractionError(f"degree {d}: t-degree {tdeg} at the x^{s} stratum")
-                if tdeg == 1 and a != -3:
-                    raise ExtractionError(f"degree {d}: t-linear stratum at alpha^{a}")
-            top = max(top, j)
+                if a != -2:
+                    raise ExtractionError(f"degree {d}: t-linear stratum at alpha^{a - 1}")
+                t[axis[h]] = -c
+        integrated[d] = v, t, q
 
     # exp(<d', g>) = exp(<d' - e_i, g>) exp(g_i), i the first axis of d', and
     # the matching series (2 - <d', g>) exp(<d', g>), both to total degree
@@ -338,26 +333,24 @@ def extract_invariants(mm: MirrorMap, euler: bool = False) -> InvariantTable:
         ]
 
     # the system in ints: solved[j][d] holds K_d unit[d], unit[d] being
-    # 2^|d| scale[|d|] times the lcm of the integrated denominators; with the
+    # 2^|d| scale[|d|] times the lcm of the denominators q_d; with the
     # weights of below its recurrence has int coefficients, and the only
     # quotients, (unit[d] / 2) / q and unit[d] / q, are exact since q | den
-    den = math.lcm(*(q for _, q in integrated.values()))
+    den = math.lcm(*(q for _, _, q in integrated.values()))
     unit = {d: (scale[sum(d)] << sum(d)) * den for d in degrees}
     solved: dict[int, dict[Degree, int]] = {}
     for j in range(s, top + 1):
         kj: dict[Degree, int] = {}
-        key = (s - 3 - j, j, _tzero(m))
         for d in degrees:
-            vals, q = integrated[d]
-            c0 = (unit[d] >> 1) // q * vals.get(key, 0)
+            v, _, q = integrated[d]
+            c0 = (unit[d] >> 1) // q * v.get(j, 0)
             kj[d] = c0 - sum(kj[dp] * c for dp, _, c in below[d] if dp != d)
         solved[j] = kj
 
     # overdetermination: the t-linear strata are determined by the same K_d
     for d in degrees:
-        vals, q = integrated[d]
-        for i in range(m):
-            got = vals.get((-3, s, tuple(int(a == i) for a in range(m))), 0)
+        _, t, q = integrated[d]
+        for i, got in enumerate(t):
             want = -sum(solved[s][dp] * dp[i] * e for dp, e, _ in below[d])
             if unit[d] // q * got != want:
                 raise ExtractionError(

@@ -107,16 +107,20 @@ def test_criterion_05_integrand_alpha_support():
 def test_criterion_06_overdetermined_system_consistent():
     # extraction solves K from the t-degree-0 stratum and then demands the
     # t-degree-1 stratum vanish; it raises on any mismatch.  Confirm the
-    # check is not vacuous: each integrand really carries t-degree-1 terms.
+    # check is not vacuous: each integrand really carries t-degree-1 terms,
+    # the coefficients of X_d at H^(top - e_i) that kahler's t_i H_i / alpha
+    # completes to the top class.
     ok = True
     for spec, bound in DEPTH.items():
         mm, _ = solved(spec, bound)  # would have raised ExtractionError
         js = integrand_series(mm)
-        saw_linear_t = False
-        for block in js.values():
-            # the keys of the fibre integral: those with a top-class coefficient
-            if any(sum(t) >= 1 for (_, _, t), c in block.terms.items() if c.coeffs[-1]):
-                saw_linear_t = True
+        below_top = [
+            tuple(n - (k == i) for k, n in enumerate(spec.factors)) for i in range(spec.m)
+        ]
+        saw_linear_t = any(
+            c.coefficient(h)
+            for block in js.values() for c in block.terms.values() for h in below_top
+        )
         ok = ok and saw_linear_t
     gate(6, ok)
 

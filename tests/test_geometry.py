@@ -142,9 +142,26 @@ def _balanced(ns) -> GeometrySpec:
     return GeometrySpec(tuple(ns), (LineBundleSpec(degs, "convex"),), name="gen")
 
 
-@given(_specs())
-def test_serialize_parse_roundtrip(spec):
-    assert parse_spec(serialize_spec(spec)) == spec
+@given(_specs(), st.one_of(st.just("gen"), st.text()))
+def test_serialize_parse_roundtrip(spec, name):
+    """A spec reads back as itself, or serialize_spec refuses its name."""
+    spec = GeometrySpec(spec.factors, spec.bundles, name)
+    try:
+        text = serialize_spec(spec)
+    except ValueError:
+        return
+    assert parse_spec(text) == spec
+
+
+def test_serialize_refuses_a_name_the_format_cannot_hold():
+    base = parse_spec(P3_QUARTIC)
+    for name in ["x # y", "  padded ", "two\nlines", "a\x85b", "a\u2028b", "tab\t"]:
+        with pytest.raises(ValueError, match="cannot be written in the line format"):
+            serialize_spec(GeometrySpec(base.factors, base.bundles, name))
+    # inner space and any other character read back
+    for name in ["a  b", "P^3 quartic", "x\ty", "é"]:
+        spec = GeometrySpec(base.factors, base.bundles, name)
+        assert parse_spec(serialize_spec(spec)) == spec
 
 
 def test_roundtrip_with_concave_and_name():

@@ -1,4 +1,4 @@
-"""Laurent blocks: strata bookkeeping, exact inverses, the Kahler factor."""
+"""Laurent blocks: strata bookkeeping, exact inverses, the reader of the stored ints."""
 
 import itertools
 import math
@@ -11,15 +11,8 @@ from hypothesis import given, settings, strategies as st
 from concavex.cohomology import CohClass, _slot_pairs, hyperplane, monomial, one
 from concavex.eulerdata import _inverse_power, _power, chern_ratio, hyper_block, reduced_block
 from concavex.geometry import parse_spec
-from concavex.laurent import (
-    LaurentBlock,
-    _mul_integrate,
-    _mul_sum,
-    _pack,
-    _unpack,
-    block_one,
-    kahler_factor,
-)
+from concavex.laurent import LaurentBlock, _mul_sum, _pack, _unpack, block_one
+from kahler import kahler_factor, top_class
 
 P1 = (1,)
 P2 = (2,)
@@ -36,14 +29,9 @@ def _invert_x_factor(dims, c):
     return _inverse_power(dims, c, 1, 1, x=True)
 
 
-def _top_class(blk):
-    """{key: value} of the top-class coefficients of blk, its fibre integral, read off its view."""
-    return {key: c.coeffs[-1] for key, c in blk.terms.items() if c.coeffs[-1]}
-
-
-def _values(integral):
-    """{key: value} of a fibre integral ({key: numerator}, den)."""
-    nums, den = integral
+def _values(read):
+    """{monomial: value} of a read ({monomial: numerator}, den)."""
+    nums, den = read
     return {key: Rat(v, den) for key, v in nums.items()}
 
 
@@ -75,7 +63,7 @@ def test_kahler_factor_on_the_line():
     eht = kahler_factor(P1)
     assert eht.terms[(0, 0, (0,))] == one(P1)
     assert eht.terms[(-1, 0, (1,))] == hyperplane(P1, 0).scale(-1)
-    assert max(sum(t) for _, _, t in _top_class(eht)) == 1
+    assert max(sum(t) for _, _, t in top_class(eht)) == 1
 
 
 def test_kahler_factor_two_factors_cross_term():
@@ -94,10 +82,10 @@ def test_x_strata_partition():
     assert total == b
 
 
-def test_integrate_fibrewise_keeps_strata():
+def test_the_reader_keeps_strata():
     b = LaurentBlock(P2, {(0, 0, (0,), (2,)): Rat(5)})
     # the t-tuple keeps the arity of the original factor count
-    assert _mul_integrate(b, _alpha_x(P2, a=-3)) == ({(-3, 0, (0,)): 5}, 1)
+    assert (b * _alpha_x(P2, a=-3)).monomials() == ({(-3, 0, (0,), (2,)): 5}, 1)
 
 
 @given(st.integers(min_value=-4, max_value=4), st.integers(min_value=-4, max_value=4))
@@ -166,44 +154,70 @@ def test_mul_sum_matches_fraction_double_loop(case):
     assert {
         k: {e: r for e, r in zip(_box(dims), c.coeffs) if r} for k, c in got.terms.items()
     } == reference
-    # kept to the top slot: the reference's top exponents, every other slot empty
-    top = tuple(dims)
-    got = _mul_sum(dims, pairs, top=True)
-    assert {k: c.coefficient(top) for k, c in got.terms.items()} == {
-        k: acc[top] for k, acc in reference.items() if top in acc
-    }
-    assert all(c.coeffs[:-1] == (0,) * (len(c.coeffs) - 1) for c in got.terms.values())
+
+
+@st.composite
+def _monomial_maps(draw):
+    """{(a, j, tau, h): r} with zero values and h past the box or below 0 mixed in."""
+    dims = draw(st.sampled_from([(), (1,), (2, 2), (7,), (1, 2, 1)]))
+    m = len(dims)
+    key = st.tuples(
+        st.integers(-3, 2), st.integers(-2, 2),
+        st.tuples(*[st.integers(0, 2)] * m), st.tuples(*[st.integers(-1, 3)] * m),
+    )
+    value = st.one_of(st.integers(-9, 9), st.builds(Rat, st.integers(-6, 6), st.integers(1, 12)))
+    return dims, draw(st.dictionaries(key, value, max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_monomial_maps())
+def test_the_reader_gives_back_the_constructors_map(case):
+    """monomials() inverts the constructor: ints over one denominator, no view built."""
+    dims, terms = case
+    blk = LaurentBlock(dims, terms)
+    nums, den = got = blk.monomials()
+    assert blk._view is None
+    in_box = {k: r for k, r in terms.items() if all(0 <= e <= n for e, n in zip(k[3], dims))}
+    assert _values(got) == {k: Rat(r) for k, r in in_box.items() if r}
+    assert type(den) is int and den > 0 and all(type(v) is int and v for v in nums.values())
+    assert math.gcd(den, *nums.values()) == 1
+    # and it agrees with the view
+    assert _values(got) == {(*k, h): r for k, c in blk.terms.items() for h, r in c.terms()}
 
 
 @settings(max_examples=100, deadline=None)
 @given(_pair_lists())
-def test_mul_integrate_matches_integrating_the_product(case):
+def test_the_kahler_product_relabels_the_terms(case):
+    """The top class of kahler * x is x's terms relabelled, beta = top - h, by (-1)^|beta| / beta!.
+
+    For x free of t, as every integrand is, each term of x meets one Kahler
+    term at the top class and no two land on the same key: extraction reads
+    the fibre integral off x itself.
+    """
     dims, pairs = case
-    size = len(_box(dims))
-    for a, b in pairs:
-        product = a * b
-        got = _mul_integrate(a, b)
-        assert _values(got) == _top_class(product)
-        assert math.gcd(got[1], *got[0].values()) == 1
-        # the keys in the order of the product's top-class terms, so extraction's
-        # checks fail in the order they would on the product
-        top = [_unpack(c // size, len(dims)) for c in product._codes if c % size == size - 1]
-        assert list(got[0]) == top
+    eht = kahler_factor(dims)
+    for blk in [blk for pair in pairs for blk in pair]:
+        x = LaurentBlock(dims, {k: r for k, r in _values(blk.monomials()).items() if not any(k[2])})
+        want = {}
+        for (a, j, _, h), r in _values(x.monomials()).items():
+            beta = tuple(n - e for n, e in zip(dims, h))
+            key = (a - sum(beta), j, beta)
+            assert key not in want
+            want[key] = r * (-1) ** sum(beta) / math.prod(map(math.factorial, beta))
+        assert top_class(eht * x) == want
 
 
-def test_mul_integrate_with_the_kahler_factor():
+def test_the_kahler_product_on_two_factors():
     dims = (2, 1)
     x = LaurentBlock(dims, {
         (-2, 1, (0, 0), (1, 1)): Rat(3, 4),
         (-2, 1, (0, 0), (0, 0)): 5,
         (-3, 0, (0, 0), (2, 1)): Rat(-1, 6),
     })
-    eht = kahler_factor(dims)
-    nums, den = got = _mul_integrate(eht, x)
-    assert _values(got) == _top_class(eht * x)
+    got = top_class(kahler_factor(dims) * x)
     # the top class of x pairs with the unit, H1 H2 with t1 H1 / alpha
-    assert Rat(nums[(-3, 0, (0, 0))], den) == Rat(-1, 6)
-    assert Rat(nums[(-3, 1, (1, 0))], den) == Rat(-3, 4)
+    assert got[(-3, 0, (0, 0))] == Rat(-1, 6)
+    assert got[(-3, 1, (1, 0))] == Rat(-3, 4)
 
 
 def test_mul_sum_of_nothing_is_zero():
@@ -247,9 +261,9 @@ def test_codes_unpack_and_add_like_keys(case):
     blk = LaurentBlock(dims, {(*k1, (0,) * m): 1, (*k2, (1,) * m): 1})
     assert blk.alpha_support() == (min(k1[0], k2[0]), max(k1[0], k2[0]))
     assert blk.x_support() == (min(k1[1], k2[1]), max(k1[1], k2[1]))
-    # the fibre integral reads every key back, t exponents included
+    # the reader gives every key back, t exponents included
     top = LaurentBlock(dims, {(*k1, dims): 1, (*k2, dims): 2})
-    assert set(_mul_integrate(top, block_one(dims))[0]) == {k1, k2}
+    assert set(top.monomials()[0]) == {(*k1, dims), (*k2, dims)}
     for key in (k1, k2):
         want = {k: c for k, c in blk.terms.items() if k[1] == key[1]}
         assert blk.x_stratum(key[1]).terms == want
@@ -276,8 +290,6 @@ def test_a_field_past_its_width_raises_instead_of_wrapping():
         big * big
     with pytest.raises(ValueError):
         small * small
-    with pytest.raises(ValueError):
-        _mul_integrate(big, big)
     wide = _alpha_x(P1, j=2**30)
     with pytest.raises(ValueError):
         _mul_sum(P1, [(block_one(P1), block_one(P1)), (wide, wide)])
@@ -315,17 +327,16 @@ def test_the_constructor_encodes_monomials_and_checks_their_shape():
 @settings(max_examples=50, deadline=None)
 @given(_pair_lists())
 def test_numerators_read_the_stored_ints_without_the_view(case):
-    """The fibre integrals are read off the stored ints: no operand builds its view."""
+    """Products and operands are read off the stored ints: none builds its view."""
     dims, pairs = case
     operands = [blk for pair in pairs for blk in pair]
-    got = [_mul_integrate(a, b) for a, b in pairs + [(blk, block_one(dims)) for blk in operands]]
-    assert [blk for blk in operands if blk._view is not None] == []
+    blocks = [a * b for a, b in pairs] + operands
+    got = [blk.monomials() for blk in blocks]
+    assert [blk for blk in blocks if blk._view is not None] == []
     # one positive denominator in lowest terms with every numerator
     assert all(den > 0 and math.gcd(den, *nums.values()) == 1 for nums, den in got)
-    top = len(_box(dims)) - 1
-    assert [{key: Rat(v, den) for key, v in nums.items()} for nums, den in got] == [
-        {key: c.coeffs[top] for key, c in blk.terms.items() if c.coeffs[top]}
-        for blk in [a * b for a, b in pairs] + operands
+    assert [_values(read) for read in got] == [
+        {(*key, h): r for key, c in blk.terms.items() for h, r in c.terms()} for blk in blocks
     ]
 
 
@@ -364,7 +375,6 @@ def _rebuilt(blk):
 @given(_pair_lists(), st.builds(Rat, st.integers(-4, 4), st.integers(1, 6)))
 def test_integer_form_matches_fraction_arithmetic_on_the_view(case, r):
     dims, pairs = case
-    top = tuple(dims)
     for a, b in pairs:
         da, db = _as_dict(a), _as_dict(b)
         results = {
@@ -379,16 +389,17 @@ def test_integer_form_matches_fraction_arithmetic_on_the_view(case, r):
             assert _as_dict(got) == want, name
             assert _lowest_terms(got), name
             assert _rebuilt(got) == got, name
-        nums, den = _mul_integrate(a, block_one(dims))
-        want = {k: c[top] for k, c in da.items() if top in c}
-        assert {k: Rat(v, den) for k, v in nums.items()} == want
+        nums, den = a.monomials()
+        assert {k: Rat(v, den) for k, v in nums.items()} == {
+            (*k, e): v for k, c in da.items() for e, v in c.items()
+        }
         assert math.gcd(den, *nums.values()) == 1
         assert (a == b) == (da == db)
         assert a + b - b == a and (a - a).is_zero()
     for blk in [x for pair in pairs for x in pair] + [_mul_sum(dims, pairs)]:
         assert _lowest_terms(blk)
         assert _rebuilt(blk) == blk
-    for nums, den in [_mul_integrate(a, b) for a, b in pairs]:
+    for nums, den in [(a * b).monomials() for a, b in pairs]:
         assert math.gcd(den, *nums.values()) == 1
 
 

@@ -17,7 +17,7 @@ import pytest
 from concavex import eulerdata, laurent, mirror, qseries
 from concavex.eulerdata import chern_ratio, hyper_block
 from concavex.geometry import parse_spec, validate
-from concavex.laurent import LaurentBlock, kahler_factor
+from concavex.laurent import LaurentBlock
 from concavex.mirror import (
     ExtractionError,
     InvariantEntry,
@@ -31,6 +31,7 @@ from concavex.mirror import (
 )
 from concavex.qseries import degrees_upto
 from fraction_series import fraction_exp, fraction_mul
+from kahler import kahler_factor, top_class
 
 QUINTIC = parse_spec("name quintic\nspace 4\nbundle convex 5\n")
 PAIR = parse_spec("name pair\nspace 1\nbundle concave 1\nbundle concave 1\n")
@@ -259,7 +260,6 @@ def test_integrand_equals_the_series_rebuilt_from_full_blocks(spec):
     mm = solve_mirror_map(spec, bound)
     u, g = mirror._transform_series(mm)
     omega = chern_ratio(spec)
-    eht = kahler_factor(spec.factors)
     js = integrand_series(mm)
     degrees = [d for d in degrees_upto(spec.m, bound) if any(d)]
     table = {}
@@ -271,7 +271,7 @@ def test_integrand_equals_the_series_rebuilt_from_full_blocks(spec):
             diff = tuple(a - b for a, b in zip(d, dp))
             if min(diff) >= 0:
                 want = want + u[diff] * blocks[dp]
-        assert js[d] == eht * want, d
+        assert js[d] == want, d
 
 
 @pytest.mark.parametrize(
@@ -325,7 +325,7 @@ def test_blocks_and_transform_series_are_built_once(monkeypatch):
     for name in (
         "reduced_block", "hyper_block", "series_exp", "series_inverse",
         "_transform_series", "_residual", "integrand_series", "egf_exp",
-        "series_mul", "degree_pairs",
+        "series_mul", "degree_pairs", "chern_ratio",
     ):
         def counted(*args, _real=getattr(mirror, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -354,9 +354,15 @@ def test_blocks_and_transform_series_are_built_once(monkeypatch):
     assert kernel[0] - kernel_in["reduced_block"] == 3 * 9
     # N = exp(log N), once, after the pass
     assert calls["egf_exp"] == 1
+    before = kernel[0]
     extract_invariants(mm)
-    # extraction integrates kahler * X_d without building J_d or (U, G)
-    assert calls["_transform_series"] == calls["integrand_series"] == 0
+    # extraction builds X_d = omega * residual once, one kernel call per
+    # degree besides omega's own, and reads the integral of kahler * X_d off
+    # it: no J_d, no (U, G)
+    assert calls["integrand_series"] == calls["chern_ratio"] == 1
+    assert calls["_transform_series"] == 0
+    assert kernel[0] - before == kernel_in["integrand_series"]
+    assert kernel_in["integrand_series"] - kernel_in["chern_ratio"] == 9
     # one exp(g_i) per axis; exp(<d', g>) comes from a product per degree
     assert calls["egf_exp"] == 1 + TWO_FACTOR.m == 3
     assert calls["hyper_block"] == 0
@@ -446,24 +452,25 @@ def test_reuse_needs_a_map_of_the_same_spec():
 
 @pytest.mark.parametrize("spec,bound", [(BICUBIC, 3), (QUINTIC, 4)], ids=["bicubic", "quintic"])
 def test_solve_and_extraction_keep_blocks_on_integers(monkeypatch, spec, bound):
-    """No R_d, residual or X_d builds its Fraction view; the integrals are int tables."""
-    returned = {"reduced_block": [], "_integrand_factors": [], "_mul_integrate": []}
+    """No R_d, residual or X_d builds its Fraction view; each X_d is read once, in ints."""
+    returned = {"reduced_block": [], "integrand_series": [], "monomials": []}
+    owners = {"reduced_block": mirror, "integrand_series": mirror, "monomials": LaurentBlock}
     for name, out in returned.items():
-        def kept(*args, _real=getattr(mirror, name), _out=out, **kwargs):
+        def kept(*args, _real=getattr(owners[name], name), _out=out, **kwargs):
             _out.append(_real(*args, **kwargs))
             return _out[-1]
 
-        monkeypatch.setattr(mirror, name, kept)
+        monkeypatch.setattr(owners[name], name, kept)
     mm = solve_mirror_map(spec, bound)
     extract_invariants(mm)
     nonzero = len(degrees_upto(spec.m, bound)) - 1
-    (xs,) = returned["_integrand_factors"]
+    (xs,) = returned["integrand_series"]
     blocks = returned["reduced_block"] + list(mm.residuals.values()) + list(xs.values())
-    integrals = returned["_mul_integrate"]
-    assert len(blocks) == 3 * nonzero + 1 and len(integrals) == nonzero
+    reads = returned["monomials"]
+    assert len(blocks) == 3 * nonzero + 1 and len(reads) == nonzero
     assert [blk for blk in blocks if blk._view is not None] == []
     assert all(
-        type(den) is int and all(type(v) is int for v in nums.values()) for nums, den in integrals
+        type(den) is int and all(type(v) is int for v in nums.values()) for nums, den in reads
     )
 
 
@@ -522,11 +529,10 @@ def _reference_entries(spec, mm, bound, euler):
     m = spec.m
     s = validate(spec)  # 0 whenever euler is set
     degrees = [d for d in degrees_upto(m, bound) if any(d)]
+    # the fibre integrals: the top class of kahler * X_d, multiplied out by the kernel
+    eht = kahler_factor(spec.factors)
     js = integrand_series(mm, euler)
-    # the fibre integrals: the top-class coefficient of every key
-    integrated = {
-        d: {key: c.coeffs[-1] for key, c in js[d].terms.items() if c.coeffs[-1]} for d in degrees
-    }
+    integrated = {d: top_class(eht * js[d]) for d in degrees}
     top = max([s] + [j for nums in integrated.values() for _, j, _ in nums])
     expg, gexp = {}, {}
     for dp in degrees:
