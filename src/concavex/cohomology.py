@@ -12,10 +12,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Iterator
 
 Rat = Fraction
 
@@ -54,23 +53,37 @@ def _slot_pairs(dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(slot.get(tuple(map(add, e, f)), -1) for f in exps) for e in exps)
 
 
-@dataclass(frozen=True)
 class CohClass:
     """A cohomology class on ``P^{n_1} x ... x P^{n_m}``.
 
     ``dims`` lists the projective dimensions, ``coeffs`` the flat coefficient
-    tuple.  Instances are immutable; arithmetic returns new objects.
+    tuple.  Instances are immutable values; arithmetic returns new objects.
     """
 
-    dims: tuple[int, ...]
-    coeffs: tuple[Rat, ...]
+    __slots__ = ("dims", "coeffs")
 
-    def __post_init__(self) -> None:
-        expected = math.prod(n + 1 for n in self.dims)
-        if len(self.coeffs) != expected:
-            raise ValueError(
-                f"coefficient tuple has length {len(self.coeffs)}, expected {expected}"
-            )
+    def __init__(self, dims: tuple[int, ...], coeffs: tuple[Rat, ...]) -> None:
+        expected = math.prod(n + 1 for n in dims)
+        if len(coeffs) != expected:
+            raise ValueError(f"coefficient tuple has length {len(coeffs)}, expected {expected}")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable CohClass")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CohClass):
+            return NotImplemented
+        return (self.dims, self.coeffs) == (other.dims, other.coeffs)
+
+    def __hash__(self) -> int:
+        return hash((self.dims, self.coeffs))
+
+    def __reduce__(self) -> tuple:
+        return CohClass, (self.dims, self.coeffs)
 
     # -- queries -----------------------------------------------------------
 

@@ -6,14 +6,14 @@ skipped.  Directives:
     space <n>                      one line per projective factor, n >= 1
     bundle convex <d1> ... <dm>    all entries >= 0
     bundle concave <d1> ... <dm>   entries >= 0, applied with a minus sign
-    name <free text>               optional label
+    name <free text>               optional label, at most once
 
 Concave bundles are entered by magnitude; the stored multidegree carries the
 sign, so a line ``bundle concave 3`` on one factor yields multidegree (-3,).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "LineBundleSpec",
@@ -44,26 +44,21 @@ class ValidationError(SpecError):
     pass
 
 
-@dataclass(frozen=True)
-class LineBundleSpec:
+class LineBundleSpec(namedtuple("LineBundleSpec", "multidegree kind")):
     """One split line bundle summand.
 
     ``multidegree`` holds the actual first Chern coefficients, so concave
-    bundles have non-positive entries.
+    bundles have non-positive entries; ``kind`` is "convex" or "concave".
     """
 
-    multidegree: tuple[int, ...]
-    kind: str  # "convex" or "concave"
+    __slots__ = ()
 
     def magnitudes(self) -> tuple[int, ...]:
         return tuple(abs(a) for a in self.multidegree)
 
 
-@dataclass(frozen=True)
-class GeometrySpec:
-    factors: tuple[int, ...]
-    bundles: tuple[LineBundleSpec, ...]
-    name: str = ""
+class GeometrySpec(namedtuple("GeometrySpec", "factors bundles name", defaults=("",))):
+    __slots__ = ()
 
     @property
     def m(self) -> int:
@@ -99,7 +94,7 @@ def parse_spec(text: str) -> GeometrySpec:
     """Parse the line format; structural checks only, balance comes later."""
     factors: list[int] = []
     raw_bundles: list[tuple[str, list[int], int]] = []  # kind, entries, line no
-    name = ""
+    name, name_line = "", None
     seen_any = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -128,7 +123,9 @@ def parse_spec(text: str) -> GeometrySpec:
                 raise ParseError("concave bundle must have a nonzero degree", lineno)
             raw_bundles.append((kind, entries, lineno))
         elif directive == "name":
-            name = line[len("name") :].strip()
+            if name_line is not None:
+                raise ParseError("name given twice", lineno)
+            name, name_line = line[len("name") :].strip(), lineno
         else:
             raise ParseError(f"unknown directive {directive!r}", lineno)
     if not seen_any:

@@ -20,8 +20,8 @@ import itertools
 import math
 import operator
 import random
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .cohomology import Rat
 from .geometry import GeometrySpec
@@ -66,14 +66,17 @@ class OracleInconsistencyError(AssertionError):
     """Results differ across weight samples, so cancellation failed."""
 
 
-@dataclass(frozen=True)
-class WeightSample:
-    weights: tuple[Rat, ...]
-    seed: int
+class WeightSample(namedtuple("WeightSample", "weights seed")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(set(self.weights)) != len(self.weights):
+    def __new__(cls, weights: tuple[Rat, ...], seed: int) -> "WeightSample":
+        if len(set(weights)) != len(weights):
             raise SamplingError("torus weights must be pairwise distinct")
+        return super().__new__(cls, weights, seed)
+
+    @classmethod
+    def _make(cls, fields) -> "WeightSample":
+        return cls(*fields)  # so _replace checks the weights too
 
 
 def sample_weights(n: int, seed: int) -> WeightSample:

@@ -56,12 +56,12 @@ one Fraction per K_d and x-level comes out at the end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .cohomology import Rat
 from .eulerdata import _power, chern_ratio, hyper_block, reduced_block
 from .geometry import GeometrySpec, validate
-from .laurent import LaurentBlock, _mul_sum, _tzero, block_one, block_scalar
+from .laurent import Key, LaurentBlock, _mul_sum, _tzero, block_one, block_scalar
 from .qseries import (
     Degree,
     Series,
@@ -89,38 +89,31 @@ class ExtractionError(MirrorError):
     """The integrated series violates the expected grading or matching."""
 
 
-@dataclass(frozen=True)
-class MirrorMap:
-    """Solved change of variables, truncated at total degree `bound`."""
+class MirrorMap(namedtuple("MirrorMap", "spec bound normalization prefactor shifts residuals "
+                           "blocks pairs")):
+    """Solved change of variables, truncated at total degree `bound`.
 
-    spec: GeometrySpec
-    bound: int
-    normalization: dict[Degree, Rat]
-    prefactor: dict[Degree, Rat]
-    shifts: tuple[dict[Degree, Rat], ...]
-    # per degree, U * sum R q^d - G: both strata cancelled, as the solve checked
-    residuals: Series = field(compare=False, repr=False)
-    # the reduced blocks R_d the solve read, by degree
-    blocks: Series = field(compare=False, repr=False)
-    # qseries.degree_pairs to the bound: each degree's splits (d', d - d')
-    pairs: dict[Degree, Splits] = field(compare=False, repr=False)
+    Past the coefficients, by degree: the residual U * sum R q^d - G the solve
+    checked, the reduced blocks R_d it read, and qseries.degree_pairs' splits
+    (d', d - d').  The repr leaves those three out.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        shown = zip(self._fields, self[:5])
+        return f"MirrorMap({', '.join(f'{k}={v!r}' for k, v in shown)})"
 
     def shift_vector(self, d: Degree) -> tuple[Rat, ...]:
         return tuple(g.get(d, Rat(0)) for g in self.shifts)
 
 
-@dataclass(frozen=True)
-class InvariantEntry:
-    degree: Degree
-    raw: tuple[tuple[int, Rat], ...]  # (x-exponent, value), ascending
-    value: Rat  # the x^s entry
+# K_d at `degree`: the (x-exponent, value) pairs ascending, and the x^s value
+InvariantEntry = namedtuple("InvariantEntry", "degree raw value")
 
 
-@dataclass(frozen=True)
-class InvariantTable:
-    spec: GeometrySpec
-    excess: int
-    entries: tuple[InvariantEntry, ...]
+class InvariantTable(namedtuple("InvariantTable", "spec excess entries")):
+    __slots__ = ()
 
     def value(self, d: Degree) -> Rat:
         for e in self.entries:
@@ -170,12 +163,13 @@ def solve_mirror_map(
     exponential recurrence.  At degree d they are first formed with d's own
     coefficients still zero: the read-off needs only U_d - G_d plus the sum
     over d' != 0 of U_{d-d'} R_{d'}, and it reads (log N)_d, f_d and g_{i,d}
-    from three fixed places of that block.  The coefficients read off then
-    complete U_d and G_d, no stratum of U * sum R q^d - G may remain at
-    alpha^{-1} or above, and that residual is kept on the map for the
-    integrand.  The map also keeps the blocks R_d, for the Euler route and
-    later solves: with `reuse`, a map solved earlier for the same spec, the
-    solve starts from a copy of its blocks and builds only those it lacks.
+    from three fixed places of that sum, entry by entry.  The coefficients
+    read off then complete U_d and G_d, and only then is the sum formed: no
+    stratum of U * sum R q^d - G may remain at alpha^{-1} or above, and that
+    residual is kept on the map for the integrand.  The map also keeps the
+    blocks R_d, for the Euler route and later solves: with `reuse`, a map
+    solved earlier for the same spec, the solve starts from a copy of its
+    blocks and builds only those it lacks.
     """
     if bound < 0:
         raise ValueError(f"degree bound must be at least 0, got {bound}")
@@ -198,15 +192,19 @@ def solve_mirror_map(
     u = {t0: block_one(dims)}
     g = {t0: block_one(dims)}
     residuals: Series = {}
+
+    def read(key: Key, h: tuple[int, ...]) -> Rat:
+        # the entry of lower + U_d - G_d at the loop's degree d, without forming that sum
+        return lower.entry(key, h) + u[d].entry(key, h) - g[d].entry(key, h)
+
     for d in degrees[1:]:
         u[d] = _exp_coefficient(dims, u_log, u, pairs[d])
         g[d] = _exp_coefficient(dims, g_log, g, pairs[d])
         lower = _residual(dims, u, reduced, pairs[d])
-        acc = lower + (u[d] - g[d])
-        log_norm[d] = acc.entry((0, 0, t0), t0)
-        prefactor[d] = -acc.entry((-1, 1, t0), t0)
+        log_norm[d] = read((0, 0, t0), t0)
+        prefactor[d] = -read((-1, 1, t0), t0)
         for i in range(m):
-            shifts[i][d] = -acc.entry((-1, 0, t0), _power(m, i, 1))
+            shifts[i][d] = -read((-1, 0, t0), _power(m, i, 1))
 
         # complete degree d from the stored coefficients: U_0 = G_0 = 1
         fblk, g_log[d] = _log_terms(dims, prefactor[d], tuple(h[d] for h in shifts))
@@ -392,11 +390,7 @@ def two_pointed(table: InvariantTable, d: int) -> Rat:
     return Rat(d) * one_pointed(table, d)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+CheckResult = namedtuple("CheckResult", "name passed detail", defaults=("",))
 
 
 def verify_all(spec: GeometrySpec, bound: int) -> list[CheckResult]:
@@ -420,13 +414,9 @@ def verify_all(spec: GeometrySpec, bound: int) -> list[CheckResult]:
     if s == 0:
         try:
             et = extract_invariants(mm, euler=True)
-            same = all(
-                et.value(e.degree) == e.value for e in table.entries
-            )
-            checks.append(
-                CheckResult("euler_specialization", same,
-                            "" if same else "x->0 values differ")
-            )
+            same = all(et.value(e.degree) == e.value for e in table.entries)
+            detail = "" if same else "x->0 values differ"
+            checks.append(CheckResult("euler_specialization", same, detail))
         except MirrorError as err:
             checks.append(CheckResult("euler_specialization", False, str(err)))
 
@@ -439,10 +429,8 @@ def verify_all(spec: GeometrySpec, bound: int) -> list[CheckResult]:
             and mm2.shift_vector(d) == mm.shift_vector(d)
             for d in list(mm.pairs)[1:]
         ) and all(table2.value(e.degree) == e.value for e in table.entries)
-        checks.append(
-            CheckResult("truncation_stability", stable,
-                        "" if stable else f"bound {bound} vs {bound + 2} differ")
-        )
+        detail = "" if stable else f"bound {bound} vs {bound + 2} differ"
+        checks.append(CheckResult("truncation_stability", stable, detail))
     except MirrorError as err:
         checks.append(CheckResult("truncation_stability", False, str(err)))
 
@@ -450,10 +438,8 @@ def verify_all(spec: GeometrySpec, bound: int) -> list[CheckResult]:
         try:
             val, _ = oracle_invariant_checked(spec, d)
             ok = val == table.value((d,))
-            checks.append(
-                CheckResult(f"oracle_degree_{d}", ok,
-                            "" if ok else f"{val} != {table.value((d,))}")
-            )
+            detail = "" if ok else f"{val} != {table.value((d,))}"
+            checks.append(CheckResult(f"oracle_degree_{d}", ok, detail))
         except (SamplingError, OracleInconsistencyError) as err:
             checks.append(CheckResult(f"oracle_degree_{d}", False, str(err)))
     return checks

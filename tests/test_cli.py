@@ -160,6 +160,13 @@ def test_malformed_spec_exits_2_with_empty_stdout(spec_file, capsys):
     assert "factor 0" in err
 
 
+def test_a_spec_with_two_names_exits_2(spec_file, capsys):
+    path = spec_file("name a\nname b\nspace 4\nbundle convex 5\n")
+    rc, out, err = run(capsys, "compute", "--spec", path, "--max-degree", "1")
+    assert (rc, out) == (2, "")
+    assert err == "error: line 2: name given twice\n"
+
+
 def test_non_utf8_spec_exits_2(capsys, tmp_path):
     path = tmp_path / "spec.cvx"
     path.write_bytes(b"\xff\xfespace 4\nbundle convex 5\n")
@@ -267,13 +274,13 @@ def test_verify_quintic(spec_file, capsys):
 def test_compute_and_verify_build_no_cohomology_class(capsys, monkeypatch, name):
     """Blocks are made from int monomials and read as ints: no CohClass on these paths."""
     built = []
-    real = CohClass.__post_init__
+    real = CohClass.__init__
 
-    def counted(self):
-        built.append(self.dims)
-        real(self)
+    def counted(self, dims, coeffs):
+        built.append(dims)
+        real(self, dims, coeffs)
 
-    monkeypatch.setattr(CohClass, "__post_init__", counted)
+    monkeypatch.setattr(CohClass, "__init__", counted)
     path = str(ROOT / "bench" / "specs" / f"{name}.cvx")
     compute = ["compute", "--spec", path, "--max-degree", "3"]
     for argv in (compute, compute + ["--format", "csv"], compute + ["--euler"],

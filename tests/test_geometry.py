@@ -68,6 +68,16 @@ def test_parse_errors_carry_line_numbers():
         parse_spec("space 1\nbundle concave 0\n")
 
 
+def test_a_second_name_line_is_refused():
+    with pytest.raises(ParseError, match=r"^line 4: name given twice$") as e:
+        parse_spec("name a\nspace 4\nbundle convex 5\nname b\n")
+    assert e.value.line == 4
+    # an empty name still counts as the one name line
+    with pytest.raises(ParseError, match=r"^line 2: name given twice$"):
+        parse_spec("name\nname b\nspace 1\nbundle concave 1\nbundle concave 1\n")
+    assert parse_spec("# name a\nname b\nspace 4\nbundle convex 5\n").name == "b"
+
+
 def test_arity_mismatch_rejected():
     with pytest.raises(ParseError):
         parse_spec("space 1\nspace 1\nbundle convex 2\n")

@@ -15,10 +15,14 @@ other module reads blocks through their methods and the ``terms`` view.
 That storage has one shape: a block over dims packs len(dims) t fields.
 The engine past ``laurent.py`` builds its blocks from int monomials, so it
 imports none of the ring's class constructors from ``cohomology``.  The
-package imports nothing but itself and the standard library.
+package imports nothing but itself and the standard library, and neither
+``dataclasses`` nor ``typing`` from it: loading those (``dataclasses``
+pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``) was most of the
+package's import time, which every CLI run pays.
 """
 
 import ast
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -160,6 +164,48 @@ def test_checker_flags_an_import_outside_the_standard_library():
         "def f():\n    import sympy as sp\n    from hypothesis import given\n"
     )
     assert _foreign_imports(source) == ["hypothesis", "numpy", "sympy"]
+
+
+SLOW_TO_IMPORT = {"dataclasses", "typing"}
+
+
+def _slow_imports(source: str) -> list[str]:
+    """The modules of SLOW_TO_IMPORT a source imports, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return sorted(found & SLOW_TO_IMPORT)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(concavex.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_the_package_imports_neither_dataclasses_nor_typing(path):
+    assert _slow_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_dataclasses_and_typing():
+    source = (
+        "import json\nfrom dataclasses import dataclass\n"
+        "def f():\n    import typing\n    from .typing import x\n"
+    )
+    assert _slow_imports(source) == ["dataclasses", "typing"]
+
+
+def test_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Checked in a child interpreter without site: pytest itself loads both."""
+    src = str(Path(concavex.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import concavex.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_oracle_shares_only_the_rational_type_and_the_spec():

@@ -6,7 +6,6 @@ after the two agreed.
 """
 
 import ast
-import dataclasses
 import re
 from collections import Counter
 from fractions import Fraction as Rat
@@ -302,11 +301,11 @@ def test_extraction_rejects_an_integrand_stratum_above_alpha_minus_two(spec, eul
     if euler:  # the Euler route rebuilds (U, G) from the map's coefficients
         normalization = dict(mm.normalization)
         normalization[(1,)] += 1
-        mm = dataclasses.replace(mm, normalization=normalization)
+        mm = mm._replace(normalization=normalization)
     else:
         a, h = added
         stray = LaurentBlock(spec.factors, {(a, 0, (0,), (h,)): 1})
-        mm = dataclasses.replace(mm, residuals={**mm.residuals, (1,): mm.residuals[(1,)] + stray})
+        mm = mm._replace(residuals={**mm.residuals, (1,): mm.residuals[(1,)] + stray})
     with pytest.raises(ExtractionError, match=rf"degree \(1,\): {re.escape(message)}$"):
         extract_invariants(mm, euler=euler)
 
