@@ -26,7 +26,7 @@ import math
 
 from .cohomology import Rat
 from .geometry import GeometrySpec, pairing
-from .laurent import LaurentBlock, _tzero, block_one
+from .laurent import LaurentBlock, block_one
 from .qseries import Degree, Series
 
 
@@ -37,10 +37,10 @@ def _power(m: int, i: int, e: int) -> tuple[int, ...]:
 
 def _affine_block(dims: tuple[int, ...], c: tuple[int, ...], alpha_coeff: int) -> LaurentBlock:
     """x + sum_i c_i H_i + alpha_coeff * alpha as a Laurent block."""
-    t0 = _tzero(len(dims))
-    terms = {(0, 0, t0, _power(len(dims), i, 1)): ci for i, ci in enumerate(c)}
-    terms[(0, 1, t0, t0)] = 1
-    terms[(1, 0, t0, t0)] = alpha_coeff
+    t0 = (0,) * len(dims)
+    terms = {(0, 0, _power(len(dims), i, 1)): ci for i, ci in enumerate(c)}
+    terms[(0, 1, t0)] = 1
+    terms[(1, 0, t0)] = alpha_coeff
     return LaurentBlock(dims, terms)
 
 
@@ -76,7 +76,7 @@ def _inverse_power(
         k = sum(h)
         r = math.comb(p - 1 + k, k) * math.factorial(k) // math.prod(map(math.factorial, h))
         r *= math.prod(map(pow, minus_c, h))
-        terms[((0, -p - k) if x else (-p - k, 0)) + (_tzero(len(dims)), h)] = Rat(r, w ** (p + k))
+        terms[((0, -p - k) if x else (-p - k, 0)) + (h,)] = Rat(r, w ** (p + k))
     return LaurentBlock(dims, terms)
 
 

@@ -42,7 +42,9 @@ relabelled, nothing adds up or cancels.  So extraction forms neither J_d
 nor the Kahler factor and reads the two kinds of coefficient it needs
 straight from X_d's stored ints (LaurentBlock.monomials), over X_d's
 denominator: V_d^(j) = X_d[x^j H^top] and T_{d,i} = -X_d[alpha^-2 x^s
-H^(top - e_i)].  Writing
+H^(top - e_i)].  Grading puts them there: with alpha, x and each H_i of
+weight 1, X_d is homogeneous of degree s - 3 + dim, which extraction checks
+once per degree next to its alpha- and x-support gates.  Writing
 Phi(t) = sum K_d exp(d.t) for the sought table, matching the t-constant
 part of the integrals against 2*Phi - sum_i t_i dPhi/dt_i expressed in
 the shifted variables yields a triangular system for the K_d; the
@@ -61,7 +63,7 @@ from collections import namedtuple
 from .cohomology import Rat
 from .eulerdata import _power, chern_ratio, hyper_block, reduced_block
 from .geometry import GeometrySpec, validate
-from .laurent import Key, LaurentBlock, _mul_sum, _tzero, block_one, block_scalar
+from .laurent import LaurentBlock, _mul_sum, block_one, block_scalar
 from .qseries import (
     Degree,
     Series,
@@ -101,7 +103,7 @@ class MirrorMap(namedtuple("MirrorMap", "spec bound normalization prefactor shif
     __slots__ = ()
 
     def __repr__(self) -> str:
-        shown = zip(self._fields, self[:5])
+        shown = list(self._asdict().items())[:5]
         return f"MirrorMap({', '.join(f'{k}={v!r}' for k, v in shown)})"
 
     def shift_vector(self, d: Degree) -> tuple[Rat, ...]:
@@ -126,10 +128,9 @@ def _log_terms(
     dims: tuple[int, ...], f: Rat, g: tuple[Rat, ...]
 ) -> tuple[LaurentBlock, LaurentBlock]:
     """The q^d terms f x / alpha of F and -(sum_i g_i H_i) / alpha of log G."""
-    t0 = _tzero(len(dims))
     return (
-        LaurentBlock(dims, {(-1, 1, t0, t0): f}),
-        LaurentBlock(dims, {(-1, 0, t0, _power(len(dims), i, 1)): -c for i, c in enumerate(g)}),
+        LaurentBlock(dims, {(-1, 1, (0,) * len(dims)): f}),
+        LaurentBlock(dims, {(-1, 0, _power(len(dims), i, 1)): -c for i, c in enumerate(g)}),
     )
 
 
@@ -138,7 +139,7 @@ def _transform_series(mm: MirrorMap) -> tuple[Series, Series]:
     dims, pairs = mm.spec.factors, mm.pairs
     f_log: Series = {}
     g_log: Series = {}
-    n = {_tzero(len(dims)): block_one(dims)}
+    n = {(0,) * len(dims): block_one(dims)}
     for d in list(pairs)[1:]:
         f_log[d], g_log[d] = _log_terms(dims, mm.prefactor.get(d, Rat(0)), mm.shift_vector(d))
         n[d] = block_scalar(dims, mm.normalization.get(d, Rat(0)))
@@ -179,7 +180,7 @@ def solve_mirror_map(
     table = dict(reuse.blocks) if reuse is not None else {}
     dims = spec.factors
     m = len(dims)
-    t0 = _tzero(m)
+    t0 = (0,) * m
     pairs = degree_pairs(m, bound)
     degrees = list(pairs)
     reduced: Series = {d: reduced_block(spec, d, table) for d in degrees}
@@ -193,18 +194,18 @@ def solve_mirror_map(
     g = {t0: block_one(dims)}
     residuals: Series = {}
 
-    def read(key: Key, h: tuple[int, ...]) -> Rat:
+    def read(a: int, j: int, h: tuple[int, ...]) -> Rat:
         # the entry of lower + U_d - G_d at the loop's degree d, without forming that sum
-        return lower.entry(key, h) + u[d].entry(key, h) - g[d].entry(key, h)
+        return lower.entry(a, j, h) + u[d].entry(a, j, h) - g[d].entry(a, j, h)
 
     for d in degrees[1:]:
         u[d] = _exp_coefficient(dims, u_log, u, pairs[d])
         g[d] = _exp_coefficient(dims, g_log, g, pairs[d])
         lower = _residual(dims, u, reduced, pairs[d])
-        log_norm[d] = read((0, 0, t0), t0)
-        prefactor[d] = -read((-1, 1, t0), t0)
+        log_norm[d] = read(0, 0, t0)
+        prefactor[d] = -read(-1, 1, t0)
         for i in range(m):
-            shifts[i][d] = -read((-1, 0, t0), _power(m, i, 1))
+            shifts[i][d] = -read(-1, 0, _power(m, i, 1))
 
         # complete degree d from the stored coefficients: U_0 = G_0 = 1
         fblk, g_log[d] = _log_terms(dims, prefactor[d], tuple(h[d] for h in shifts))
@@ -285,22 +286,18 @@ def extract_invariants(mm: MirrorMap, euler: bool = False) -> InvariantTable:
         low, high = xs[d].x_support() or (s, s)
         if low < s:
             raise ExtractionError(f"degree {d}: x-degree {low} below the splitting excess")
+        # grading: a + j + |h| = s - 3 + dim puts every t-constant term at
+        # alpha^(s-3-j), and with a <= -2 every term at x^s has |beta| <= 1
+        if not xs[d].is_zero() and xs[d].deg != s - 3 + dim:
+            raise ExtractionError(f"degree {d}: integrand of degree {xs[d].deg}, not {s - 3 + dim}")
         top = max(top, high)
         terms, q = xs[d].monomials()
         v: dict[int, int] = {}
         t = [0] * m
-        for (a, j, _, h), c in terms.items():
-            tdeg = dim - sum(h)  # |beta|
-            # t-constant strata are forced to alpha^{s-3-j} by grading
-            if tdeg == 0:
-                if a != s - 3 - j:
-                    raise ExtractionError(f"degree {d}: stray stratum alpha^{a} x^{j}")
+        for (_, j, h), c in terms.items():
+            if sum(h) == dim:  # |beta| = 0
                 v[j] = c
-            elif j == s:
-                if tdeg > 1:
-                    raise ExtractionError(f"degree {d}: t-degree {tdeg} at the x^{s} stratum")
-                if a != -2:
-                    raise ExtractionError(f"degree {d}: t-linear stratum at alpha^{a - 1}")
+            elif j == s:  # |beta| = 1, at alpha^-2
                 t[axis[h]] = -c
         integrated[d] = v, t, q
 
@@ -312,14 +309,15 @@ def extract_invariants(mm: MirrorMap, euler: bool = False) -> InvariantTable:
     # 2^k C(|d|, k), k = |d - d'|, the matching one halved (0 at k = 0, unread)
     gs, scale = egf_numerators(mm.shifts, bound)
     axis_exp = [egf_exp(g, mm.pairs) for g in gs]
-    expg: dict[Degree, dict[Degree, int]] = {_tzero(m): {_tzero(m): 1}}
+    t0 = (0,) * m
+    expg: dict[Degree, dict[Degree, int]] = {t0: {t0: 1}}
     match: dict[Degree, dict[Degree, int]] = {}
     below: dict[Degree, list[tuple[Degree, int, int]]] = {}
     for d in degrees:
         i = next(k for k, c in enumerate(d) if c)
         prev = tuple(c - (k == i) for k, c in enumerate(d))
         expg[d] = egf_mul(expg[prev], axis_exp[i], mm.pairs, bound - sum(d))
-        two_minus = {_tzero(m): 2}
+        two_minus = {t0: 2}
         for k, g in enumerate(gs):
             for dd, c in g.items():
                 two_minus[dd] = two_minus.get(dd, 0) - d[k] * c

@@ -25,7 +25,7 @@ import math
 from operator import add
 
 from .cohomology import Rat
-from .laurent import LaurentBlock, _mul_sum, _tzero, block_one
+from .laurent import LaurentBlock, _mul_sum, block_one
 
 Degree = tuple[int, ...]
 Series = dict[Degree, LaurentBlock]
@@ -92,7 +92,7 @@ def _exp_coefficient(
 
 def series_exp(dims: tuple[int, ...], s: Series, pairs: Table) -> Series:
     """exp of a series with no constant term, every degree of `pairs`."""
-    z = _tzero(len(dims))
+    z = (0,) * len(dims)
     if z in s and not s[z].is_zero():
         raise ValueError("exp needs a series with zero constant term")
     out = {z: block_one(dims)}
@@ -103,7 +103,7 @@ def series_exp(dims: tuple[int, ...], s: Series, pairs: Table) -> Series:
 
 def series_inverse(dims: tuple[int, ...], s: Series, pairs: Table) -> Series:
     """Inverse of a series whose constant term is the unit block, every degree of `pairs`."""
-    z = _tzero(len(dims))
+    z = (0,) * len(dims)
     if s.get(z) != block_one(dims):
         raise ValueError("inverse needs constant term equal to one")
     out = {z: block_one(dims)}

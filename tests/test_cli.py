@@ -333,9 +333,14 @@ def test_bound_and_samples_below_one_exit_2(spec_file, capsys, argv):
         (("compute", "--max-degree", "1"), "the following arguments are required: --spec"),
         (("frobnicate",), "argument command: invalid choice: 'frobnicate'"),
         (("oracle", "--spec", "{path}", "--degree", "x"), "argument --degree: invalid int value: 'x'"),
+        # the bound's own parser names what it expected, not itself
+        (
+            ("compute", "--spec", "{path}", "--max-degree", "abc"),
+            "argument --max-degree: expected an integer, got 'abc'",
+        ),
         (("verify", "--spec", "{path}", "--max-degree", "1", "--bogus"), "unrecognized arguments: --bogus"),
     ],
-    ids=["no-command", "missing-flag", "unknown-command", "bad-int", "unknown-flag"],
+    ids=["no-command", "missing-flag", "unknown-command", "bad-int", "bad-bound", "unknown-flag"],
 )
 def test_rejected_command_lines_exit_2_with_one_line(spec_file, capsys, argv, message):
     path = spec_file(PAIR)

@@ -12,7 +12,7 @@ cache keyed by a spec or a degree: the only memoised functions are the
 tables keyed by a ring's shape.
 A Laurent block's integer storage stays private to ``laurent.py``: every
 other module reads blocks through their methods and the ``terms`` view.
-That storage has one shape: a block over dims packs len(dims) t fields.
+That storage has one shape: a block holds one degree, a + j + |h| of every term.
 The engine past ``laurent.py`` builds its blocks from int monomials, so it
 imports none of the ring's class constructors from ``cohomology``.  The
 package imports nothing but itself and the standard library, and neither
@@ -284,7 +284,7 @@ def _memoised(source: str) -> list[str]:
 
 def test_only_the_ring_tables_are_memoised():
     found = [name for p in MODULES for name in _memoised(p.read_text(encoding="utf-8"))]
-    assert sorted(found) == ["_bias", "_slot_pairs", "_slot_partners"]
+    assert sorted(found) == ["_box", "_slot_pairs", "_slot_partners"]
 
 
 def test_checker_finds_every_memoised_function():
@@ -297,12 +297,12 @@ def test_checker_finds_every_memoised_function():
     assert _memoised(source) == ["a", "b", "line 2", "line 9"]
 
 
-# the stored codes, denominator and bounds of a block, its cached view, the
-# code layout and the helpers that handle them
+# the stored codes and denominator of a block, its cached view, the ring
+# tables of the code layout and the helpers that handle them
 BLOCK_STORAGE = {
-    "_codes", "_den", "_reach", "_view",
-    "_WIDTH", "_HALF", "_MASK", "_bias", "_pack", "_unpack", "_field", "_slot_partners",
-    "_same_ring", "_product_bounds", "_block", "_lincomb",
+    "_codes", "_den", "_view",
+    "_box", "_slot_partners",
+    "_same_ring", "_one_degree", "_block", "_lincomb",
 }
 
 
@@ -323,9 +323,10 @@ def test_only_laurent_reads_the_integer_storage_of_a_block(path):
     assert _storage_reads(path.read_text(encoding="utf-8")) == []
 
 
-def test_a_block_packs_one_t_field_per_factor():
-    with pytest.raises(ValueError, match="2 t exponents in a block over"):
-        LaurentBlock((1,), {(0, 0, (0, 0), (0,)): 1})
+def test_a_block_holds_one_degree():
+    assert LaurentBlock((1,), {(-1, 1, (0,)): 2, (-1, 0, (1,)): 3}).deg == 0
+    with pytest.raises(ValueError, match=r"terms of degrees \[0, 1\] in one block"):
+        LaurentBlock((1,), {(0, 0, (0,)): 1, (0, 0, (1,)): 1})
 
 
 def test_checker_flags_a_storage_read():

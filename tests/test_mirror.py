@@ -30,7 +30,7 @@ from concavex.mirror import (
 )
 from concavex.qseries import degrees_upto
 from fraction_series import fraction_exp, fraction_mul
-from kahler import kahler_factor, top_class
+from kahler import top_class
 
 QUINTIC = parse_spec("name quintic\nspace 4\nbundle convex 5\n")
 PAIR = parse_spec("name pair\nspace 1\nbundle concave 1\nbundle concave 1\n")
@@ -274,28 +274,41 @@ def test_integrand_equals_the_series_rebuilt_from_full_blocks(spec):
 
 
 @pytest.mark.parametrize(
-    "spec,euler,added,message",
+    "spec,euler,stray,replace,message",
     [
-        pytest.param(QUINTIC, False, (-1, 0), "integrand stratum at alpha^-1", id="False--1"),
-        pytest.param(QUINTIC, True, None, "integrand stratum at alpha^0", id="True-0"),
         pytest.param(
-            QUINTIC, False, (-2, 2), "t-linear stratum mismatch on axis 0 (-2880 != -2875)",
-            id="t-linear-mismatch",
+            QUINTIC, False, (-1, 1), False, "integrand stratum at alpha^-1", id="False--1"
         ),
-        pytest.param(QUINTIC, False, (-2, 3), "stray stratum alpha^-2 x^0", id="stray"),
-        pytest.param(QUINTIC, False, (-2, 1), "t-degree 2 at the x^0 stratum", id="t-degree"),
-        pytest.param(QUINTIC, False, (-3, 2), "t-linear stratum at alpha^-4", id="t-linear-alpha"),
+        pytest.param(QUINTIC, True, None, False, "integrand stratum at alpha^0", id="True-0"),
         pytest.param(
-            P3_QUARTIC, False, (-3, 2), "x-degree 0 below the splitting excess", id="below-excess"
+            QUINTIC, False, (-2, 2), False,
+            "t-linear stratum mismatch on axis 0 (-2880 != -2875)", id="t-linear-mismatch",
+        ),
+        pytest.param(
+            P3_QUARTIC, False, (-2, 2), False, "x-degree 0 below the splitting excess",
+            id="below-excess",
+        ),
+        # X_d = x H^4 / alpha^3: t-constant at x^1, where grading wants alpha^-4
+        pytest.param(QUINTIC, False, (-3, 4), True, "integrand of degree 2, not 1", id="stray"),
+        # X_d = x H / alpha^2 + 5 H^2 / alpha^2: t-degree 2 at x^0
+        pytest.param(QUINTIC, False, (-2, 1), True, "integrand of degree 0, not 1", id="t-degree"),
+        # X_d = x H^2 / alpha^3 + 5 H^3 / alpha^3: t-linear at x^0, off alpha^-2
+        pytest.param(
+            QUINTIC, False, (-3, 2), True, "integrand of degree 0, not 1", id="t-linear-alpha"
         ),
     ],
 )
-def test_extraction_rejects_an_integrand_stratum_above_alpha_minus_two(spec, euler, added, message):
-    """Each row breaks one grading gate of extraction at degree 1.
+def test_extraction_rejects_an_integrand_stratum_above_alpha_minus_two(
+    spec, euler, stray, replace, message
+):
+    """Each row breaks one gate of extraction at degree 1.
 
-    The first two put a stratum above alpha^-2 into the integrand; the
-    others add alpha^a H^h at x^0 to the residual, which passes that gate
-    and fails a later one.
+    The first two put a stratum above alpha^-2 into the integrand.  The next
+    two add alpha^a H^h at x^0, of the residual's degree 0, to the residual,
+    which passes that gate and fails a later one.  The last three put such a
+    monomial of another degree in the residual's place: it passes both
+    support gates, and the one degree check, X_d of degree s - 3 + dim,
+    catches each stratum off the grading.
     """
     mm = solve_mirror_map(spec, 2)
     if euler:  # the Euler route rebuilds (U, G) from the map's coefficients
@@ -303,11 +316,20 @@ def test_extraction_rejects_an_integrand_stratum_above_alpha_minus_two(spec, eul
         normalization[(1,)] += 1
         mm = mm._replace(normalization=normalization)
     else:
-        a, h = added
-        stray = LaurentBlock(spec.factors, {(a, 0, (0,), (h,)): 1})
-        mm = mm._replace(residuals={**mm.residuals, (1,): mm.residuals[(1,)] + stray})
+        a, h = stray
+        block = LaurentBlock(spec.factors, {(a, 0, (h,)): 1})
+        residual = block if replace else mm.residuals[(1,)] + block
+        mm = mm._replace(residuals={**mm.residuals, (1,): residual})
     with pytest.raises(ExtractionError, match=rf"degree \(1,\): {re.escape(message)}$"):
         extract_invariants(mm, euler=euler)
+
+
+def test_a_stray_of_another_degree_cannot_join_the_residual():
+    """The residual has degree 0; a term of degree 1 cannot be added to it."""
+    mm = solve_mirror_map(QUINTIC, 2)
+    stray = LaurentBlock(QUINTIC.factors, {(-3, 0, (4,)): 1})
+    with pytest.raises(ValueError, match=re.escape("terms of degrees [0, 1] in one block")):
+        mm.residuals[(1,)] + stray
 
 
 def test_blocks_and_transform_series_are_built_once(monkeypatch):
@@ -489,22 +511,26 @@ def test_check_after_solving_catches_a_wrong_shift(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "key,exps,alpha",
+    "key,alpha",
     [
-        pytest.param((-1, 1, (0, 0)), (1, 0), -1, id="x*H/alpha"),
-        pytest.param((0, 0, (0, 0)), (0, 1), 0, id="H-at-alpha^0"),
-        pytest.param((-1, 0, (0, 0)), (0, 0), -1, id="1/alpha"),
-        pytest.param((-1, 2, (0, 0)), (0, 0), -1, id="x^2/alpha"),
-        pytest.param((-1, 0, (1, 0)), (1, 0), -1, id="t*H/alpha"),
-        pytest.param((1, 0, (0, 0)), (0, 0), 1, id="alpha^1"),
+        pytest.param((1, -1, (0, 0)), 1, id="alpha^1/x"),
+        pytest.param((0, -1, (0, 1)), 0, id="H-at-alpha^0/x"),
+        pytest.param((-1, -1, (1, 1)), -1, id="1/alpha*H1*H2/x"),
+        pytest.param((0, -2, (1, 1)), 0, id="H1*H2/x^2"),
+        pytest.param((1, -2, (1, 0)), 1, id="alpha*H1/x^2"),
+        pytest.param((2, -2, (0, 0)), 2, id="alpha^2/x^2"),
     ],
 )
 @pytest.mark.parametrize("degree", [(0, 1), (1, 1)])
 def test_check_after_solving_reports_a_term_outside_the_solvable_span(
-    monkeypatch, key, exps, alpha, degree
+    monkeypatch, key, alpha, degree
 ):
-    """Only 1, x/alpha and H_i/alpha are read off; any other low term is left over."""
-    stray = LaurentBlock(TWO_FACTOR.factors, {(*key, exps): 3})
+    """Only 1, x/alpha and H_i/alpha are read off; any other low term is left over.
+
+    Each stray has the residual's degree 0 (alpha, x and H_i of weight 1),
+    as any term the sum can hold must.
+    """
+    stray = LaurentBlock(TWO_FACTOR.factors, {key: 3})
     real = mirror._residual
 
     def with_stray(dims, u, reduced, splits):
@@ -528,10 +554,9 @@ def _reference_entries(spec, mm, bound, euler):
     m = spec.m
     s = validate(spec)  # 0 whenever euler is set
     degrees = [d for d in degrees_upto(m, bound) if any(d)]
-    # the fibre integrals: the top class of kahler * X_d, multiplied out by the kernel
-    eht = kahler_factor(spec.factors)
+    # the fibre integrals: the top class of kahler * X_d, multiplied out in Fractions
     js = integrand_series(mm, euler)
-    integrated = {d: top_class(eht * js[d]) for d in degrees}
+    integrated = {d: top_class(js[d]) for d in degrees}
     top = max([s] + [j for nums in integrated.values() for _, j, _ in nums])
     expg, gexp = {}, {}
     for dp in degrees:

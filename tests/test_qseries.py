@@ -24,8 +24,7 @@ DIMS = (1,)
 
 def _alpha(dims, k):
     """alpha^k."""
-    t0 = (0,) * len(dims)
-    return LaurentBlock(dims, {(k, 0, t0, t0): 1})
+    return LaurentBlock(dims, {(k, 0, (0,) * len(dims)): 1})
 
 
 def test_degree_enumeration_order():
@@ -178,11 +177,8 @@ def test_series_exp_matches_the_power_chain(shape, numerators, den):
     h = tuple(1 if i == m - 1 else 0 for i in range(m))
     degrees = degrees_upto(m, bound)[1:]
     for k, (d, c) in enumerate(zip(degrees, numerators)):
-        # alternate x/alpha-like scalars with hyperplane classes over alpha
-        blk = _alpha(dims, -1) * block_scalar(dims, Rat(c, den))
-        if k % 2:
-            blk = blk * LaurentBlock(dims, {(0, 0, (0,) * m, h): 1})
-        s[d] = blk
+        # alternate x/alpha with hyperplane classes over alpha, both of degree 0
+        s[d] = LaurentBlock(dims, {(-1, 0, h) if k % 2 else (-1, 1, (0,) * m): Rat(c, den)})
     got = series_exp(dims, s, degree_pairs(m, bound))
     assert _nonzero(got) == _nonzero(_power_chain_exp(dims, s, bound))
 
