@@ -36,7 +36,8 @@ one denominator for the whole sum and meets each slot only with the
 partners the ring's cached table lists: those that keep the product in the
 box.  Sums, differences and rescalings share one linear-combination step,
 ``_lincomb``.  Both raise ValueError when their nonzero parts have two
-degrees.
+degrees.  ``relabel`` permutes the H exponents of a block code by code,
+``at_slots`` reads chosen slots of the box; neither is a product.
 """
 from __future__ import annotations
 
@@ -44,7 +45,6 @@ import functools
 import itertools
 import math
 from collections import defaultdict
-from collections.abc import Iterator
 from types import MappingProxyType
 
 from .cohomology import CohClass, Rat, _flat_index, _slot_pairs
@@ -62,6 +62,12 @@ __all__ = [
 def _box(dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The exponents h of each slot, in C order as _flat_index numbers them."""
     return tuple(itertools.product(*(range(n + 1) for n in dims)))
+
+
+@functools.cache
+def _slot_perm(dims: tuple[int, ...], sigma: tuple[int, ...]) -> tuple[int, ...]:
+    """Per slot of h, the slot of h' with h'_k = h_{sigma[k]}; sigma keeps dims."""
+    return tuple(_flat_index(dims, tuple(h[i] for i in sigma)) for h in _box(dims))
 
 
 @functools.cache
@@ -103,24 +109,15 @@ class LaurentBlock:
         retires this view.
         """
         if self._view is None:
-            nil, den, t0 = Rat(0), self._den, (0,) * len(self.dims)
+            (nums, den), t0, size = self.monomials(), (0,) * len(self.dims), len(_box(self.dims))
             rows: dict[tuple[int, int, tuple[int, ...]], list[Rat]] = {}
-            for (a, j, slot), v in zip(self._exponents(), self._codes.values()):
-                row = rows.get((a, j, t0))
-                if row is None:
-                    row = rows[(a, j, t0)] = [nil] * len(_box(self.dims))
-                row[slot] = Rat(v, den)
+            for (a, j, h), v in nums.items():
+                row = rows.setdefault((a, j, t0), [Rat(0)] * size)
+                row[_flat_index(self.dims, h)] = Rat(v, den)
             self._view = MappingProxyType(
                 {key: CohClass(self.dims, tuple(row)) for key, row in rows.items()}
             )
         return self._view
-
-    def _exponents(self) -> Iterator[tuple[int, int, int]]:
-        """(a, j, slot) of each stored code, in storage order."""
-        box = _box(self.dims)
-        for code in self._codes:
-            j, slot = divmod(code, len(box))
-            yield self.deg - j - sum(box[slot]), j, slot
 
     # -- queries -----------------------------------------------------------
 
@@ -138,14 +135,27 @@ class LaurentBlock:
 
     def monomials(self) -> tuple[dict[Monomial, int], int]:
         """The constructor's map back, ({(a, j, h): numerator}, den), without the view."""
-        box = _box(self.dims)
-        exps = zip(self._exponents(), self._codes.values())
-        return {(a, j, box[slot]): v for (a, j, slot), v in exps}, self._den
+        box, deg = _box(self.dims), self.deg
+        jh = [(c // len(box), box[c % len(box)]) for c in self._codes]
+        nums = {(deg - j - sum(h), j, h): v for (j, h), v in zip(jh, self._codes.values())}
+        return nums, self._den
+
+    def at_slots(self, hs: list[tuple[int, ...]]) -> tuple[list[dict[int, int]], int]:
+        """Per h of hs, {j: numerator} of the terms at x^j H^h, and the denominator."""
+        size = len(_box(self.dims))
+        want = {_flat_index(self.dims, h): i for i, h in enumerate(hs)}
+        out: list[dict[int, int]] = [{} for _ in hs]
+        for code, v in self._codes.items():
+            if (i := want.get(code % size)) is not None:
+                out[i][code // size] = v
+        return out, self._den
 
     def alpha_support(self) -> tuple[int, int] | None:
         """(min, max) alpha exponent over the support, or None if zero."""
-        exps = [a for a, _, _ in self._exponents()]
-        return (min(exps), max(exps)) if exps else None
+        box = _box(self.dims)
+        size, weight = len(box), [sum(h) for h in box]
+        ws = [c // size + weight[c % size] for c in self._codes]  # j + |h| = deg - a
+        return (self.deg - max(ws), self.deg - min(ws)) if ws else None
 
     def x_support(self) -> tuple[int, int] | None:
         # floor division by the box size is monotone, so the extreme codes hold the extreme j
@@ -156,6 +166,13 @@ class LaurentBlock:
         """The sub-block of terms with x exponent exactly j."""
         size = len(_box(self.dims))
         codes = {c: v for c, v in self._codes.items() if c // size == j}
+        return _block(self.dims, self.deg, codes, self._den)
+
+    def relabel(self, sigma: tuple[int, ...]) -> "LaurentBlock":
+        """H^h moved to H^h', h'_k = h_{sigma[k]}, sigma keeping dims: only the slots move."""
+        perm = _slot_perm(self.dims, sigma)
+        size = len(perm)
+        codes = {c - c % size + perm[c % size]: v for c, v in self._codes.items()}
         return _block(self.dims, self.deg, codes, self._den)
 
     # -- arithmetic --------------------------------------------------------

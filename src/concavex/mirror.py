@@ -40,8 +40,8 @@ alpha^{-|beta|} t^beta H^beta each term alpha^a x^j H^h of X_d meets just
 the one Kahler term beta = top - h there: the integral is X_d's own terms
 relabelled, nothing adds up or cancels.  So extraction forms neither J_d
 nor the Kahler factor and reads the two kinds of coefficient it needs
-straight from X_d's stored ints (LaurentBlock.monomials), over X_d's
-denominator: V_d^(j) = X_d[x^j H^top] and T_{d,i} = -X_d[alpha^-2 x^s
+straight from X_d's stored ints at their slots (LaurentBlock.at_slots), over
+X_d's denominator: V_d^(j) = X_d[x^j H^top] and T_{d,i} = -X_d[alpha^-2 x^s
 H^(top - e_i)].  Grading puts them there: with alpha, x and each H_i of
 weight 1, X_d is homogeneous of degree s - 3 + dim, which extraction checks
 once per degree next to its alpha- and x-support gates.  Writing
@@ -53,12 +53,19 @@ exp(<d', g>) and (2 - <d', g>) exp(<d', g>) it reads are int EGF
 numerators (qseries.egf_mul), and the system and the check run in ints,
 K_d times 2^|d| delta^|d| |d|! and the lcm of the X_d denominators:
 one Fraction per K_d and x-level comes out at the end.
+
+A permutation sigma of factors of one dimension that maps the bundle multiset
+to itself permutes the computation: R, U, G, the residual and X at sigma(d)
+are those at d with H exponents permuted, f and N equal, g permuted.  The
+solve and the integrand form products only at the first degree of each orbit
+(_orbits) and relabel them (LaurentBlock.relabel) elsewhere; every gate runs
+at every degree.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .cohomology import Rat
 from .eulerdata import _power, chern_ratio, hyper_block, reduced_block
@@ -92,12 +99,12 @@ class ExtractionError(MirrorError):
 
 
 class MirrorMap(namedtuple("MirrorMap", "spec bound normalization prefactor shifts residuals "
-                           "blocks pairs")):
+                           "blocks pairs orbits")):
     """Solved change of variables, truncated at total degree `bound`.
 
     Past the coefficients, by degree: the residual U * sum R q^d - G the solve
-    checked, the reduced blocks R_d it read, and qseries.degree_pairs' splits
-    (d', d - d').  The repr leaves those three out.
+    checked, the reduced blocks R_d it read, qseries.degree_pairs' splits
+    (d', d - d') and the orbit map of _orbits.  The repr leaves those four out.
     """
 
     __slots__ = ()
@@ -147,6 +154,37 @@ def _transform_series(mm: MirrorMap) -> tuple[Series, Series]:
     return u, series_exp(dims, g_log, pairs)
 
 
+def _orbits(spec: GeometrySpec, degrees: list[Degree]) -> dict[Degree, tuple]:
+    """d -> (rep, sigma), d_k = rep_{sigma[k]}, for each d of `degrees` but the first of its orbit.
+
+    The group keeps dims and the bundle multiset; it is generated by one element per k < i
+    that fixes the factors before k and sends k to i, found by a search pruned on prefixes.
+    """
+    dims, m = spec.factors, spec.m
+
+    def extend(sigma: tuple[int, ...]) -> tuple[int, ...] | None:
+        k = len(sigma)
+        moved = Counter((b.kind, tuple(b.multidegree[i] for i in sigma)) for b in spec.bundles)
+        if moved != Counter((b.kind, b.multidegree[:k]) for b in spec.bundles):
+            return None
+        if k == m:
+            return sigma
+        fits = (extend(sigma + (i,)) for i in range(m) if i not in sigma and dims[i] == dims[k])
+        return next((g for g in fits if g), None)
+
+    gens = [g for k in range(m) for i in range(k + 1, m) if (g := extend(tuple(range(k)) + (i,)))]
+    out: dict[Degree, tuple] = {}
+    for rep in degrees:
+        todo = [] if rep in out else [(rep, tuple(range(m)))]
+        for d, sigma in todo:  # g sends d = rep o sigma to rep o (sigma o g)
+            for g in gens:
+                image = tuple(d[i] for i in g)
+                if image != rep and image not in out:
+                    out[image] = rep, tuple(sigma[i] for i in g)
+                    todo.append((image, out[image][1]))
+    return out
+
+
 def _residual(dims: tuple[int, ...], u: Series, reduced: Series, splits: Splits) -> LaurentBlock:
     """Coefficient of U * sum_{d' != 0} R_d' q^d' at the degree d that `splits` splits.
 
@@ -183,7 +221,8 @@ def solve_mirror_map(
     t0 = (0,) * m
     pairs = degree_pairs(m, bound)
     degrees = list(pairs)
-    reduced: Series = {d: reduced_block(spec, d, table) for d in degrees}
+    orbits = _orbits(spec, degrees)
+    reduced_block(spec, t0, table)
 
     log_norm: dict[Degree, Rat] = {}
     prefactor: dict[Degree, Rat] = {}
@@ -199,20 +238,30 @@ def solve_mirror_map(
         return lower.entry(a, j, h) + u[d].entry(a, j, h) - g[d].entry(a, j, h)
 
     for d in degrees[1:]:
-        u[d] = _exp_coefficient(dims, u_log, u, pairs[d])
-        g[d] = _exp_coefficient(dims, g_log, g, pairs[d])
-        lower = _residual(dims, u, reduced, pairs[d])
-        log_norm[d] = read(0, 0, t0)
-        prefactor[d] = -read(-1, 1, t0)
-        for i in range(m):
-            shifts[i][d] = -read(-1, 0, _power(m, i, 1))
+        if d in orbits:  # every block at d is its rep's, relabelled: R_d into the table too
+            rep, sigma = orbits[d]
+            for series in (table, u, g, u_log, g_log, residuals):
+                series[d] = series[rep].relabel(sigma)
+            log_norm[d], prefactor[d] = log_norm[rep], prefactor[rep]
+            for i in range(m):
+                shifts[i][d] = shifts[sigma[i]][rep]
+            acc = residuals[d]
+        else:
+            reduced_block(spec, d, table)  # R_d into the table, from the blocks below d
+            u[d] = _exp_coefficient(dims, u_log, u, pairs[d])
+            g[d] = _exp_coefficient(dims, g_log, g, pairs[d])
+            lower = _residual(dims, u, table, pairs[d])
+            log_norm[d] = read(0, 0, t0)
+            prefactor[d] = -read(-1, 1, t0)
+            for i in range(m):
+                shifts[i][d] = -read(-1, 0, _power(m, i, 1))
 
-        # complete degree d from the stored coefficients: U_0 = G_0 = 1
-        fblk, g_log[d] = _log_terms(dims, prefactor[d], tuple(h[d] for h in shifts))
-        u_log[d] = fblk - block_scalar(dims, log_norm[d])
-        u[d] = u[d] + u_log[d]
-        g[d] = g[d] + g_log[d]
-        acc = lower + (u[d] - g[d])
+            # complete degree d from the stored coefficients: U_0 = G_0 = 1
+            fblk, g_log[d] = _log_terms(dims, prefactor[d], tuple(h[d] for h in shifts))
+            u_log[d] = fblk - block_scalar(dims, log_norm[d])
+            u[d] = u[d] + u_log[d]
+            g[d] = g[d] + g_log[d]
+            acc = lower + (u[d] - g[d])
         sup = acc.alpha_support()
         if sup is not None and sup[1] >= -1:
             raise MirrorInconsistencyError(
@@ -222,7 +271,7 @@ def solve_mirror_map(
     (log_egf,), scale = egf_numerators((log_norm,), bound)
     norm = egf_exp(log_egf, pairs)
     normalization = {d: Rat(norm.get(d, 0), scale[sum(d)]) for d in degrees[1:]}
-    return MirrorMap(spec, bound, normalization, prefactor, shifts, residuals, table, pairs)
+    return MirrorMap(spec, bound, normalization, prefactor, shifts, residuals, table, pairs, orbits)
 
 
 def integrand_series(mm: MirrorMap, euler: bool = False) -> Series:
@@ -241,7 +290,10 @@ def integrand_series(mm: MirrorMap, euler: bool = False) -> Series:
     dims = spec.factors
     omega = chern_ratio(spec)
     if not euler:
-        return {d: omega * r for d, r in mm.residuals.items()}
+        xs: Series = {}
+        for d, r in mm.residuals.items():  # omega is invariant: an image relabels its rep's X
+            xs[d] = xs[mm.orbits[d][0]].relabel(mm.orbits[d][1]) if d in mm.orbits else omega * r
+        return xs
     degrees = list(mm.residuals)
     u, g = _transform_series(mm)
     blocks = {dp: hyper_block(spec, dp, mm.blocks, omega) for dp in degrees}
@@ -269,12 +321,10 @@ def extract_invariants(mm: MirrorMap, euler: bool = False) -> InvariantTable:
     xs = integrand_series(mm, euler)
     degrees = list(xs)
 
-    # the integral of kahler * X_d, read off X_d: a term alpha^a x^j H^h meets
-    # only kahler's t^beta H^beta / alpha^|beta|, beta = dims - h (H^dims the
-    # top class), weighted (-1)^|beta| / beta!; V_d[j] is the t-constant
-    # integral at x^j, T_d[i] the one linear in t_i at x^s, over X_d's q_d
+    # the integral of kahler * X_d read off X_d (module docstring): V_d[j] at
+    # x^j H^top (|beta| = 0), T_d[i] at x^s H^(top - e_i) (|beta| = 1), over q_d
     dim = sum(dims)
-    axis = {tuple(n - (k == i) for k, n in enumerate(dims)): i for i in range(m)}
+    slots = [dims] + [tuple(n - (k == i) for k, n in enumerate(dims)) for i in range(m)]
     integrated: dict[Degree, tuple[dict[int, int], list[int], int]] = {}
     top = s
     for d in degrees:
@@ -291,15 +341,8 @@ def extract_invariants(mm: MirrorMap, euler: bool = False) -> InvariantTable:
         if not xs[d].is_zero() and xs[d].deg != s - 3 + dim:
             raise ExtractionError(f"degree {d}: integrand of degree {xs[d].deg}, not {s - 3 + dim}")
         top = max(top, high)
-        terms, q = xs[d].monomials()
-        v: dict[int, int] = {}
-        t = [0] * m
-        for (_, j, h), c in terms.items():
-            if sum(h) == dim:  # |beta| = 0
-                v[j] = c
-            elif j == s:  # |beta| = 1, at alpha^-2
-                t[axis[h]] = -c
-        integrated[d] = v, t, q
+        (v, *below_top), q = xs[d].at_slots(slots)
+        integrated[d] = v, [-t.get(s, 0) for t in below_top], q
 
     # exp(<d', g>) = exp(<d' - e_i, g>) exp(g_i), i the first axis of d', and
     # the matching series (2 - <d', g>) exp(<d', g>), both to total degree

@@ -284,7 +284,7 @@ def _memoised(source: str) -> list[str]:
 
 def test_only_the_ring_tables_are_memoised():
     found = [name for p in MODULES for name in _memoised(p.read_text(encoding="utf-8"))]
-    assert sorted(found) == ["_box", "_slot_pairs", "_slot_partners"]
+    assert sorted(found) == ["_box", "_slot_pairs", "_slot_partners", "_slot_perm"]
 
 
 def test_checker_finds_every_memoised_function():
@@ -301,7 +301,7 @@ def test_checker_finds_every_memoised_function():
 # tables of the code layout and the helpers that handle them
 BLOCK_STORAGE = {
     "_codes", "_den", "_view",
-    "_box", "_slot_partners",
+    "_box", "_slot_partners", "_slot_perm",
     "_same_ring", "_one_degree", "_block", "_lincomb",
 }
 

@@ -458,3 +458,61 @@ def test_blocks_keep_the_shape_the_tracer_reads(spec):
             assert isinstance(cls, CohClass) and len(cls.coeffs) == size
             assert all(type(r) is Rat for r in cls.coeffs)
             assert any(cls.coeffs)
+
+
+# -- relabelling the factors and reading chosen slots ----------------------
+
+
+def _dims_permutations(dims):
+    """The permutations sigma of the factors with dims[sigma[k]] == dims[k]."""
+    return [
+        sigma for sigma in itertools.permutations(range(len(dims)))
+        if all(dims[i] == n for i, n in zip(sigma, dims))
+    ]
+
+
+@st.composite
+def _relabel_cases(draw):
+    dims = draw(st.sampled_from([(2, 2), (1, 1, 1, 1), (2, 2, 1)]))
+    sigma = draw(st.sampled_from(_dims_permutations(dims)))
+    a = draw(_blocks(dims, draw(st.integers(-3, 3))))
+    return dims, sigma, a, draw(_blocks(dims, draw(st.integers(-3, 3))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_relabel_cases())
+def test_relabel_permutes_the_h_exponents(case):
+    """relabel(sigma) moves H^h to H^h', h'_k = h_{sigma[k]}, and nothing else."""
+    dims, sigma, a, b = case
+    moved = a.relabel(sigma)
+    # the Fraction map of monomials(), its exponents permuted
+    want = {(al, j, tuple(h[i] for i in sigma)): v for (al, j, h), v in _values(a.monomials()).items()}
+    assert _values(moved.monomials()) == want
+    assert (moved.deg, moved.monomials()[1]) == (a.deg, a.monomials()[1])
+    assert moved._view is None
+    # a ring automorphism: it commutes with products and sums
+    assert (a * b).relabel(sigma) == moved * b.relabel(sigma)
+    assert (a + a).relabel(sigma) == moved + moved
+    # and sigma^-1 undoes it
+    inverse = tuple(sigma.index(k) for k in range(len(sigma)))
+    assert moved.relabel(inverse) == a
+    assert a.relabel(tuple(range(len(dims)))) == a
+
+
+def test_relabel_swaps_the_factors_of_p2xp2():
+    blk = LaurentBlock((2, 2), {(0, -1, (2, 1)): Rat(3, 4), (3, -2, (1, 0)): 5})
+    want = LaurentBlock((2, 2), {(0, -1, (1, 2)): Rat(3, 4), (3, -2, (0, 1)): 5})
+    assert blk.relabel((1, 0)) == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(_pair_lists(), st.data())
+def test_at_slots_reads_the_stored_ints_at_chosen_exponents(case, data):
+    dims, pairs = case
+    for blk in [blk for pair in pairs for blk in pair]:
+        hs = data.draw(st.lists(st.sampled_from(_box(dims)), unique=True))
+        got, den = blk.at_slots(hs)
+        nums, want_den = blk.monomials()
+        assert den == want_den and type(den) is int
+        assert got == [{j: v for (_, j, e), v in nums.items() if e == h} for h in hs]
+        assert blk._view is None

@@ -333,6 +333,15 @@ def test_a_stray_of_another_degree_cannot_join_the_residual():
 
 
 def test_blocks_and_transform_series_are_built_once(monkeypatch):
+    # TWO_FACTOR is symmetric in its factors: 4 of its 9 nonzero degrees at
+    # D=3 are relabelled from the first degree of their orbit, so 5 are
+    # solved; ZERO_ENTRY has no symmetry and solves all 9
+    for spec, reps in [(TWO_FACTOR, 5), (ZERO_ENTRY, 9)]:
+        with monkeypatch.context() as mp:
+            _assert_built_once(mp, spec, reps)
+
+
+def _assert_built_once(monkeypatch, spec, reps):
     kernel = [0]
 
     def counted_kernel(*args, _real=laurent._mul_sum):
@@ -359,20 +368,24 @@ def test_blocks_and_transform_series_are_built_once(monkeypatch):
     # the series helpers reach the table builder through qseries itself
     monkeypatch.setattr(qseries, "degree_pairs", mirror.degree_pairs)
     bound = 3
-    mm = solve_mirror_map(TWO_FACTOR, bound)
+    mm = solve_mirror_map(spec, bound)
+    assert len(degrees_upto(2, bound)) - 1 - len(mm.orbits) == reps
     # one degree table per solve, kept on the map
     assert calls["degree_pairs"] == 1
     # one pass: U and G grow by recurrence, never rebuilt from scratch
     for name in ("_transform_series", "series_exp", "series_inverse", "series_mul"):
         assert calls[name] == 0, name
-    assert calls["reduced_block"] == len(degrees_upto(2, bound)) == 10
+    # R_0, then one R_d per orbit: the others are relabelled, and without a
+    # symmetry that is one per degree, len(degrees_upto(2, bound)) == 10
+    assert calls["reduced_block"] == 1 + reps
+    assert sorted(mm.blocks) == sorted(degrees_upto(2, bound))
     assert calls["hyper_block"] == 0
-    # one U * sum R per nonzero degree: the after-solve check reuses it
-    assert calls["_residual"] == len(degrees_upto(2, bound)) - 1 == 9
+    # one U * sum R per orbit: the after-solve check reuses it
+    assert calls["_residual"] == reps
     # each sum of products is one kernel call per output degree, not one per pair
-    assert kernel_in["_residual"] == 9
-    # and so is each degree's U_d and G_d
-    assert kernel[0] - kernel_in["reduced_block"] == 3 * 9
+    assert kernel_in["_residual"] == reps
+    # and so is each orbit's U_d and G_d; a relabel is no kernel call
+    assert kernel[0] - kernel_in["reduced_block"] == 3 * reps
     # N = exp(log N), once, after the pass
     assert calls["egf_exp"] == 1
     before = kernel[0]
@@ -383,9 +396,10 @@ def test_blocks_and_transform_series_are_built_once(monkeypatch):
     assert calls["integrand_series"] == calls["chern_ratio"] == 1
     assert calls["_transform_series"] == 0
     assert kernel[0] - before == kernel_in["integrand_series"]
-    assert kernel_in["integrand_series"] - kernel_in["chern_ratio"] == 9
+    # per orbit: omega is invariant, so the other X_d are relabelled
+    assert kernel_in["integrand_series"] - kernel_in["chern_ratio"] == reps
     # one exp(g_i) per axis; exp(<d', g>) comes from a product per degree
-    assert calls["egf_exp"] == 1 + TWO_FACTOR.m == 3
+    assert calls["egf_exp"] == 1 + spec.m == 3
     assert calls["hyper_block"] == 0
     # and reads its splits from the map's table
     assert calls["degree_pairs"] == 1
@@ -473,26 +487,35 @@ def test_reuse_needs_a_map_of_the_same_spec():
 
 @pytest.mark.parametrize("spec,bound", [(BICUBIC, 3), (QUINTIC, 4)], ids=["bicubic", "quintic"])
 def test_solve_and_extraction_keep_blocks_on_integers(monkeypatch, spec, bound):
-    """No R_d, residual or X_d builds its Fraction view; each X_d is read once, in ints."""
-    returned = {"reduced_block": [], "integrand_series": [], "monomials": []}
-    owners = {"reduced_block": mirror, "integrand_series": mirror, "monomials": LaurentBlock}
+    """No R_d, residual or X_d builds its Fraction view; each X_d is read once, in ints.
+
+    Extraction reads X_d at its top slot and the slots top - e_i, by
+    LaurentBlock.at_slots, and builds no (a, j, h) map of any block.
+    """
+    returned = {"integrand_series": [], "at_slots": [], "monomials": []}
+    owners = {"integrand_series": mirror, "at_slots": LaurentBlock, "monomials": LaurentBlock}
     for name, out in returned.items():
         def kept(*args, _real=getattr(owners[name], name), _out=out, **kwargs):
-            _out.append(_real(*args, **kwargs))
-            return _out[-1]
+            _out.append((args, _real(*args, **kwargs)))
+            return _out[-1][1]
 
         monkeypatch.setattr(owners[name], name, kept)
     mm = solve_mirror_map(spec, bound)
     extract_invariants(mm)
     nonzero = len(degrees_upto(spec.m, bound)) - 1
-    (xs,) = returned["integrand_series"]
-    blocks = returned["reduced_block"] + list(mm.residuals.values()) + list(xs.values())
-    reads = returned["monomials"]
-    assert len(blocks) == 3 * nonzero + 1 and len(reads) == nonzero
+    ((_, xs),) = returned["integrand_series"]
+    blocks = list(mm.blocks.values()) + list(mm.residuals.values()) + list(xs.values())
+    assert len(blocks) == 3 * nonzero + 1
     assert [blk for blk in blocks if blk._view is not None] == []
+    # one read per X_d, of the top slot and the m slots below it
+    top = spec.factors
+    below = [tuple(n - (k == i) for k, n in enumerate(top)) for i in range(spec.m)]
+    assert [args for args, _ in returned["at_slots"]] == [(x, [top] + below) for x in xs.values()]
     assert all(
-        type(den) is int and all(type(v) is int for v in nums.values()) for nums, den in reads
+        type(den) is int and all(type(v) is int for row in rows for v in row.values())
+        for _, (rows, den) in returned["at_slots"]
     )
+    assert returned["monomials"] == []
 
 
 def test_check_after_solving_catches_a_wrong_shift(monkeypatch):
@@ -501,11 +524,19 @@ def test_check_after_solving_catches_a_wrong_shift(monkeypatch):
 
     def off_by_one(dims, f, g):
         calls.append(g)
-        if len(calls) == 2:  # degrees run (0, 1), (1, 0), ...
+        if len(calls) == 2:  # the second degree the solve reads off
             g = (g[0] + 1,) + g[1:]
         return real(dims, f, g)
 
     monkeypatch.setattr(mirror, "_log_terms", off_by_one)
+    # degrees run (0, 1), (1, 0), (0, 2), ...; TWO_FACTOR is symmetric, so the
+    # solve relabels (1, 0) from (0, 1), and its second read-off, at the
+    # first degree of the next orbit, is (0, 2)
+    with pytest.raises(MirrorInconsistencyError, match=r"degree \(0, 2\): .* after solving"):
+        solve_mirror_map(TWO_FACTOR, 2)
+    # with the orbit map patched to {}, every degree is read off, (1, 0) second
+    calls.clear()
+    monkeypatch.setattr(mirror, "_orbits", lambda spec, degrees: {})
     with pytest.raises(MirrorInconsistencyError, match=r"degree \(1, 0\): .* after solving"):
         solve_mirror_map(TWO_FACTOR, 2)
 
