@@ -12,7 +12,9 @@ determines a closed-form Laurent block, assembled from
 
 Degree d adds few factors to degree d - e_i, so each block is built once,
 from the one below it, into a table {degree: block} that the caller owns:
-the solve keeps its table on the MirrorMap.  Nothing is kept here.
+the solve keeps its table on the MirrorMap.  Nothing is kept here.  If the
+summands with nonzero multidegree c share kind and c, the shifted factors
+multiply out to one int polynomial in x + c.H, expanded once per degree.
 
 Everything is exact; denominators only ever involve nilpotent classes
 plus a nonzero multiple of alpha or x, so inverses are finite sums.  Each
@@ -36,12 +38,8 @@ def _power(m: int, i: int, e: int) -> tuple[int, ...]:
 
 
 def _affine_block(dims: tuple[int, ...], c: tuple[int, ...], alpha_coeff: int) -> LaurentBlock:
-    """x + sum_i c_i H_i + alpha_coeff * alpha as a Laurent block."""
-    t0 = (0,) * len(dims)
-    terms = {(0, 0, _power(len(dims), i, 1)): ci for i, ci in enumerate(c)}
-    terms[(0, 1, t0)] = 1
-    terms[(1, 0, t0)] = alpha_coeff
-    return LaurentBlock(dims, terms)
+    """x + sum_i c_i H_i + alpha_coeff * alpha as a Laurent block: y + alpha_coeff * alpha in y."""
+    return block_one(dims).times_poly(c, [alpha_coeff, 1], 0)
 
 
 def chern_ratio(spec: GeometrySpec) -> LaurentBlock:
@@ -81,20 +79,31 @@ def _inverse_power(
 
 
 def _raise_degree(spec: GeometrySpec, r: LaurentBlock, e: Degree, i: int) -> LaurentBlock:
-    """R_{e+e_i} from r = R_e, multiplying in one new factor at a time.
+    """R_{e+e_i} from r = R_e: times the Euler inverse at k = e_i + 1 and the new linear factors.
 
-    The new factors are the Euler inverse at k = e_i + 1 and the shifted
-    linear factors whose k lies between the pairings with e and e + e_i.
+    Those are x + c1 + w*alpha, w = -k (convex) or k - 1 (concave), k past
+    |<c1, e>| up to |<c1, e + e_i>|.  With one class, r = E P(x + c1), P(y)
+    monic of degree n, alpha implicit: E x^n is r's x^n stratum and P(x)
+    times E's constant term its unit slot.  Otherwise each factor multiplies r.
     """
+    dims = spec.factors
     d = e[:i] + (e[i] + 1,) + e[i + 1:]
-    out = r * _inverse_power(spec.factors, _power(spec.m, i, 1), -d[i], spec.factors[i] + 1)
-    for b in spec.convex():
-        for k in range(pairing(b, e) + 1, pairing(b, d) + 1):
-            out = out * _affine_block(spec.factors, b.multidegree, -k)
-    for b in spec.concave():
-        for k in range(-pairing(b, e), -pairing(b, d)):
-            out = out * _affine_block(spec.factors, b.multidegree, k)
-    return out
+    euler = _inverse_power(dims, _power(spec.m, i, 1), -d[i], dims[i] + 1)
+    new = [(b.multidegree, -k if b.kind == "convex" else k - 1)
+           for b in spec.bundles for k in range(abs(pairing(b, e)) + 1, abs(pairing(b, d)) + 1)]
+    classes = {(b.kind, b.multidegree) for b in spec.bundles if any(b.multidegree)}
+    if len(classes) != 1:
+        out = r * euler
+        for c, w in new:
+            out = out * _affine_block(dims, c, w)
+        return out
+    n = sum(abs(pairing(b, e)) for b in spec.bundles)
+    (col,), _ = r.at_slots([(0,) * spec.m])
+    poly = [col.get(p, 0) // col[n] for p in range(n + 1)]
+    for _, w in new:  # P(y) (y + w alpha)
+        poly = [a + w * b for a, b in zip([0, *poly], [*poly, 0])]
+    ((_, c),) = classes
+    return (r.x_stratum(n) * euler).times_poly(c, poly, -n)
 
 
 def reduced_block(spec: GeometrySpec, d: Degree, table: Series) -> LaurentBlock:
@@ -102,11 +111,11 @@ def reduced_block(spec: GeometrySpec, d: Degree, table: Series) -> LaurentBlock:
 
     Inverted Euler factor times, per convex summand, the factors
     (x + c1 - k*alpha) for k = 1..<c1,d>, and per concave summand the
-    factors (x + c1 + k*alpha) for k = 0..-<c1,d>-1.  The result is
-    polynomial in x and equals 1 at d = 0.  It is R_{d-e_i}, i the first
-    axis with d_i > 0, times the factors d adds.  `table` holds the blocks
-    of `spec` built so far: a block found there is returned as it is, and
-    each block built on the way down is stored there.
+    factors (x + c1 + k*alpha) for k = 0..-<c1,d>-1; polynomial in x, 1 at
+    d = 0.  It is R_{d-e_i}, i the first axis with d_i > 0, times the factors
+    d adds: with one summand class, one kernel product and one times_poly.
+    `table` holds the blocks of `spec` built so far: a block found there is
+    returned as it is, and each block built on the way down is stored there.
     """
     if d not in table:
         if any(d):

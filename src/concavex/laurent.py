@@ -30,14 +30,16 @@ keeps the product of two slots in the box, the product of two terms has
 code c1 + c2 and degree deg1 + deg2: a product costs one int addition per
 pair of terms.
 
-Every product and every sum of products goes through one kernel,
-``_mul_sum``.  It accumulates all pairs of stored terms in Python ints over
-one denominator for the whole sum and meets each slot only with the
-partners the ring's cached table lists: those that keep the product in the
-box.  Sums, differences and rescalings share one linear-combination step,
-``_lincomb``.  Both raise ValueError when their nonzero parts have two
-degrees.  ``relabel`` permutes the H exponents of a block code by code,
-``at_slots`` reads chosen slots of the box; neither is a product.
+Every product of two blocks and every sum of such products goes through
+one kernel, ``_mul_sum``.  It accumulates all pairs of stored terms in
+Python ints over one denominator for the whole sum and meets each slot
+only with the partners the ring's cached table lists: those that keep the
+product in the box.  ``times_poly``, a block times an int polynomial in
+x + sum_i c_i H_i, needs no kernel.  Sums, differences and rescalings
+share one linear-combination step, ``_lincomb``.  Both raise ValueError
+when their nonzero parts have two degrees.  ``relabel`` permutes the H
+exponents of a block code by code, ``at_slots`` reads chosen slots of the
+box; neither is a product.
 """
 from __future__ import annotations
 
@@ -176,6 +178,35 @@ class LaurentBlock:
         return _block(self.dims, self.deg, codes, self._den)
 
     # -- arithmetic --------------------------------------------------------
+
+    def times_poly(self, c: tuple[int, ...], poly: list[int], shift: int) -> "LaurentBlock":
+        """self * P(x + c.H) x^shift, P(y) = sum_p poly[p] y^p alpha^(len(poly) - 1 - p).
+
+        self lies at one x power j.  By y^p = sum_k C(p, k) x^(p - k) (c.H)^k and
+        (c.H)^k = sum_{|h| = k} (k!/h!) c^h H^h, x^(j + shift + q) H^s gets
+        sum_k f[s, k] C(q + k, k) poly[q + k], f[s, k] self times (c.H)^k at slot s.
+        """
+        box, table = _box(self.dims), _slot_pairs(self.dims)
+        size, top = len(box), len(poly) - 1
+        if len(js := {code // size for code in self._codes} or {0}) > 1:
+            raise ValueError(f"times_poly needs a block at one x power, not {sorted(js)}")
+        f: dict[tuple[int, int], int] = {}
+        for slot, h in enumerate(box):
+            k = sum(h)
+            m = math.factorial(k) // math.prod(map(math.factorial, h)) * math.prod(map(pow, c, h))
+            for code, v in self._codes.items() if m and k <= top else ():
+                if (s := table[code % size][slot]) >= 0:
+                    f[s, k] = f.get((s, k), 0) + v * m
+        ks = range(min(top, sum(self.dims)) + 1)
+        cols = [[math.comb(p, k) * poly[p] for p in range(k, top + 1)] for k in ks]
+        rows: defaultdict[int, list[int]] = defaultdict(lambda: [0] * (top + 1))
+        for (s, k), fk in f.items():
+            rows[s][: top + 1 - k] = [v + fk * b for v, b in zip(rows[s], cols[k])]
+        # the top x power first: for a monic P it is self, so _block's gcd drops to 1 at once
+        base = (js.pop() + shift) * size
+        codes = {base + q * size + s: v for q in range(top, -1, -1)
+                 for s, vals in rows.items() if (v := vals[q])}
+        return _block(self.dims, self.deg + top + shift, codes, self._den)
 
     def __add__(self, other: "LaurentBlock") -> "LaurentBlock":
         return _lincomb([(1, self), (1, other)])

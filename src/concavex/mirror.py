@@ -227,7 +227,7 @@ def solve_mirror_map(
     log_norm: dict[Degree, Rat] = {}
     prefactor: dict[Degree, Rat] = {}
     shifts: tuple[dict[Degree, Rat], ...] = tuple({} for _ in range(m))
-    u_log: Series = {}  # q^d terms of log U and log G
+    u_log: Series = {}  # q^d terms of log U and log G, weighted by |d| for _exp_coefficient
     g_log: Series = {}
     u = {t0: block_one(dims)}
     g = {t0: block_one(dims)}
@@ -257,10 +257,10 @@ def solve_mirror_map(
                 shifts[i][d] = -read(-1, 0, _power(m, i, 1))
 
             # complete degree d from the stored coefficients: U_0 = G_0 = 1
-            fblk, g_log[d] = _log_terms(dims, prefactor[d], tuple(h[d] for h in shifts))
-            u_log[d] = fblk - block_scalar(dims, log_norm[d])
-            u[d] = u[d] + u_log[d]
-            g[d] = g[d] + g_log[d]
+            fblk, gblk = _log_terms(dims, prefactor[d], tuple(h[d] for h in shifts))
+            ublk = fblk - block_scalar(dims, log_norm[d])
+            u[d], g[d] = u[d] + ublk, g[d] + gblk
+            u_log[d], g_log[d] = ublk.scale(sum(d)), gblk.scale(sum(d))
             acc = lower + (u[d] - g[d])
         sup = acc.alpha_support()
         if sup is not None and sup[1] >= -1:

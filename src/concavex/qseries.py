@@ -16,7 +16,7 @@ The table's degrees are the truncation.  Both exponentials come from one
 recurrence, one degree at a time: the Euler operator sum_i q_i d/dq_i turns
 exp(L)' = L' exp(L) into |d| E_d = sum_{0 < d' <= d} |d'| L_{d'} E_{d-d'}.
 The mirror solve extends its series with the same per-degree step,
-`_exp_coefficient`.
+`_exp_coefficient`, on the terms |d'| L_{d'}.
 """
 from __future__ import annotations
 
@@ -76,18 +76,17 @@ def series_mul(dims: tuple[int, ...], a: Series, b: Series, pairs: Table) -> Ser
 
 
 def _exp_coefficient(
-    dims: tuple[int, ...], log: Series, exp: Series, splits: Splits
+    dims: tuple[int, ...], weighted: Series, exp: Series, splits: Splits
 ) -> LaurentBlock:
     """Coefficient of E = exp(L) at the degree d split by `splits`, from those of E below d.
 
     The Euler operator sum_i q_i d/dq_i turns E' = L' E into
-    |d| E_d = sum_{0 < d' <= d} |d'| L_{d'} E_{d-d'}; a degree missing
-    from `log` or `exp` is a zero coefficient, and L_d, if present,
-    enters as L_d E_0.
+    |d| E_d = sum_{0 < d' <= d} |d'| L_{d'} E_{d-d'}.  `weighted` holds the
+    |d'| L_{d'}, formed once; a degree missing from it or from `exp` is a
+    zero coefficient, and |d| L_d, if present, enters as |d| L_d E_0.
     """
-    n = sum(splits[-1][0])
-    pairs = [(log[dp].scale(Rat(sum(dp), n)), exp[e]) for dp, e in splits if dp in log and e in exp]
-    return _mul_sum(dims, pairs)
+    terms = [(weighted[dp], exp[e]) for dp, e in splits if dp in weighted and e in exp]
+    return _mul_sum(dims, terms).scale(Rat(1, sum(splits[-1][0])))
 
 
 def series_exp(dims: tuple[int, ...], s: Series, pairs: Table) -> Series:
@@ -95,9 +94,10 @@ def series_exp(dims: tuple[int, ...], s: Series, pairs: Table) -> Series:
     z = (0,) * len(dims)
     if z in s and not s[z].is_zero():
         raise ValueError("exp needs a series with zero constant term")
+    weighted = {d: blk.scale(sum(d)) for d, blk in s.items()}
     out = {z: block_one(dims)}
     for d, splits in list(pairs.items())[1:]:
-        out[d] = _exp_coefficient(dims, s, out, splits)
+        out[d] = _exp_coefficient(dims, weighted, out, splits)
     return out
 
 

@@ -37,6 +37,13 @@ ZERO_ENTRY = parse_spec(
     "name zero-entry\nspace 1\nspace 2\nbundle convex 1 3\nbundle concave 1 0\n"
 )
 SPECS = [QUINTIC, PAIR, LOCAL_P2, P3_QUARTIC, TWO_FACTOR, ZERO_ENTRY]
+CI2222 = parse_spec("name ci2222\nspace 7\n" + "bundle convex 2\n" * 4)
+P5_33 = parse_spec("name p5-33\nspace 5\nbundle convex 3\nbundle convex 3\n")
+LOCAL_P1P1 = parse_spec("name local-p1p1\nspace 1\nspace 1\nbundle concave 2 2\n")
+BICUBIC = parse_spec("name bicubic\nspace 2\nspace 2\nbundle convex 3 3\n")
+P1X4 = parse_spec("name p1x4\n" + "space 1\n" * 4 + "bundle convex 2 2 2 2\n")
+# two summand classes: its blocks multiply in one linear factor at a time
+P3_CUBIC_MINUS1 = parse_spec("name p3-cubic-minus1\nspace 3\nbundle convex 3\nbundle concave 1\n")
 
 
 def _euler_factor(dims, d):
@@ -62,6 +69,18 @@ def _shifted(spec, b, k):
     t0 = (0,) * len(dims)
     c1 = {(0, 0, _power(len(dims), i, 1)): c for i, c in enumerate(b.multidegree)}
     return LaurentBlock(dims, {(0, 1, t0): 1, (1, 0, t0): k} | c1)
+
+
+def _shifted_product(spec, d):
+    """prod_k (x + c1 - k*alpha) over convex and prod_k (x + c1 + k*alpha) over concave summands."""
+    out = block_one(spec.factors)
+    for b in spec.convex():
+        for k in range(1, pairing(b, d) + 1):
+            out = out * _shifted(spec, b, -k)
+    for b in spec.concave():
+        for k in range(0, -pairing(b, d)):
+            out = out * _shifted(spec, b, k)
+    return out
 
 
 def test_chern_ratio_quintic_is_linear():
@@ -137,7 +156,31 @@ def test_each_block_is_built_once(monkeypatch, spec):
     assert reduced_block(spec, top, table) is cold
 
 
-@pytest.mark.parametrize("spec", [TWO_FACTOR, ZERO_ENTRY], ids=["two-factor", "zero-entry"])
+# each spec at a bound that keeps the reference products small
+BOUNDS = {
+    "quintic": (QUINTIC, 6), "ci2222": (CI2222, 4), "p5-33": (P5_33, 4), "pair": (PAIR, 6),
+    "local-p2": (LOCAL_P2, 6), "local-p1p1": (LOCAL_P1P1, 4), "zero-entry": (ZERO_ENTRY, 4),
+    "bicubic": (BICUBIC, 3), "p1x4": (P1X4, 2), "p3-cubic-minus1": (P3_CUBIC_MINUS1, 5),
+}
+
+
+@pytest.mark.parametrize("spec,bound", BOUNDS.values(), ids=BOUNDS)
+def test_blocks_equal_the_product_of_their_factors(spec, bound):
+    """E_d^-1 R_d is the product of the shifted factors, multiplied in one at a time here.
+
+    All but ZERO_ENTRY and P3_CUBIC_MINUS1 have one summand class, so the
+    engine expands one class polynomial there; a concave class brings the
+    root k = 0, and ZERO_ENTRY a concave summand that pairs to 0 with (0, k).
+    """
+    table = {}
+    for d in degrees_upto(spec.m, bound):
+        red = reduced_block(spec, d, table)
+        assert _euler_factor(spec.factors, d) * red == _shifted_product(spec, d), d
+
+
+@pytest.mark.parametrize(
+    "spec", [TWO_FACTOR, LOCAL_P1P1, ZERO_ENTRY], ids=["two-factor", "local-p1p1", "zero-entry"]
+)
 def test_recurrence_is_path_independent(spec):
     table = {}
     via_01 = _raise_degree(spec, reduced_block(spec, (0, 1), table), (0, 1), 0)
@@ -163,13 +206,7 @@ def test_reduced_times_ratio_is_hyper(spec):
         red = reduced_block(spec, d, table)
         lo_x, _ = red.x_support() or (0, 0)
         assert lo_x >= 0  # reduced blocks are polynomial in x
-        want_red = block_one(dims)
-        for b in spec.convex():
-            for k in range(1, pairing(b, d) + 1):
-                want_red = want_red * _shifted(spec, b, -k)
-        for b in spec.concave():
-            for k in range(0, -pairing(b, d)):
-                want_red = want_red * _shifted(spec, b, k)
+        want_red = _shifted_product(spec, d)
         assert _euler_factor(dims, d) * red == want_red
         hyper = hyper_block(spec, d, table, chern_ratio(spec))
         cleared_hyper = _euler_factor(dims, d) * hyper

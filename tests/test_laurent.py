@@ -516,3 +516,53 @@ def test_at_slots_reads_the_stored_ints_at_chosen_exponents(case, data):
         assert den == want_den and type(den) is int
         assert got == [{j: v for (_, j, e), v in nums.items() if e == h} for h in hs]
         assert blk._view is None
+
+
+# -- a block times a polynomial in one linear form ---------------------------
+
+
+def _fraction_product(dims, a, b):
+    """{(a, j, h): value} of a * b, both such maps, by a plain double loop cut at the box."""
+    out = {}
+    for (a1, j1, h1), x in a.items():
+        for (a2, j2, h2), y in b.items():
+            h = tuple(u + v for u, v in zip(h1, h2))
+            if all(e <= n for e, n in zip(h, dims)):
+                key = (a1 + a2, j1 + j2, h)
+                out[key] = out.get(key, 0) + x * y
+    return out
+
+
+@st.composite
+def _poly_cases(draw):
+    """A block at one x power, a linear form with zero and negative entries, an int polynomial."""
+    dims = draw(st.sampled_from([(1,), (2,), (1, 1), (2, 1), (1, 2), (2, 2), (1, 1, 1), (2, 2, 1)]))
+    c = tuple(draw(st.integers(-3, 3)) for _ in dims)
+    blk = draw(_blocks(dims)).x_stratum(draw(st.integers(-2, 2)))  # the zero block too
+    poly = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=7))
+    return blk, c, poly, draw(st.integers(-3, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_poly_cases())
+def test_times_poly_matches_a_fraction_expansion(case):
+    """blk * P(x + c.H) x^shift, with (x + c.H)^p multiplied out one factor at a time."""
+    blk, c, poly, shift = case
+    dims, top, h0 = blk.dims, len(poly) - 1, (0,) * len(blk.dims)
+    linear = {(0, 1, h0): 1} | {(0, 0, _power(len(dims), i, 1)): a for i, a in enumerate(c)}
+    power, expanded = {(0, 0, h0): Rat(1)}, {}
+    for p, a in enumerate(poly):  # a y^p alpha^(top - p) x^shift
+        for (al, j, h), r in power.items():
+            key = (al + top - p, j + shift, h)
+            expanded[key] = expanded.get(key, 0) + a * r
+        power = _fraction_product(dims, power, linear)
+    want = LaurentBlock(dims, _fraction_product(dims, _values(blk.monomials()), expanded))
+    got = blk.times_poly(c, poly, shift)
+    assert got == want
+    assert got.is_zero() or got.deg == blk.deg + top + shift
+
+
+def test_times_poly_needs_a_block_at_one_x_power():
+    two = LaurentBlock(P2, {(0, 0, (0,)): 1, (-1, 1, (0,)): 1})
+    with pytest.raises(ValueError, match=re.escape("needs a block at one x power, not [0, 1]")):
+        two.times_poly((1,), [1, 1], 0)

@@ -15,7 +15,7 @@ import pytest
 
 from concavex import eulerdata, laurent, mirror, qseries
 from concavex.eulerdata import chern_ratio, hyper_block
-from concavex.geometry import parse_spec, validate
+from concavex.geometry import pairing, parse_spec, validate
 from concavex.laurent import LaurentBlock
 from concavex.mirror import (
     ExtractionError,
@@ -341,6 +341,12 @@ def test_blocks_and_transform_series_are_built_once(monkeypatch):
             _assert_built_once(mp, spec, reps)
 
 
+def _below(d):
+    """d - e_i, i the first axis with d_i > 0: the block R_d is raised from."""
+    i = next(i for i, c in enumerate(d) if c)
+    return d[:i] + (d[i] - 1,) + d[i + 1:]
+
+
 def _assert_built_once(monkeypatch, spec, reps):
     kernel = [0]
 
@@ -386,6 +392,13 @@ def _assert_built_once(monkeypatch, spec, reps):
     assert kernel_in["_residual"] == reps
     # and so is each orbit's U_d and G_d; a relabel is no kernel call
     assert kernel[0] - kernel_in["reduced_block"] == 3 * reps
+    # a one-class spec builds each R_d with one kernel call, E x^n times the
+    # Euler inverse; with two classes each linear factor is one more call
+    built = [d for d in degrees_upto(2, bound) if any(d) and d not in mm.orbits]
+    per_block = {d: 1 + sum(abs(pairing(b, d) - pairing(b, _below(d))) for b in spec.bundles)
+                 for d in built}
+    one_class = len({(b.kind, b.multidegree) for b in spec.bundles}) == 1
+    assert kernel_in["reduced_block"] == (reps if one_class else sum(per_block.values()))
     # N = exp(log N), once, after the pass
     assert calls["egf_exp"] == 1
     before = kernel[0]
@@ -479,6 +492,20 @@ def test_verify_refuses_a_bound_below_one_before_building_a_block(monkeypatch, b
     assert built == []
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [QUINTIC, LOCAL_P1P1, BICUBIC, ZERO_ENTRY],
+    ids=["quintic", "local-p1p1", "bicubic", "zero-entry"],
+)
+def test_a_reusing_solve_has_the_blocks_of_a_fresh_one(spec):
+    """The blocks past D are raised from the reused map's, in closed form or factor by factor."""
+    mm = solve_mirror_map(spec, 2)
+    again = solve_mirror_map(spec, 4, reuse=mm)
+    fresh = solve_mirror_map(spec, 4)
+    assert sorted(again.blocks) == sorted(fresh.blocks) == sorted(degrees_upto(spec.m, 4))
+    assert again.blocks == fresh.blocks and again == fresh
+
+
 def test_reuse_needs_a_map_of_the_same_spec():
     mm = solve_mirror_map(PAIR, 2)
     with pytest.raises(ValueError, match="another spec"):
@@ -501,6 +528,13 @@ def test_solve_and_extraction_keep_blocks_on_integers(monkeypatch, spec, bound):
 
         monkeypatch.setattr(owners[name], name, kept)
     mm = solve_mirror_map(spec, bound)
+    # building R_d reads R_{d-e_i}'s unit slot: the x-powers of its class polynomial
+    unit = [(0,) * spec.m]
+    built = [args for args, _ in returned["at_slots"]]
+    stored = {id(blk) for blk in mm.blocks.values()}
+    assert built and all(id(blk) in stored and hs == unit for blk, hs in built)
+    solving = returned["at_slots"][:]
+    returned["at_slots"].clear()
     extract_invariants(mm)
     nonzero = len(degrees_upto(spec.m, bound)) - 1
     ((_, xs),) = returned["integrand_series"]
@@ -513,7 +547,7 @@ def test_solve_and_extraction_keep_blocks_on_integers(monkeypatch, spec, bound):
     assert [args for args, _ in returned["at_slots"]] == [(x, [top] + below) for x in xs.values()]
     assert all(
         type(den) is int and all(type(v) is int for row in rows for v in row.values())
-        for _, (rows, den) in returned["at_slots"]
+        for _, (rows, den) in solving + returned["at_slots"]
     )
     assert returned["monomials"] == []
 
