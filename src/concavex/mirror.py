@@ -3,29 +3,26 @@
 The raw degree-d blocks carry strata at alpha^0 and alpha^{-1} that a
 change of variables removes.  Working with the reduced blocks R_d
 (reduced_block: the Chern-polynomial ratio divided out), we determine
-three families of rational coefficients, degree by degree:
+three families of rational coefficients:
 
   * nu_d, a scalar normalization, collected into N(q) = 1 + sum nu_d q^d;
-  * f_d, weighting x q^d / alpha in an exponential prefactor;
+  * f_d, weighting x q^d / alpha in an exponential prefactor F;
   * g_{i,d}, one shift series per projective factor.
 
-With U := exp(sum f_d x q^d / alpha - log N(q)) and
-G := exp(-(sum_i g_i(q) H_i)/alpha), the series U * sum R_d q^d - G
-must vanish at the alpha^0 and alpha^{-1} strata.  At each degree the
-unknowns (log N)_d, f_d and g_{i,d} enter that residual as
--(log N)_d + f_d x / alpha + sum_i g_{i,d} H_i / alpha, so the solve reads
-each off one fixed place: the unit slot of the alpha^0 x^0 key, the unit
-slot of the alpha^{-1} x^1 key and the H_i slot of the alpha^{-1} x^0
-key.  One pass over the degrees does it: U and G are extended degree by
-degree by the exponential recurrence of qseries, first with d's own
-coefficients still zero for the read-off, then completed from the
-coefficients read off.  Anything outside span{1, x/alpha, H_i/alpha} is
-left in the residual, and the one check after solving, that no stratum at
-alpha^{-1} or above remains, reports it.  N is the exp of the log N read
-off.  Every series here is a qseries.Series, a plain dict {degree: block},
-and every sum over the splits (d', d - d') of a degree, block or scalar,
-reads them from the solve's one qseries.degree_pairs table, kept on the map:
-so do the Euler route's reference exp(F) N^{-1} and the int exps of N and g.
+With U := exp(sum f_d x q^d / alpha) / N(q) and G := exp(-(sum_i g_i(q) H_i)/alpha),
+the series U * sum R_d q^d - G must vanish at the alpha^0 and alpha^{-1}
+strata (Givental; Lian-Liu-Yau).  Each R_d is homogeneous of degree 0 and
+polynomial in x, so set alpha = 1: the weight-0 part R^(0) is a constant,
+the weight-1 part R^(1) lies in span{x, H_i}, and as U^(0) = 1/N,
+U^(1) = F x/N, G^(0) = 1 and G^(1) = -g.H, the two parts of U * R - G vanish
+exactly when N = R^(0) and F x + g.H = -R^(1)/N.  So the solve reads N and
+R^(1) off the blocks and builds U and G once from them, with the block
+helpers of qseries; the Euler route reads the same U and G off the map.
+Anything left at alpha^{-1} or above in the residual is a fault, which the
+one check after solving reports.  Every series here is a qseries.Series, a
+plain dict {degree: block}, and every sum over the splits (d', d - d') of a
+degree, block or scalar, reads them from the solve's one
+qseries.degree_pairs table, kept on the map.
 
 The invariants then come out of the integrated series: multiplying back
 by the Chern ratio and the Kahler prefactor gives per degree d the block
@@ -57,9 +54,9 @@ one Fraction per K_d and x-level comes out at the end.
 A permutation sigma of factors of one dimension that maps the bundle multiset
 to itself permutes the computation: R, U, G, the residual and X at sigma(d)
 are those at d with H exponents permuted, f and N equal, g permuted.  The
-solve and the integrand form products only at the first degree of each orbit
-(_orbits) and relabel them (LaurentBlock.relabel) elsewhere; every gate runs
-at every degree.
+solve, the series helpers it calls and the integrand form products only at
+the first degree of each orbit (_orbits) and relabel them
+(LaurentBlock.relabel) elsewhere; every gate runs at every degree.
 """
 
 from __future__ import annotations
@@ -70,12 +67,11 @@ from collections import Counter, namedtuple
 from .cohomology import Rat
 from .eulerdata import _power, chern_ratio, hyper_block, reduced_block
 from .geometry import GeometrySpec, validate
-from .laurent import LaurentBlock, _mul_sum, block_one, block_scalar
+from .laurent import LaurentBlock, _mul_sum, block_scalar
 from .qseries import (
     Degree,
     Series,
     Splits,
-    _exp_coefficient,
     degree_pairs,
     egf_exp,
     egf_mul,
@@ -99,12 +95,13 @@ class ExtractionError(MirrorError):
 
 
 class MirrorMap(namedtuple("MirrorMap", "spec bound normalization prefactor shifts residuals "
-                           "blocks pairs orbits")):
+                           "blocks pairs orbits u g")):
     """Solved change of variables, truncated at total degree `bound`.
 
     Past the coefficients, by degree: the residual U * sum R q^d - G the solve
     checked, the reduced blocks R_d it read, qseries.degree_pairs' splits
-    (d', d - d') and the orbit map of _orbits.  The repr leaves those four out.
+    (d', d - d'), the orbit map of _orbits, and the series U and G themselves.
+    The repr leaves those six out.
     """
 
     __slots__ = ()
@@ -129,29 +126,6 @@ class InvariantTable(namedtuple("InvariantTable", "spec excess entries")):
             if e.degree == d:
                 return e.value
         raise KeyError(d)
-
-
-def _log_terms(
-    dims: tuple[int, ...], f: Rat, g: tuple[Rat, ...]
-) -> tuple[LaurentBlock, LaurentBlock]:
-    """The q^d terms f x / alpha of F and -(sum_i g_i H_i) / alpha of log G."""
-    return (
-        LaurentBlock(dims, {(-1, 1, (0,) * len(dims)): f}),
-        LaurentBlock(dims, {(-1, 0, _power(len(dims), i, 1)): -c for i, c in enumerate(g)}),
-    )
-
-
-def _transform_series(mm: MirrorMap) -> tuple[Series, Series]:
-    """The pair (U, G) of `mm` built from scratch, the Euler route's reference."""
-    dims, pairs = mm.spec.factors, mm.pairs
-    f_log: Series = {}
-    g_log: Series = {}
-    n = {(0,) * len(dims): block_one(dims)}
-    for d in list(pairs)[1:]:
-        f_log[d], g_log[d] = _log_terms(dims, mm.prefactor.get(d, Rat(0)), mm.shift_vector(d))
-        n[d] = block_scalar(dims, mm.normalization.get(d, Rat(0)))
-    u = series_mul(dims, series_exp(dims, f_log, pairs), series_inverse(dims, n, pairs), pairs)
-    return u, series_exp(dims, g_log, pairs)
 
 
 def _orbits(spec: GeometrySpec, degrees: list[Degree]) -> dict[Degree, tuple]:
@@ -185,30 +159,28 @@ def _orbits(spec: GeometrySpec, degrees: list[Degree]) -> dict[Degree, tuple]:
     return out
 
 
-def _residual(dims: tuple[int, ...], u: Series, reduced: Series, splits: Splits) -> LaurentBlock:
-    """Coefficient of U * sum_{d' != 0} R_d' q^d' at the degree d that `splits` splits.
-
-    It is free of U_d and G_d; adding U_d - G_d (R_0 = 1) gives that of U * sum R q^d - G.
-    """
-    return _mul_sum(dims, [(u[e], reduced[dp]) for dp, e in splits[1:]])
+def _residual(
+    dims: tuple[int, ...], u: Series, g: Series, reduced: Series, splits: Splits
+) -> LaurentBlock:
+    """Coefficient of U * sum R q^d - G at the degree d that `splits` splits, one kernel call."""
+    minus_g = (g[splits[-1][0]], block_scalar(dims, -1))
+    return _mul_sum(dims, [(u[e], reduced[dp]) for dp, e in splits] + [minus_g])
 
 
 def solve_mirror_map(
     spec: GeometrySpec, bound: int, *, reuse: MirrorMap | None = None
 ) -> MirrorMap:
-    """Determine normalization, prefactor and shifts in one pass over the degrees.
+    """Read normalization, prefactor and shifts off the blocks, then build U and G once.
 
-    U = exp(F - log N) and G are kept per degree and extended by the
-    exponential recurrence.  At degree d they are first formed with d's own
-    coefficients still zero: the read-off needs only U_d - G_d plus the sum
-    over d' != 0 of U_{d-d'} R_{d'}, and it reads (log N)_d, f_d and g_{i,d}
-    from three fixed places of that sum, entry by entry.  The coefficients
-    read off then complete U_d and G_d, and only then is the sum formed: no
-    stratum of U * sum R q^d - G may remain at alpha^{-1} or above, and that
-    residual is kept on the map for the integrand.  The map also keeps the
-    blocks R_d, for the Euler route and later solves: with `reuse`, a map
-    solved earlier for the same spec, the solve starts from a copy of its
-    blocks and builds only those it lacks.
+    With alpha = 1, U^(0) = 1/N, U^(1) = F x/N, G^(0) = 1 and G^(1) = -g.H, so the
+    weight-0 and weight-1 parts of U * R - G vanish exactly when N = R^(0) and
+    F x + g.H = -R^(1)/N.  Hence at each orbit representative d the solve reads
+    N_d = R_d[1] and the window W_d = -R_d[x/alpha] x/alpha + sum_i R_d[H_i/alpha]
+    H_i/alpha; the log terms W N^{-1} are F x/alpha at x^1 and -g.H/alpha at x^0,
+    and U = exp(F x/alpha) N^{-1}, G = exp(-g.H/alpha).  The map keeps U and G,
+    the residual U * sum R q^d - G, which may keep no stratum at alpha^{-1} or
+    above, and the blocks R_d: with `reuse`, a map solved earlier for the same
+    spec, the solve starts from a copy of its blocks and builds only those it lacks.
     """
     if bound < 0:
         raise ValueError(f"degree bound must be at least 0, got {bound}")
@@ -219,59 +191,50 @@ def solve_mirror_map(
     dims = spec.factors
     m = len(dims)
     t0 = (0,) * m
+    hs = [_power(m, i, 1) for i in range(m)]
     pairs = degree_pairs(m, bound)
     degrees = list(pairs)
     orbits = _orbits(spec, degrees)
-    reduced_block(spec, t0, table)
-
-    log_norm: dict[Degree, Rat] = {}
-    prefactor: dict[Degree, Rat] = {}
-    shifts: tuple[dict[Degree, Rat], ...] = tuple({} for _ in range(m))
-    u_log: Series = {}  # q^d terms of log U and log G, weighted by |d| for _exp_coefficient
-    g_log: Series = {}
-    u = {t0: block_one(dims)}
-    g = {t0: block_one(dims)}
-    residuals: Series = {}
-
-    def read(a: int, j: int, h: tuple[int, ...]) -> Rat:
-        # the entry of lower + U_d - G_d at the loop's degree d, without forming that sum
-        return lower.entry(a, j, h) + u[d].entry(a, j, h) - g[d].entry(a, j, h)
-
+    norm = {t0: reduced_block(spec, t0, table)}  # N_0 = R_0 = 1
+    window: Series = {}
     for d in degrees[1:]:
         if d in orbits:  # every block at d is its rep's, relabelled: R_d into the table too
             rep, sigma = orbits[d]
-            for series in (table, u, g, u_log, g_log, residuals):
-                series[d] = series[rep].relabel(sigma)
-            log_norm[d], prefactor[d] = log_norm[rep], prefactor[rep]
+            table[d] = table[rep].relabel(sigma)
+            norm[d], window[d] = norm[rep], window[rep].relabel(sigma)
+        else:
+            r = reduced_block(spec, d, table)  # R_d into the table, from the blocks below d
+            norm[d] = block_scalar(dims, r.entry(0, 0, t0))
+            terms = {(-1, 0, h): r.entry(-1, 0, h) for h in hs}
+            window[d] = LaurentBlock(dims, {(-1, 1, t0): -r.entry(-1, 1, t0), **terms})
+    inverse = series_inverse(dims, norm, pairs, orbits)
+    logs = series_mul(dims, window, inverse, pairs, orbits)
+    f_log = {d: blk.x_stratum(1) for d, blk in logs.items()}
+    u = series_mul(dims, series_exp(dims, f_log, pairs, orbits), inverse, pairs, orbits)
+    g = series_exp(dims, {d: blk.x_stratum(0) for d, blk in logs.items()}, pairs, orbits)
+    normalization: dict[Degree, Rat] = {}
+    prefactor: dict[Degree, Rat] = {}
+    shifts: tuple[dict[Degree, Rat], ...] = tuple({} for _ in range(m))
+    residuals: Series = {}
+    for d in degrees[1:]:
+        if d in orbits:
+            rep, sigma = orbits[d]
+            residuals[d] = residuals[rep].relabel(sigma)
+            normalization[d], prefactor[d] = normalization[rep], prefactor[rep]
             for i in range(m):
                 shifts[i][d] = shifts[sigma[i]][rep]
-            acc = residuals[d]
         else:
-            reduced_block(spec, d, table)  # R_d into the table, from the blocks below d
-            u[d] = _exp_coefficient(dims, u_log, u, pairs[d])
-            g[d] = _exp_coefficient(dims, g_log, g, pairs[d])
-            lower = _residual(dims, u, table, pairs[d])
-            log_norm[d] = read(0, 0, t0)
-            prefactor[d] = -read(-1, 1, t0)
-            for i in range(m):
-                shifts[i][d] = -read(-1, 0, _power(m, i, 1))
-
-            # complete degree d from the stored coefficients: U_0 = G_0 = 1
-            fblk, gblk = _log_terms(dims, prefactor[d], tuple(h[d] for h in shifts))
-            ublk = fblk - block_scalar(dims, log_norm[d])
-            u[d], g[d] = u[d] + ublk, g[d] + gblk
-            u_log[d], g_log[d] = ublk.scale(sum(d)), gblk.scale(sum(d))
-            acc = lower + (u[d] - g[d])
-        sup = acc.alpha_support()
+            residuals[d] = _residual(dims, u, g, table, pairs[d])
+            normalization[d], prefactor[d] = norm[d].entry(0, 0, t0), logs[d].entry(-1, 1, t0)
+            for i, h in enumerate(hs):
+                shifts[i][d] = -logs[d].entry(-1, 0, h)
+        sup = residuals[d].alpha_support()
         if sup is not None and sup[1] >= -1:
             raise MirrorInconsistencyError(
                 f"degree {d}: residual stratum at alpha^{sup[1]} after solving"
             )
-        residuals[d] = acc
-    (log_egf,), scale = egf_numerators((log_norm,), bound)
-    norm = egf_exp(log_egf, pairs)
-    normalization = {d: Rat(norm.get(d, 0), scale[sum(d)]) for d in degrees[1:]}
-    return MirrorMap(spec, bound, normalization, prefactor, shifts, residuals, table, pairs, orbits)
+    return MirrorMap(spec, bound, normalization, prefactor, shifts, residuals, table, pairs,
+                     orbits, u, g)
 
 
 def integrand_series(mm: MirrorMap, euler: bool = False) -> Series:
@@ -295,7 +258,7 @@ def integrand_series(mm: MirrorMap, euler: bool = False) -> Series:
             xs[d] = xs[mm.orbits[d][0]].relabel(mm.orbits[d][1]) if d in mm.orbits else omega * r
         return xs
     degrees = list(mm.residuals)
-    u, g = _transform_series(mm)
+    u, g = mm.u, mm.g
     blocks = {dp: hyper_block(spec, dp, mm.blocks, omega) for dp in degrees}
     at_x0 = {dp for dp, b in blocks.items() if b.x_support()[0] >= 0}
     blocks.update((dp, blocks[dp].x_stratum(0)) for dp in at_x0)

@@ -15,8 +15,12 @@ exps read their splits (d', d - d') from one table that the caller passes:
 The table's degrees are the truncation.  Both exponentials come from one
 recurrence, one degree at a time: the Euler operator sum_i q_i d/dq_i turns
 exp(L)' = L' exp(L) into |d| E_d = sum_{0 < d' <= d} |d'| L_{d'} E_{d-d'}.
-The mirror solve extends its series with the same per-degree step,
-`_exp_coefficient`, on the terms |d'| L_{d'}.
+
+The block helpers also take the mirror map's orbit map {d: (rep, sigma)}:
+a factor permutation sigma that keeps the spec sends rep to d, and the
+series they are given are invariant under it, so at d they relabel the
+coefficient already formed at rep (LaurentBlock.relabel) instead of
+multiplying; `{}` forms every degree.
 """
 from __future__ import annotations
 
@@ -31,6 +35,7 @@ Degree = tuple[int, ...]
 Series = dict[Degree, LaurentBlock]
 Splits = list[tuple[Degree, Degree]]
 Table = dict[Degree, Splits]
+Orbits = dict[Degree, tuple[Degree, tuple[int, ...]]]
 
 __all__ = [
     "Degree",
@@ -69,47 +74,48 @@ def degree_pairs(m: int, bound: int) -> Table:
     return out
 
 
-def series_mul(dims: tuple[int, ...], a: Series, b: Series, pairs: Table) -> Series:
-    """Graded convolution over the degrees of `pairs`, one kernel call per output degree."""
-    sums = {d: [(a[d1], b[d2]) for d1, d2 in ps if d1 in a and d2 in b] for d, ps in pairs.items()}
-    return {d: _mul_sum(dims, ps) for d, ps in sums.items() if ps}
+def series_mul(
+    dims: tuple[int, ...], a: Series, b: Series, pairs: Table, orbits: Orbits
+) -> Series:
+    """Graded convolution over the degrees of `pairs`, one kernel call per representative."""
+    out: Series = {}
+    for d, splits in pairs.items():
+        if d in orbits:
+            rep, sigma = orbits[d]
+            if rep in out:
+                out[d] = out[rep].relabel(sigma)
+        elif terms := [(a[d1], b[d2]) for d1, d2 in splits if d1 in a and d2 in b]:
+            out[d] = _mul_sum(dims, terms)
+    return out
 
 
-def _exp_coefficient(
-    dims: tuple[int, ...], weighted: Series, exp: Series, splits: Splits
-) -> LaurentBlock:
-    """Coefficient of E = exp(L) at the degree d split by `splits`, from those of E below d.
-
-    The Euler operator sum_i q_i d/dq_i turns E' = L' E into
-    |d| E_d = sum_{0 < d' <= d} |d'| L_{d'} E_{d-d'}.  `weighted` holds the
-    |d'| L_{d'}, formed once; a degree missing from it or from `exp` is a
-    zero coefficient, and |d| L_d, if present, enters as |d| L_d E_0.
-    """
-    terms = [(weighted[dp], exp[e]) for dp, e in splits if dp in weighted and e in exp]
-    return _mul_sum(dims, terms).scale(Rat(1, sum(splits[-1][0])))
-
-
-def series_exp(dims: tuple[int, ...], s: Series, pairs: Table) -> Series:
-    """exp of a series with no constant term, every degree of `pairs`."""
+def series_exp(dims: tuple[int, ...], s: Series, pairs: Table, orbits: Orbits) -> Series:
+    """exp of a series with no constant term, every degree of `pairs`, by the Euler recurrence."""
     z = (0,) * len(dims)
     if z in s and not s[z].is_zero():
         raise ValueError("exp needs a series with zero constant term")
     weighted = {d: blk.scale(sum(d)) for d, blk in s.items()}
     out = {z: block_one(dims)}
     for d, splits in list(pairs.items())[1:]:
-        out[d] = _exp_coefficient(dims, weighted, out, splits)
+        if d in orbits:
+            out[d] = out[orbits[d][0]].relabel(orbits[d][1])
+        else:
+            terms = [(weighted[dp], out[e]) for dp, e in splits[1:] if dp in weighted]
+            out[d] = _mul_sum(dims, terms).scale(Rat(1, sum(d)))
     return out
 
 
-def series_inverse(dims: tuple[int, ...], s: Series, pairs: Table) -> Series:
+def series_inverse(dims: tuple[int, ...], s: Series, pairs: Table, orbits: Orbits) -> Series:
     """Inverse of a series whose constant term is the unit block, every degree of `pairs`."""
     z = (0,) * len(dims)
     if s.get(z) != block_one(dims):
         raise ValueError("inverse needs constant term equal to one")
     out = {z: block_one(dims)}
     for d, splits in list(pairs.items())[1:]:
-        # coefficient of q^d in s * out must vanish
-        out[d] = -_mul_sum(dims, [(s[dp], out[e]) for dp, e in splits[1:] if dp in s])
+        if d in orbits:
+            out[d] = out[orbits[d][0]].relabel(orbits[d][1])
+        else:  # coefficient of q^d in s * out must vanish
+            out[d] = -_mul_sum(dims, [(s[dp], out[e]) for dp, e in splits[1:] if dp in s])
     return out
 
 

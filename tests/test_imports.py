@@ -7,7 +7,8 @@ it only re-exports.  A private helper (``def _name`` or ``class _name`` at
 module level) counts as used when some module references it outside its
 own body.  The fixed-point oracle must also stay independent of the series
 pipeline: it may take only the rational type and the spec from the package,
-and the engine's modules import nothing from it.  The package keeps no
+and the engine's modules import nothing from it.  The test-side reference
+``tests/window.py`` takes only the spec, besides ``fractions`` and ``math``.  The package keeps no
 cache keyed by a spec or a degree: the only memoised functions are the
 tables keyed by a ring's shape.
 A Laurent block's integer storage stays private to ``laurent.py``: every
@@ -139,15 +140,20 @@ def _package_imports(source: str) -> set[tuple[str, str]]:
     return found
 
 
-def _foreign_imports(source: str) -> list[str]:
-    """Top-level modules a source imports at any depth that are neither stdlib nor the package."""
+def _top_modules(source: str) -> set[str]:
+    """The top-level modules a source imports by absolute name, at any depth."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             found |= {alias.name.split(".")[0] for alias in node.names}
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.add(node.module.split(".")[0])
-    return sorted(found - sys.stdlib_module_names - {"concavex"})
+    return found
+
+
+def _foreign_imports(source: str) -> list[str]:
+    """Top-level modules a source imports at any depth that are neither stdlib nor the package."""
+    return sorted(_top_modules(source) - sys.stdlib_module_names - {"concavex"})
 
 
 @pytest.mark.parametrize(
@@ -171,13 +177,7 @@ SLOW_TO_IMPORT = {"dataclasses", "typing"}
 
 def _slow_imports(source: str) -> list[str]:
     """The modules of SLOW_TO_IMPORT a source imports, at any depth."""
-    found = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            found |= {alias.name.split(".")[0] for alias in node.names}
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            found.add(node.module.split(".")[0])
-    return sorted(found & SLOW_TO_IMPORT)
+    return sorted(_top_modules(source) & SLOW_TO_IMPORT)
 
 
 @pytest.mark.parametrize(
@@ -211,6 +211,22 @@ def test_the_cli_loads_neither_dataclasses_nor_inspect():
 def test_oracle_shares_only_the_rational_type_and_the_spec():
     source = (Path(concavex.__file__).parent / "localization.py").read_text(encoding="utf-8")
     assert _package_imports(source) == {("cohomology", "Rat"), ("geometry", "GeometrySpec")}
+
+
+def test_the_window_reference_shares_only_the_spec():
+    """tests/window.py checks every printed N, f and g: it reads no engine code."""
+    source = (Path(__file__).parent / "window.py").read_text(encoding="utf-8")
+    assert _top_modules(source) == {"fractions", "math", "concavex"}
+    assert _package_imports(source) == {("geometry", "GeometrySpec")}
+
+
+def test_checker_finds_every_top_level_module():
+    source = (
+        "import math, os.path\nfrom fractions import Fraction\nfrom . import qseries\n"
+        "from concavex.geometry import GeometrySpec\n"
+        "def f():\n    import itertools\n"
+    )
+    assert _top_modules(source) == {"math", "os", "fractions", "concavex", "itertools"}
 
 
 ENGINE = ["cohomology.py", "laurent.py", "qseries.py", "geometry.py", "eulerdata.py"]

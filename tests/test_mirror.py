@@ -16,7 +16,7 @@ import pytest
 from concavex import eulerdata, laurent, mirror, qseries
 from concavex.eulerdata import chern_ratio, hyper_block
 from concavex.geometry import pairing, parse_spec, validate
-from concavex.laurent import LaurentBlock
+from concavex.laurent import LaurentBlock, block_one, block_scalar
 from concavex.mirror import (
     ExtractionError,
     InvariantEntry,
@@ -31,6 +31,7 @@ from concavex.mirror import (
 from concavex.qseries import degrees_upto
 from fraction_series import fraction_exp, fraction_mul
 from kahler import top_class
+from window import mirror_map as window_map
 
 QUINTIC = parse_spec("name quintic\nspace 4\nbundle convex 5\n")
 PAIR = parse_spec("name pair\nspace 1\nbundle concave 1\nbundle concave 1\n")
@@ -257,7 +258,9 @@ def test_verify_all_on_two_factor_skips_oracle():
 def test_integrand_equals_the_series_rebuilt_from_full_blocks(spec):
     bound = 2
     mm = solve_mirror_map(spec, bound)
-    u, g = mirror._transform_series(mm)
+    u, g = _transform_series(mm)
+    # the solve's own U and G, built from its window, are the ones N, f and g give
+    assert mm.u == u and mm.g == g
     omega = chern_ratio(spec)
     js = integrand_series(mm)
     degrees = [d for d in degrees_upto(spec.m, bound) if any(d)]
@@ -271,6 +274,60 @@ def test_integrand_equals_the_series_rebuilt_from_full_blocks(spec):
             if min(diff) >= 0:
                 want = want + u[diff] * blocks[dp]
         assert js[d] == want, d
+
+
+# spec text, bound: one and several factors, s = 0 and s > 0, concave summands
+# with L = 0 at some degrees, several summand classes and partial symmetries
+WINDOW_SPECS = {
+    "quintic": ("space 4\nbundle convex 5\n", 10),
+    "ci2222": ("space 7\n" + "bundle convex 2\n" * 4, 5),
+    "p5-33": ("space 5\nbundle convex 3\nbundle convex 3\n", 5),
+    "bicubic": ("space 2\nspace 2\nbundle convex 3 3\n", 5),
+    "p1-4": ("space 1\n" * 4 + "bundle convex 2 2 2 2\n", 4),
+    "p3-quartic": ("space 3\nbundle convex 4\n", 6),
+    "p2xp2xp1": ("space 2\nspace 2\nspace 1\nbundle convex 3 3 1\nbundle convex 0 0 1\n", 4),
+    "p4-2-3": ("space 4\nbundle convex 2\nbundle convex 3\n", 5),
+    "p2-1-2": ("space 2\nbundle convex 1\nbundle convex 2\n", 5),
+    "p1xp2-23": ("space 1\nspace 2\nbundle convex 2 3\n", 4),
+    "local-p2": ("space 2\nbundle concave 3\n", 6),
+    "local-p1xp1": ("space 1\nspace 1\nbundle concave 2 2\n", 5),
+    "pair": ("space 1\nbundle concave 1\nbundle concave 1\n", 6),
+    "zero-entry": ("space 1\nspace 2\nbundle convex 1 3\nbundle concave 1 0\n", 4),
+    "p3-3-minus1": ("space 3\nbundle convex 3\nbundle concave 1\n", 6),
+    "p1xp1-split": ("space 1\nspace 1\nbundle convex 2 0\nbundle convex 0 2\n", 4),
+}
+
+
+@pytest.mark.parametrize("name", list(WINDOW_SPECS))
+def test_the_map_is_the_one_the_weight_one_window_fixes(name):
+    """Every printed N, f and g equals the one tests/window.py reads off the bundle data."""
+    text, bound = WINDOW_SPECS[name]
+    spec = parse_spec(text)
+    mm = solve_mirror_map(spec, bound)
+    normalization, prefactor, shifts = window_map(spec, bound)
+    degrees = [d for d in degrees_upto(spec.m, bound) if any(d)]
+    assert sorted(normalization) == sorted(prefactor) == sorted(degrees)
+    for d in degrees:
+        assert mm.normalization.get(d, 0) == normalization[d], d
+        assert mm.prefactor.get(d, 0) == prefactor[d], d
+        assert mm.shift_vector(d) == tuple(g[d] for g in shifts), d
+
+
+def _transform_series(mm):
+    """U = exp(F) N^-1 and G = exp(-g.H/alpha) rebuilt from the printed N, f and g."""
+    dims, pairs, m = mm.spec.factors, mm.pairs, mm.spec.m
+    t0 = (0,) * m
+    f_log, g_log, n = {}, {}, {t0: block_one(dims)}
+    for d in list(pairs)[1:]:
+        f_log[d] = LaurentBlock(dims, {(-1, 1, t0): mm.prefactor.get(d, Rat(0))})
+        g_log[d] = LaurentBlock(dims, {
+            (-1, 0, tuple(int(k == i) for k in range(m))): -c
+            for i, c in enumerate(mm.shift_vector(d))
+        })
+        n[d] = block_scalar(dims, mm.normalization.get(d, Rat(0)))
+    exp_f = qseries.series_exp(dims, f_log, pairs, {})
+    u = qseries.series_mul(dims, exp_f, qseries.series_inverse(dims, n, pairs, {}), pairs, {})
+    return u, qseries.series_exp(dims, g_log, pairs, {})
 
 
 @pytest.mark.parametrize(
@@ -311,10 +368,8 @@ def test_extraction_rejects_an_integrand_stratum_above_alpha_minus_two(
     catches each stratum off the grading.
     """
     mm = solve_mirror_map(spec, 2)
-    if euler:  # the Euler route rebuilds (U, G) from the map's coefficients
-        normalization = dict(mm.normalization)
-        normalization[(1,)] += 1
-        mm = mm._replace(normalization=normalization)
+    if euler:  # the Euler route reads U and G off the map: U_1 off by one
+        mm = mm._replace(u={**mm.u, (1,): mm.u[(1,)] + block_one(spec.factors)})
     else:
         a, h = stray
         block = LaurentBlock(spec.factors, {(a, 0, (h,)): 1})
@@ -356,18 +411,27 @@ def _assert_built_once(monkeypatch, spec, reps):
 
     for module in (laurent, qseries, mirror):
         monkeypatch.setattr(module, "_mul_sum", counted_kernel)
+    relabels = [0]
+
+    def counted_relabel(*args, _real=LaurentBlock.relabel):
+        relabels[0] += 1
+        return _real(*args)
+
+    monkeypatch.setattr(LaurentBlock, "relabel", counted_relabel)
     calls = Counter()
     kernel_in = Counter()  # kernel calls made inside each counted function
+    relabel_in = Counter()  # and relabels
     for name in (
         "reduced_block", "hyper_block", "series_exp", "series_inverse",
-        "_transform_series", "_residual", "integrand_series", "egf_exp",
+        "_residual", "integrand_series", "egf_exp",
         "series_mul", "degree_pairs", "chern_ratio",
     ):
         def counted(*args, _real=getattr(mirror, name), _name=name, **kwargs):
             calls[_name] += 1
-            before = kernel[0]
+            before, relabelled = kernel[0], relabels[0]
             out = _real(*args, **kwargs)
             kernel_in[_name] += kernel[0] - before
+            relabel_in[_name] += relabels[0] - relabelled
             return out
 
         monkeypatch.setattr(mirror, name, counted)
@@ -378,20 +442,27 @@ def _assert_built_once(monkeypatch, spec, reps):
     assert len(degrees_upto(2, bound)) - 1 - len(mm.orbits) == reps
     # one degree table per solve, kept on the map
     assert calls["degree_pairs"] == 1
-    # one pass: U and G grow by recurrence, never rebuilt from scratch
-    for name in ("_transform_series", "series_exp", "series_inverse", "series_mul"):
-        assert calls[name] == 0, name
+    # U and G are built once, after the blocks: N^-1, the log terms W N^-1,
+    # exp(F) N^-1 and exp(log G), each series helper one kernel call per
+    # representative and none at an image, where it relabels
+    images = len(mm.orbits)
+    assert (calls["series_inverse"], calls["series_exp"], calls["series_mul"]) == (1, 2, 2)
+    assert kernel_in["series_inverse"] == reps and kernel_in["series_exp"] == 2 * reps
+    # the product exp(F) N^-1 also forms its constant term, U_0 = 1
+    assert kernel_in["series_mul"] == 2 * reps + 1
+    for name, built in [("series_inverse", 1), ("series_exp", 2), ("series_mul", 2)]:
+        assert relabel_in[name] == built * images, name
     # R_0, then one R_d per orbit: the others are relabelled, and without a
     # symmetry that is one per degree, len(degrees_upto(2, bound)) == 10
     assert calls["reduced_block"] == 1 + reps
     assert sorted(mm.blocks) == sorted(degrees_upto(2, bound))
     assert calls["hyper_block"] == 0
-    # one U * sum R per orbit: the after-solve check reuses it
+    # one U * sum R - G per orbit: the after-solve check reuses it
     assert calls["_residual"] == reps
     # each sum of products is one kernel call per output degree, not one per pair
     assert kernel_in["_residual"] == reps
-    # and so is each orbit's U_d and G_d; a relabel is no kernel call
-    assert kernel[0] - kernel_in["reduced_block"] == 3 * reps
+    # and nothing else multiplies: a relabel is no kernel call
+    assert kernel[0] - kernel_in["reduced_block"] == 6 * reps + 1
     # a one-class spec builds each R_d with one kernel call, E x^n times the
     # Euler inverse; with two classes each linear factor is one more call
     built = [d for d in degrees_upto(2, bound) if any(d) and d not in mm.orbits]
@@ -399,30 +470,33 @@ def _assert_built_once(monkeypatch, spec, reps):
                  for d in built}
     one_class = len({(b.kind, b.multidegree) for b in spec.bundles}) == 1
     assert kernel_in["reduced_block"] == (reps if one_class else sum(per_block.values()))
-    # N = exp(log N), once, after the pass
-    assert calls["egf_exp"] == 1
+    # N is read off the blocks: no exp of log N
+    assert calls["egf_exp"] == 0
     before = kernel[0]
     extract_invariants(mm)
     # extraction builds X_d = omega * residual once, one kernel call per
     # degree besides omega's own, and reads the integral of kahler * X_d off
     # it: no J_d, no (U, G)
     assert calls["integrand_series"] == calls["chern_ratio"] == 1
-    assert calls["_transform_series"] == 0
     assert kernel[0] - before == kernel_in["integrand_series"]
     # per orbit: omega is invariant, so the other X_d are relabelled
     assert kernel_in["integrand_series"] - kernel_in["chern_ratio"] == reps
     # one exp(g_i) per axis; exp(<d', g>) comes from a product per degree
-    assert calls["egf_exp"] == 1 + spec.m == 3
+    assert calls["egf_exp"] == spec.m == 2
     assert calls["hyper_block"] == 0
     # and reads its splits from the map's table
     assert calls["degree_pairs"] == 1
-    # the Euler route's reference (U, G): one product exp(F) * N^-1 of two
-    # series full to the bound, one kernel call per output degree
-    mirror._transform_series(mm)
-    assert calls["series_exp"] == 2 and calls["series_inverse"] == 1
-    assert calls["series_mul"] == 1
-    assert kernel_in["series_mul"] == len(degrees_upto(2, bound)) == 10
-    # and all four read the map's table
+    # the Euler route reads the solve's U and G: it builds neither, and
+    # multiplies the full blocks R_d once each, one kernel call per degree
+    solved = +calls
+    if validate(spec) == 0:
+        extract_invariants(mm, euler=True)
+    else:  # the Euler route needs excess 0; its integrand alone runs at any excess
+        integrand_series(mm, euler=True)
+    for name in ("series_exp", "series_inverse", "series_mul"):
+        assert calls[name] == solved[name], name
+    assert calls["hyper_block"] == len(degrees_upto(2, bound)) - 1
+    # and reads the map's table
     assert calls["degree_pairs"] == 1
     # verify solves twice, at D and at D + 2; its three extractions, the Euler
     # route's reference and the re-solve's reused blocks build no table
@@ -553,22 +627,24 @@ def test_solve_and_extraction_keep_blocks_on_integers(monkeypatch, spec, bound):
 
 
 def test_check_after_solving_catches_a_wrong_shift(monkeypatch):
-    real = mirror._log_terms
+    real = mirror.series_mul
     calls = []
 
-    def off_by_one(dims, f, g):
-        calls.append(g)
-        if len(calls) == 2:  # the second degree the solve reads off
-            g = (g[0] + 1,) + g[1:]
-        return real(dims, f, g)
+    def off_by_one(dims, a, b, pairs, orbits):
+        out = real(dims, a, b, pairs, orbits)
+        calls.append(out)
+        if len(calls) == 1:  # the log terms F x/alpha - g.H/alpha: g_0 + 1 at the second rep
+            d = [d for d in pairs if any(d) and d not in orbits][1]
+            out[d] = out[d] - LaurentBlock(dims, {(-1, 0, (1,) + (0,) * (len(d) - 1)): 1})
+        return out
 
-    monkeypatch.setattr(mirror, "_log_terms", off_by_one)
+    monkeypatch.setattr(mirror, "series_mul", off_by_one)
     # degrees run (0, 1), (1, 0), (0, 2), ...; TWO_FACTOR is symmetric, so the
-    # solve relabels (1, 0) from (0, 1), and its second read-off, at the
+    # solve relabels (1, 0) from (0, 1), and its second representative, the
     # first degree of the next orbit, is (0, 2)
     with pytest.raises(MirrorInconsistencyError, match=r"degree \(0, 2\): .* after solving"):
         solve_mirror_map(TWO_FACTOR, 2)
-    # with the orbit map patched to {}, every degree is read off, (1, 0) second
+    # with the orbit map patched to {}, every degree is a representative, (1, 0) second
     calls.clear()
     monkeypatch.setattr(mirror, "_orbits", lambda spec, degrees: {})
     with pytest.raises(MirrorInconsistencyError, match=r"degree \(1, 0\): .* after solving"):
@@ -598,8 +674,8 @@ def test_check_after_solving_reports_a_term_outside_the_solvable_span(
     stray = LaurentBlock(TWO_FACTOR.factors, {key: 3})
     real = mirror._residual
 
-    def with_stray(dims, u, reduced, splits):
-        out = real(dims, u, reduced, splits)
+    def with_stray(dims, u, g, reduced, splits):
+        out = real(dims, u, g, reduced, splits)
         # the splits of d end with (d, 0)
         return out + stray if splits[-1][0] == degree else out
 

@@ -6,7 +6,10 @@ from fractions import Fraction as Rat
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from concavex.eulerdata import reduced_block
+from concavex.geometry import parse_spec
 from concavex.laurent import LaurentBlock, block_one, block_scalar
+from concavex.mirror import _orbits
 from concavex.qseries import (
     degree_pairs,
     degrees_upto,
@@ -68,8 +71,8 @@ def test_the_empty_product_has_only_the_zero_degree():
     assert degrees_upto(0, 3) == [()]
     unit = {(): block_one(())}
     pairs = degree_pairs(0, 2)
-    assert series_exp((), {}, pairs) == unit
-    assert series_inverse((), unit, pairs) == unit
+    assert series_exp((), {}, pairs, {}) == unit
+    assert series_inverse((), unit, pairs, {}) == unit
 
 
 def _series(coeffs: dict) -> dict:
@@ -83,26 +86,26 @@ def _nonzero(s: dict) -> dict:
 def test_exp_inverse_roundtrip():
     one = {(0,): block_one(DIMS)}
     pairs = degree_pairs(1, 4)
-    e = series_exp(DIMS, _series({(1,): Rat(3), (2,): Rat(-1, 2)}), pairs)
+    e = series_exp(DIMS, _series({(1,): Rat(3), (2,): Rat(-1, 2)}), pairs, {})
     assert set(e) == set(degrees_upto(1, 4))
-    minus = series_exp(DIMS, _series({(1,): Rat(-3), (2,): Rat(1, 2)}), pairs)
-    assert _nonzero(series_mul(DIMS, e, minus, pairs)) == one
-    inv = series_inverse(DIMS, e, pairs)
+    minus = series_exp(DIMS, _series({(1,): Rat(-3), (2,): Rat(1, 2)}), pairs, {})
+    assert _nonzero(series_mul(DIMS, e, minus, pairs, {})) == one
+    inv = series_inverse(DIMS, e, pairs, {})
     assert set(inv) == set(degrees_upto(1, 4))
-    assert _nonzero(series_mul(DIMS, e, inv, pairs)) == one
+    assert _nonzero(series_mul(DIMS, e, inv, pairs, {})) == one
 
 
 def test_exp_requires_no_constant_term():
     pairs = degree_pairs(1, 3)
     with pytest.raises(ValueError):
-        series_exp(DIMS, {(0,): block_one(DIMS)}, pairs)
+        series_exp(DIMS, {(0,): block_one(DIMS)}, pairs, {})
     with pytest.raises(ValueError):
-        series_inverse(DIMS, _series({(1,): Rat(1)}), pairs)
+        series_inverse(DIMS, _series({(1,): Rat(1)}), pairs, {})
 
 
 def test_block_coefficients_flow_through_products():
     s = {(1,): _alpha(DIMS, -1)}
-    sq = series_mul(DIMS, s, s, degree_pairs(1, 2))
+    sq = series_mul(DIMS, s, s, degree_pairs(1, 2), {})
     assert sq == {(2,): _alpha(DIMS, -2)}
 
 
@@ -110,15 +113,15 @@ def test_series_mul_truncates_at_the_bound():
     dims = (1, 1)
     a = {(0, 0): block_one(dims), (1, 0): _alpha(dims, -1), (0, 2): block_scalar(dims, 3)}
     b = {(0, 1): block_scalar(dims, 2), (2, 0): _alpha(dims, -2)}
-    got = series_mul(dims, a, b, degree_pairs(2, 2))
+    got = series_mul(dims, a, b, degree_pairs(2, 2), {})
     # (1, 0) + (2, 0), (0, 2) + (0, 1) and (0, 2) + (2, 0) exceed the bound
     assert got == {
         (0, 1): block_scalar(dims, 2),
         (2, 0): _alpha(dims, -2),
         (1, 1): _alpha(dims, -1) * block_scalar(dims, 2),
     }
-    assert series_mul(dims, a, b, degree_pairs(2, 0)) == {}
-    assert set(series_mul(dims, a, b, degree_pairs(2, 4))) == {
+    assert series_mul(dims, a, b, degree_pairs(2, 0), {}) == {}
+    assert set(series_mul(dims, a, b, degree_pairs(2, 4), {})) == {
         (0, 1), (2, 0), (1, 1), (3, 0), (0, 3), (2, 2)
     }
 
@@ -143,7 +146,7 @@ def test_scalar_exp_matches_block_exp(m, data):
         )
     )
     kept = {d: c for d, c in coeffs.items() if c}
-    be = series_exp(dims, {d: block_scalar(dims, c) for d, c in kept.items()}, pairs)
+    be = series_exp(dims, {d: block_scalar(dims, c) for d, c in kept.items()}, pairs, {})
     (egf,), scale = egf_numerators((kept,), bound)
     se = _egf_values(egf_exp(egf, pairs), scale)
     want = fraction_exp(kept, m, bound)
@@ -158,7 +161,7 @@ def _power_chain_exp(dims, s, bound):
     pairs = degree_pairs(len(dims), bound)
     out, power = dict(one), one
     for k in range(1, bound + 1):
-        power = series_mul(dims, power, s, pairs)
+        power = series_mul(dims, power, s, pairs, {})
         for d, b in power.items():
             out[d] = out.get(d, block_scalar(dims, 0)) + b.scale(Rat(1, math.factorial(k)))
     return out
@@ -179,7 +182,7 @@ def test_series_exp_matches_the_power_chain(shape, numerators, den):
     for k, (d, c) in enumerate(zip(degrees, numerators)):
         # alternate x/alpha with hyperplane classes over alpha, both of degree 0
         s[d] = LaurentBlock(dims, {(-1, 0, h) if k % 2 else (-1, 1, (0,) * m): Rat(c, den)})
-    got = series_exp(dims, s, degree_pairs(m, bound))
+    got = series_exp(dims, s, degree_pairs(m, bound), {})
     assert _nonzero(got) == _nonzero(_power_chain_exp(dims, s, bound))
 
 
@@ -210,3 +213,33 @@ def test_egf_numerators_and_exp_need_no_constant_term():
         egf_numerators(({(0,): Rat(1, 2)},), 2)
     with pytest.raises(ValueError):
         egf_exp({(0, 0): 1}, degree_pairs(2, 2))
+
+
+@pytest.mark.parametrize(
+    "text,bound",
+    [
+        ("space 2\nspace 2\nbundle convex 3 3\n", 4),
+        ("space 1\n" * 4 + "bundle convex 2 2 2 2\n", 3),
+    ],
+    ids=["bicubic", "p1-4"],
+)
+def test_the_orbit_map_relabels_what_the_products_would_give(text, bound):
+    """With the spec's orbit map the block helpers give what they give with {}.
+
+    On series invariant under the factor permutations, here the reduced blocks
+    R_d, the representative's coefficient relabelled is the product at an image.
+    """
+    spec = parse_spec(text)
+    dims, pairs = spec.factors, degree_pairs(spec.m, bound)
+    orbits = _orbits(spec, list(pairs))
+    assert orbits
+    blocks = {}
+    for d in pairs:
+        reduced_block(spec, d, blocks)
+    log = {d: b for d, b in blocks.items() if any(d)}
+    for helper, args in [
+        (series_mul, (blocks, log)), (series_exp, (log,)), (series_inverse, (blocks,))
+    ]:
+        got = helper(dims, *args, pairs, orbits)
+        assert got == helper(dims, *args, pairs, {}), helper.__name__
+        assert set(got) >= set(orbits)
