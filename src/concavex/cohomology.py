@@ -3,15 +3,24 @@
 The ring for dimensions ``(n_1, ..., n_m)`` is ``Q[H_1, ..., H_m]`` modulo
 the relations ``H_i ** (n_i + 1) == 0``, with ``H_i`` the hyperplane class
 pulled back from the i-th factor.  A class is stored densely as a flat tuple
-of ``Fraction`` coefficients over the exponent box ``prod(n_i + 1)`` in
-C order (last axis fastest).  All coefficients are exact rationals; floats
-never appear.
+of ``Fraction`` coefficients over the exponent box ``prod(n_i + 1)``.  All
+coefficients are exact rationals; floats never appear.
+
+One cached record per ``dims``, ``_ring(dims)``, numbers the box for every
+reader, here and in ``laurent``: ``box`` lists the exponents h of each slot
+in C order (last axis fastest), ``slot`` maps h back to its slot, ``weight``
+gives |h| per slot, ``pairs[i][k]`` the slot of monomial i times monomial k
+(-1 past the box) and ``partners[i]`` the k whose product with i stays in
+the box.  An h past the box, or of another length than dims, is a miss in
+``slot``.  In C order the slot is linear in h: the slot of h + h' is the sum
+of the slots whenever h + h' lies in the box.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from operator import add
@@ -30,27 +39,17 @@ __all__ = [
 ]
 
 
-def _strides(dims: tuple[int, ...]) -> tuple[int, ...]:
-    # C order: stride of the last axis is 1.
-    strides = [1] * len(dims)
-    for i in range(len(dims) - 2, -1, -1):
-        strides[i] = strides[i + 1] * (dims[i + 1] + 1)
-    return tuple(strides)
-
-
-def _flat_index(dims: tuple[int, ...], exps: tuple[int, ...]) -> int:
-    return sum(e * s for e, s in zip(exps, _strides(dims)))
+_Ring = namedtuple("_Ring", "box slot weight pairs partners")
 
 
 @functools.cache
-def _slot_pairs(dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """``table[i][j]``: the slot of monomial i times monomial j, or -1 past the box.
-
-    Built once per ``dims`` and shared by every product over that ring.
-    """
-    exps = list(itertools.product(*(range(n + 1) for n in dims)))
-    slot = {e: i for i, e in enumerate(exps)}
-    return tuple(tuple(slot.get(tuple(map(add, e, f)), -1) for f in exps) for e in exps)
+def _ring(dims: tuple[int, ...]) -> _Ring:
+    """The numbering of the exponent box of the ring of ``dims``, built once per dims."""
+    box = tuple(itertools.product(*(range(n + 1) for n in dims)))
+    slot = {h: i for i, h in enumerate(box)}
+    pairs = tuple(tuple(slot.get(tuple(map(add, h, e)), -1) for e in box) for h in box)
+    partners = tuple(tuple(k for k, p in enumerate(row) if p >= 0) for row in pairs)
+    return _Ring(box, slot, tuple(map(sum, box)), pairs, partners)
 
 
 class CohClass:
@@ -92,14 +91,12 @@ class CohClass:
 
     def coefficient(self, exps: tuple[int, ...]) -> Rat:
         """Coefficient of ``prod H_i ** exps[i]``; 0 past the box or at another length."""
-        if len(exps) != len(self.dims) or any(e < 0 or e > n for e, n in zip(exps, self.dims)):
-            return Rat(0)
-        return self.coeffs[_flat_index(self.dims, exps)]
+        i = _ring(self.dims).slot.get(exps)
+        return Rat(0) if i is None else self.coeffs[i]
 
     def terms(self) -> Iterator[tuple[tuple[int, ...], Rat]]:
         """Yield ``(exponents, coefficient)`` for every nonzero monomial."""
-        ranges = [range(n + 1) for n in self.dims]
-        for exps, c in zip(itertools.product(*ranges), self.coeffs):
+        for exps, c in zip(_ring(self.dims).box, self.coeffs):
             if c:
                 yield exps, c
 
@@ -130,7 +127,7 @@ class CohClass:
     def __mul__(self, other: "CohClass") -> "CohClass":
         """Cup product; monomials past the box are zero by the ring relations."""
         self._check(other)
-        table = _slot_pairs(self.dims)
+        table = _ring(self.dims).pairs
         acc = [Rat(0)] * len(self.coeffs)
         for i, c in enumerate(self.coeffs):
             for j, d in enumerate(other.coeffs):
@@ -179,11 +176,9 @@ def monomial(dims: tuple[int, ...], exps: tuple[int, ...], c: Rat | int = 1) -> 
     """c * H^exps, zero past the box; ValueError for exponents of another length."""
     if len(exps) != len(dims):
         raise ValueError(f"H^{exps} has {len(exps)} exponents in the ring of {dims}")
-    for e, n in zip(exps, dims):
-        if e < 0 or e > n:
-            return zero(dims)
     z = list(zero(dims).coeffs)
-    z[_flat_index(dims, exps)] = Rat(c)
+    if (i := _ring(dims).slot.get(exps)) is not None:
+        z[i] = Rat(c)
     return CohClass(dims, tuple(z))
 
 

@@ -22,18 +22,18 @@ ints, ``monomials`` all of them.  The ``terms`` view, the same map with the
 H exponents gathered into dense ``CohClass`` coefficients of ``Fraction``
 entries, is built on first read and cached.
 
-A code is j * size + slot, where slot numbers h in the ring's flat exponent
-box of ``size`` slots; a is deg - j - |h|, so the code need not hold it.
-Floor division gives back j, negative j included, and the slot.  In C order
-the slot is linear in the exponents, so when the ring's slot-pair table
-keeps the product of two slots in the box, the product of two terms has
-code c1 + c2 and degree deg1 + deg2: a product costs one int addition per
-pair of terms.
+A code is j * size + slot, where slot numbers h in the ring's exponent box
+of ``size`` slots as the one record ``cohomology._ring(dims)`` does; a is
+deg - j - |h|, so the code need not hold it.  Floor division gives back j,
+negative j included, and the slot.  The record's slots are linear in the
+exponents, so when its ``pairs`` table keeps the product of two slots in
+the box, the product of two terms has code c1 + c2 and degree deg1 + deg2:
+a product costs one int addition per pair of terms.
 
 Every product of two blocks and every sum of such products goes through
 one kernel, ``_mul_sum``.  It accumulates all pairs of stored terms in
 Python ints over one denominator for the whole sum and meets each slot
-only with the partners the ring's cached table lists: those that keep the
+only with the slots the record's ``partners`` lists: those that keep the
 product in the box.  ``times_poly``, a block times an int polynomial in
 x + sum_i c_i H_i, needs no kernel.  Sums, differences and rescalings
 share one linear-combination step, ``_lincomb``.  Both raise ValueError
@@ -44,12 +44,11 @@ box; neither is a product.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import defaultdict
 from types import MappingProxyType
 
-from .cohomology import CohClass, Rat, _flat_index, _slot_pairs
+from .cohomology import CohClass, Rat, _ring
 
 Monomial = tuple[int, int, tuple[int, ...]]  # (a, j, h): alpha^a x^j H^h
 
@@ -61,21 +60,10 @@ __all__ = [
 
 
 @functools.cache
-def _box(dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The exponents h of each slot, in C order as _flat_index numbers them."""
-    return tuple(itertools.product(*(range(n + 1) for n in dims)))
-
-
-@functools.cache
 def _slot_perm(dims: tuple[int, ...], sigma: tuple[int, ...]) -> tuple[int, ...]:
     """Per slot of h, the slot of h' with h'_k = h_{sigma[k]}; sigma keeps dims."""
-    return tuple(_flat_index(dims, tuple(h[i] for i in sigma)) for h in _box(dims))
-
-
-@functools.cache
-def _slot_partners(dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Per slot i, the slots j whose product with i stays in the box."""
-    return tuple(tuple(j for j, k in enumerate(row) if k >= 0) for row in _slot_pairs(dims))
+    ring = _ring(dims)
+    return tuple(ring.slot[tuple(h[i] for i in sigma)] for h in ring.box)
 
 
 class LaurentBlock:
@@ -89,14 +77,15 @@ class LaurentBlock:
     __slots__ = ("dims", "deg", "_codes", "_den", "_view")
 
     def __init__(self, dims: tuple[int, ...], terms: dict[Monomial, Rat | int]) -> None:
-        m, size = len(dims), len(_box(dims))
+        m, ring = len(dims), _ring(dims)
+        size = len(ring.box)
         kept, degs = [], set()
         for (a, j, h), r in terms.items():
             if len(h) != m:
                 raise ValueError(f"H^{h} has {len(h)} exponents in a block over {dims}")
-            if r and all(0 <= e <= n for e, n in zip(h, dims)):  # H_i^(n_i + 1) = 0
-                kept.append((j * size + _flat_index(dims, h), r))
-                degs.add(a + j + sum(h))
+            if r and (s := ring.slot.get(h)) is not None:  # H_i^(n_i + 1) = 0
+                kept.append((j * size + s, r))
+                degs.add(a + j + ring.weight[s])
         # the lcm of the denominators is already in lowest terms
         den = math.lcm(*{r.denominator for _, r in kept})
         self.dims, self.deg, self._den, self._view = dims, _one_degree(degs), den, None
@@ -111,11 +100,11 @@ class LaurentBlock:
         retires this view.
         """
         if self._view is None:
-            (nums, den), t0, size = self.monomials(), (0,) * len(self.dims), len(_box(self.dims))
+            (nums, den), t0, slot = self.monomials(), (0,) * len(self.dims), _ring(self.dims).slot
             rows: dict[tuple[int, int, tuple[int, ...]], list[Rat]] = {}
             for (a, j, h), v in nums.items():
-                row = rows.setdefault((a, j, t0), [Rat(0)] * size)
-                row[_flat_index(self.dims, h)] = Rat(v, den)
+                row = rows.setdefault((a, j, t0), [Rat(0)] * len(slot))
+                row[slot[h]] = Rat(v, den)
             self._view = MappingProxyType(
                 {key: CohClass(self.dims, tuple(row)) for key, row in rows.items()}
             )
@@ -128,24 +117,23 @@ class LaurentBlock:
 
     def entry(self, a: int, j: int, h: tuple[int, ...]) -> Rat:
         """The coefficient of alpha^a x^j H^h, 0 off the block's degree, without the view."""
-        dims = self.dims
-        if len(h) != len(dims) or a + j + sum(h) != self.deg or any(
-            e < 0 or e > n for e, n in zip(h, dims)
-        ):
+        ring = _ring(self.dims)
+        if (s := ring.slot.get(h)) is None or a + j + ring.weight[s] != self.deg:
             return Rat(0)
-        return Rat(self._codes.get(j * len(_box(dims)) + _flat_index(dims, h), 0), self._den)
+        return Rat(self._codes.get(j * len(ring.box) + s, 0), self._den)
 
     def monomials(self) -> tuple[dict[Monomial, int], int]:
         """The constructor's map back, ({(a, j, h): numerator}, den), without the view."""
-        box, deg = _box(self.dims), self.deg
-        jh = [(c // len(box), box[c % len(box)]) for c in self._codes]
-        nums = {(deg - j - sum(h), j, h): v for (j, h), v in zip(jh, self._codes.values())}
+        ring, deg = _ring(self.dims), self.deg
+        box, weight = ring.box, ring.weight
+        js = [divmod(c, len(box)) for c in self._codes]
+        nums = {(deg - j - weight[s], j, box[s]): v for (j, s), v in zip(js, self._codes.values())}
         return nums, self._den
 
     def at_slots(self, hs: list[tuple[int, ...]]) -> tuple[list[dict[int, int]], int]:
         """Per h of hs, {j: numerator} of the terms at x^j H^h, and the denominator."""
-        size = len(_box(self.dims))
-        want = {_flat_index(self.dims, h): i for i, h in enumerate(hs)}
+        slot = _ring(self.dims).slot
+        size, want = len(slot), {slot[h]: i for i, h in enumerate(hs)}
         out: list[dict[int, int]] = [{} for _ in hs]
         for code, v in self._codes.items():
             if (i := want.get(code % size)) is not None:
@@ -154,19 +142,19 @@ class LaurentBlock:
 
     def alpha_support(self) -> tuple[int, int] | None:
         """(min, max) alpha exponent over the support, or None if zero."""
-        box = _box(self.dims)
-        size, weight = len(box), [sum(h) for h in box]
+        weight = _ring(self.dims).weight
+        size = len(weight)
         ws = [c // size + weight[c % size] for c in self._codes]  # j + |h| = deg - a
         return (self.deg - max(ws), self.deg - min(ws)) if ws else None
 
     def x_support(self) -> tuple[int, int] | None:
         # floor division by the box size is monotone, so the extreme codes hold the extreme j
-        size = len(_box(self.dims))
+        size = len(_ring(self.dims).box)
         return (min(self._codes) // size, max(self._codes) // size) if self._codes else None
 
     def x_stratum(self, j: int) -> "LaurentBlock":
         """The sub-block of terms with x exponent exactly j."""
-        size = len(_box(self.dims))
+        size = len(_ring(self.dims).box)
         codes = {c: v for c, v in self._codes.items() if c // size == j}
         return _block(self.dims, self.deg, codes, self._den)
 
@@ -186,13 +174,12 @@ class LaurentBlock:
         (c.H)^k = sum_{|h| = k} (k!/h!) c^h H^h, x^(j + shift + q) H^s gets
         sum_k f[s, k] C(q + k, k) poly[q + k], f[s, k] self times (c.H)^k at slot s.
         """
-        box, table = _box(self.dims), _slot_pairs(self.dims)
-        size, top = len(box), len(poly) - 1
+        ring = _ring(self.dims)
+        size, top, table = len(ring.box), len(poly) - 1, ring.pairs
         if len(js := {code // size for code in self._codes} or {0}) > 1:
             raise ValueError(f"times_poly needs a block at one x power, not {sorted(js)}")
         f: dict[tuple[int, int], int] = {}
-        for slot, h in enumerate(box):
-            k = sum(h)
+        for slot, (h, k) in enumerate(zip(ring.box, ring.weight)):
             m = math.factorial(k) // math.prod(map(math.factorial, h)) * math.prod(map(pow, c, h))
             for code, v in self._codes.items() if m and k <= top else ():
                 if (s := table[code % size][slot]) >= 0:
@@ -291,7 +278,7 @@ def _mul_sum(dims: tuple[int, ...], pairs: list[tuple[LaurentBlock, LaurentBlock
     _same_ring(dims, [blk for pair in pairs for blk in pair])
     deg = _one_degree({a.deg + b.deg for a, b in pairs if a._codes and b._codes})
     den = math.lcm(*{a._den * b._den for a, b in pairs})
-    partners = _slot_partners(dims)
+    partners = _ring(dims).partners
     size = len(partners)
     acc: defaultdict[int, int] = defaultdict(int)
     for a, b in pairs:

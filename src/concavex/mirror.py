@@ -247,28 +247,32 @@ def integrand_series(mm: MirrorMap, euler: bool = False) -> Series:
     block with x poles, are multiplied out with x symbolic and restricted
     only afterwards, because the Chern ratio of a concave summand is an
     x-Laurent series.  A concave summand pairing to 0 with dp leaves such
-    a pole in hyper_block(spec, dp, mm.blocks, omega).
+    a pole in hyper_block(spec, dp, mm.blocks, omega).  On either route an
+    image of the orbit map relabels its representative's X_d, and the Euler
+    route its full block too.
     """
     spec = mm.spec
     dims = spec.factors
     omega = chern_ratio(spec)
-    if not euler:
-        xs: Series = {}
-        for d, r in mm.residuals.items():  # omega is invariant: an image relabels its rep's X
-            xs[d] = xs[mm.orbits[d][0]].relabel(mm.orbits[d][1]) if d in mm.orbits else omega * r
-        return xs
-    degrees = list(mm.residuals)
-    u, g = mm.u, mm.g
-    blocks = {dp: hyper_block(spec, dp, mm.blocks, omega) for dp in degrees}
-    at_x0 = {dp for dp, b in blocks.items() if b.x_support()[0] >= 0}
-    blocks.update((dp, blocks[dp].x_stratum(0)) for dp in at_x0)
-    u0 = {e: b.x_stratum(0) for e, b in u.items()}
-    out = {}
-    for d in degrees:
-        pairs = [(u0[e] if dp in at_x0 else u[e], blocks[dp]) for dp, e in mm.pairs[d][1:]]
-        pairs.append((u[d] - g[d], omega))
-        out[d] = _mul_sum(dims, pairs).x_stratum(0)
-    return out
+    if euler:
+        blocks: Series = {}
+        for dp in mm.residuals:  # the full blocks are invariant too
+            blocks[dp] = (blocks[mm.orbits[dp][0]].relabel(mm.orbits[dp][1]) if dp in mm.orbits
+                          else hyper_block(spec, dp, mm.blocks, omega))
+        at_x0 = {dp for dp, b in blocks.items() if b.x_support()[0] >= 0}
+        blocks.update((dp, blocks[dp].x_stratum(0)) for dp in at_x0)
+        u0 = {e: b.x_stratum(0) for e, b in mm.u.items()}
+    xs: Series = {}
+    for d, r in mm.residuals.items():  # omega is invariant: an image relabels its rep's X
+        if d in mm.orbits:
+            xs[d] = xs[mm.orbits[d][0]].relabel(mm.orbits[d][1])
+        elif not euler:
+            xs[d] = omega * r
+        else:
+            pairs = [(u0[e] if dp in at_x0 else mm.u[e], blocks[dp]) for dp, e in mm.pairs[d][1:]]
+            pairs.append((mm.u[d] - mm.g[d], omega))
+            xs[d] = _mul_sum(dims, pairs).x_stratum(0)
+    return xs
 
 
 def extract_invariants(mm: MirrorMap, euler: bool = False) -> InvariantTable:

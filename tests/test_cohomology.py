@@ -1,5 +1,6 @@
 """Arithmetic in the cohomology ring of a product of projective spaces."""
 
+import itertools
 from fractions import Fraction as Rat
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from concavex.cohomology import (
     CohClass,
+    _ring,
     hyperplane,
     linear,
     monomial,
@@ -102,3 +104,26 @@ def test_scaling_matches_scalar_multiplication(a, k):
 def test_mismatched_dims_rejected():
     with pytest.raises(ValueError):
         one((1,)) * one((2,))
+
+
+@pytest.mark.parametrize("dims", [(), (1,), (4,), (7,), (2, 2), (1, 1, 1, 1), (2, 2, 1)])
+def test_the_ring_record_numbers_the_box_in_c_order(dims):
+    """Every field of _ring, rebuilt here from the exponents alone."""
+    box = list(itertools.product(*(range(n + 1) for n in dims)))
+    slot = {h: i for i, h in enumerate(box)}
+    pairs = [
+        [slot[s] if (s := tuple(u + v for u, v in zip(h, e))) in slot else -1 for e in box]
+        for h in box
+    ]
+    partners = [[k for k, p in enumerate(row) if p != -1] for row in pairs]
+    ring = _ring(dims)
+    assert list(ring.box) == box and ring.slot == slot
+    assert list(ring.weight) == [sum(h) for h in box]
+    assert [list(row) for row in ring.pairs] == pairs
+    assert [list(row) for row in ring.partners] == partners
+    assert _ring(dims) is ring  # built once per dims
+    # C order, last axis fastest, makes the slot linear in the exponents:
+    # the kernel adds slots where it multiplies monomials
+    for i, j in itertools.product(range(len(box)), repeat=2):
+        if pairs[i][j] != -1:
+            assert pairs[i][j] == i + j

@@ -261,7 +261,7 @@ def test_engine_past_laurent_imports_no_ring_class_constructor(name):
 def test_checker_flags_a_ring_class_import():
     source = (
         "from .cohomology import Rat, linear\n"
-        "from concavex.cohomology import CohClass as C, _slot_pairs\n"
+        "from concavex.cohomology import CohClass as C, _ring\n"
         "def f():\n    from .cohomology import one\n"
         "from .laurent import scalar\n"
     )
@@ -300,7 +300,7 @@ def _memoised(source: str) -> list[str]:
 
 def test_only_the_ring_tables_are_memoised():
     found = [name for p in MODULES for name in _memoised(p.read_text(encoding="utf-8"))]
-    assert sorted(found) == ["_box", "_slot_pairs", "_slot_partners", "_slot_perm"]
+    assert sorted(found) == ["_ring", "_slot_perm"]
 
 
 def test_checker_finds_every_memoised_function():
@@ -313,11 +313,12 @@ def test_checker_finds_every_memoised_function():
     assert _memoised(source) == ["a", "b", "line 2", "line 9"]
 
 
-# the stored codes and denominator of a block, its cached view, the ring
-# tables of the code layout and the helpers that handle them
+# the stored codes and denominator of a block, its cached view, the slot
+# permutations of the code layout and the helpers that handle them; the ring
+# record cohomology._ring is not here, because cohomology reads it too
 BLOCK_STORAGE = {
     "_codes", "_den", "_view",
-    "_box", "_slot_partners", "_slot_perm",
+    "_slot_perm",
     "_same_ring", "_one_degree", "_block", "_lincomb",
 }
 

@@ -8,7 +8,7 @@ from fractions import Fraction as Rat
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from concavex.cohomology import CohClass, _slot_pairs, monomial
+from concavex.cohomology import CohClass, _ring, monomial
 from concavex.eulerdata import _inverse_power, _power, chern_ratio, hyper_block, reduced_block
 from concavex.geometry import parse_spec
 from concavex.laurent import LaurentBlock, _mul_sum, block_one
@@ -258,7 +258,7 @@ def test_codes_unpack_and_add_like_keys(case):
     """A code is j * size + slot: floor division gives j back, negative j included."""
     dims, (d1, j1, i1), (d2, j2, i2) = case
     box = _box(dims)
-    table = _slot_pairs(dims)
+    table = _ring(dims).pairs
     size = len(table)
     h1, h2 = box[i1], box[i2]
     b1 = LaurentBlock(dims, {(d1 - j1 - sum(h1), j1, h1): 1})

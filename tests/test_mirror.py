@@ -487,7 +487,8 @@ def _assert_built_once(monkeypatch, spec, reps):
     # and reads its splits from the map's table
     assert calls["degree_pairs"] == 1
     # the Euler route reads the solve's U and G: it builds neither, and
-    # multiplies the full blocks R_d once each, one kernel call per degree
+    # builds the full block of each orbit's first degree once, relabelling
+    # it at the images
     solved = +calls
     if validate(spec) == 0:
         extract_invariants(mm, euler=True)
@@ -495,7 +496,7 @@ def _assert_built_once(monkeypatch, spec, reps):
         integrand_series(mm, euler=True)
     for name in ("series_exp", "series_inverse", "series_mul"):
         assert calls[name] == solved[name], name
-    assert calls["hyper_block"] == len(degrees_upto(2, bound)) - 1
+    assert calls["hyper_block"] == reps
     # and reads the map's table
     assert calls["degree_pairs"] == 1
     # verify solves twice, at D and at D + 2; its three extractions, the Euler

@@ -3,10 +3,10 @@
 A permutation sigma of factors of one dimension that maps the bundle
 multiset to itself permutes the whole computation, so the solve and the
 integrand run their products only at the first degree of each orbit and
-relabel them elsewhere.  Each spec here is solved twice: as it is, and with
-the orbit map patched to {}, which makes the engine solve every degree from
-scratch.  The two runs must agree on every block, every coefficient and the
-report, byte for byte.
+relabel them elsewhere, on the Euler route too.  Each spec here is solved
+twice: as it is, and with the orbit map patched to {}, which makes the
+engine solve every degree from scratch.  The two runs must agree on every
+block, every coefficient, both integrands and the reports, byte for byte.
 """
 
 import itertools
@@ -16,7 +16,7 @@ import pytest
 
 from concavex import mirror
 from concavex.cli import main
-from concavex.geometry import parse_spec
+from concavex.geometry import parse_spec, validate
 from concavex.mirror import extract_invariants, integrand_series, solve_mirror_map
 from concavex.qseries import degree_pairs
 
@@ -45,11 +45,11 @@ def _no_orbits(monkeypatch):
 
 def _run(spec, bound):
     mm = solve_mirror_map(spec, bound)
-    return mm, integrand_series(mm), extract_invariants(mm)
+    return mm, integrand_series(mm), integrand_series(mm, euler=True), extract_invariants(mm)
 
 
-def _report(path, bound, capsys):
-    rc = main(["compute", "--spec", str(path), "--max-degree", str(bound)])
+def _report(path, bound, capsys, *flags):
+    rc = main(["compute", "--spec", str(path), "--max-degree", str(bound), *flags])
     return rc, capsys.readouterr().out
 
 
@@ -59,21 +59,24 @@ def test_the_orbit_solve_equals_the_full_solve(name, monkeypatch, capsys, tmp_pa
     spec = parse_spec(text)
     path = tmp_path / "spec.cvx"
     path.write_text(text)
-    mm, xs, table = _run(spec, bound)
-    report = _report(path, bound, capsys)
+    # the --euler report needs splitting excess 0
+    runs = [(), ("--euler",)] if validate(spec) == 0 else [()]
+    mm, xs, euler_xs, table = _run(spec, bound)
+    reports = [_report(path, bound, capsys, *flags) for flags in runs]
     assert mm.orbits  # the relabel runs
     _no_orbits(monkeypatch)
-    full_mm, full_xs, full_table = _run(spec, bound)
+    full_mm, full_xs, full_euler_xs, full_table = _run(spec, bound)
     assert full_mm.orbits == {}
     assert mm.blocks == full_mm.blocks  # every R_d of the table
     assert mm.residuals == full_mm.residuals
     assert xs == full_xs
+    assert euler_xs == full_euler_xs
     assert mm.prefactor == full_mm.prefactor
     assert mm.shifts == full_mm.shifts
     assert mm.normalization == full_mm.normalization
     assert table == full_table  # K and K_raw at every degree
-    assert report == _report(path, bound, capsys)
-    assert report[0] == 0
+    assert reports == [_report(path, bound, capsys, *flags) for flags in runs]
+    assert all(rc == 0 for rc, _ in reports)
 
 
 def _group(spec):
